@@ -1,32 +1,23 @@
 //! Engine event throughput at datacenter scale: wall-clock events/sec for
 //! one simulated second of pure control-plane load (handshakes, LLDP
 //! discovery, echo probes) on generated fabrics of 4, 100, and 1000
-//! switches, under both event-queue backends.
+//! switches.
 //!
 //! Two record families go to `BENCH_JSON`:
 //!
 //! * `engine_throughput/...` — the harness's standard wall-clock summary
-//!   for one simulated second per `(topology, backend)`;
+//!   for one simulated second per topology;
 //! * `engine_throughput_eps/...` — the derived events-per-wall-second
-//!   figure (`events_processed` is deterministic per topology, so the
-//!   division is exact given the measured wall time). Each record also
-//!   carries `sched_entry_bytes`, the per-entry size the queue backends
-//!   sift — the boxed-payload scheduler pins it at ≤32 bytes.
-//!
-//! The wheel-vs-heap comparison at every size is the acceptance gate for
-//! the scheduler swap; the differential suite proves equivalence, this
-//! bench proves the throughput claim. Because the two backends differ by
-//! tens of nanoseconds per event while a shared host's scheduler noise
-//! swings whole runs by >10%, the comparison interleaves wheel and heap
-//! rounds and scores each backend by its best round — back-to-back
-//! rounds see the same noise regime, and the minimum is the least
-//! contaminated estimate of intrinsic cost.
+//!   figure at the harness median (`events_processed` is deterministic per
+//!   topology, so the division is exact given the measured wall time).
+//!   Each record also carries `sched_entry_bytes`, the per-entry size the
+//!   event heap sifts — the boxed-payload scheduler pins it at ≤32 bytes.
 
 use bench::harness::Bench;
 use bench::json::JsonValue;
 
 use controller::ControllerConfig;
-use netsim::{LinkProfile, SchedBackend, Simulator};
+use netsim::{LinkProfile, Simulator};
 use sdn_types::Duration;
 use tm_core::DefenseStack;
 use tm_topo::TopoKind;
@@ -56,7 +47,7 @@ fn sizes() -> Vec<TopoKind> {
     ]
 }
 
-fn build_sim(kind: TopoKind, backend: SchedBackend) -> Simulator {
+fn build_sim(kind: TopoKind) -> Simulator {
     let topo = kind.generate(SEED, 0);
     let mut spec = topo.build_network(
         LinkProfile::fixed(Duration::from_micros(50)),
@@ -66,110 +57,53 @@ fn build_sim(kind: TopoKind, backend: SchedBackend) -> Simulator {
         DefenseStack::None.build_controller(ControllerConfig::default()),
     ));
     spec.set_telemetry(tm_telemetry::Telemetry::new());
-    spec.set_sched_backend(backend);
     Simulator::new(spec, SEED)
 }
 
 /// Events processed in one simulated second — deterministic per
-/// `(topology, seed)`, and identical across backends by the differential
-/// suite's guarantee.
+/// `(topology, seed)`.
 fn events_per_sim_second(kind: TopoKind) -> u64 {
-    let mut sim = build_sim(kind, SchedBackend::Wheel);
+    let mut sim = build_sim(kind);
     sim.run_for(Duration::from_secs(1));
     sim.metrics_snapshot()
         .counter("netsim.engine.events_processed")
         .unwrap_or(0)
 }
 
-/// Best-of-N wall time for one simulated second, with wheel and heap
-/// rounds interleaved so both backends sample the same noise regime.
-///
-/// Small fabrics finish a simulated second in microseconds — far too
-/// short a timed region for a shared host's timer and frequency jitter —
-/// so each round runs enough independent sims back-to-back to stretch
-/// the region to ~2 ms, and reports the per-sim cost.
-fn interleaved_best_ns(kind: TopoKind, rounds: u32) -> (u64, u64) {
-    let reps = {
-        let mut sim = build_sim(kind, SchedBackend::Heap);
-        let start = std::time::Instant::now();
-        sim.run_for(Duration::from_secs(1));
-        std::hint::black_box(sim.now());
-        let single_ns = start.elapsed().as_nanos().max(1) as u64;
-        (2_000_000 / single_ns).clamp(1, 256) as usize
-    };
-    let mut best = [u64::MAX; 2];
-    for round in 0..rounds {
-        // Build every sim first so the two timed regions run
-        // back-to-back, seeing as near-identical a noise regime as a
-        // shared host allows; alternate which backend runs first so the
-        // best-of samples both positions (the first timed region sees
-        // whatever the later sims' construction evicted).
-        let order = if round % 2 == 0 {
-            [SchedBackend::Wheel, SchedBackend::Heap]
-        } else {
-            [SchedBackend::Heap, SchedBackend::Wheel]
-        };
-        let mut batches = order.map(|b| (0..reps).map(|_| build_sim(kind, b)).collect::<Vec<_>>());
-        for (backend, batch) in order.into_iter().zip(batches.iter_mut()) {
-            let start = std::time::Instant::now();
-            for sim in batch.iter_mut() {
-                sim.run_for(Duration::from_secs(1));
-                std::hint::black_box(sim.now());
-            }
-            let i = usize::from(backend == SchedBackend::Heap);
-            best[i] = best[i].min(start.elapsed().as_nanos() as u64 / reps as u64);
-        }
-    }
-    (best[0], best[1])
-}
-
 fn main() {
     let group = Bench::new("engine_throughput").samples(5);
     for kind in sizes() {
-        let label_base = kind.label();
+        let label = kind.label();
         let events = events_per_sim_second(kind);
-        // Standard harness records: absolute wall cost per simulated
+        // Standard harness record: absolute wall cost per simulated
         // second, tracked run-over-run like every other suite.
-        for backend in [SchedBackend::Wheel, SchedBackend::Heap] {
-            let backend_tag = match backend {
-                SchedBackend::Wheel => "wheel",
-                SchedBackend::Heap => "heap",
-            };
-            let label = format!("{label_base}/{backend_tag}");
-            group.bench_with_setup(
-                &label,
-                || build_sim(kind, backend),
-                |mut sim| {
-                    sim.run_for(Duration::from_secs(1));
-                    sim.now()
-                },
-            );
-        }
-        // Interleaved best-of-N: the backend comparison itself.
-        let (wheel_ns, heap_ns) = interleaved_best_ns(kind, 16);
-        let speedup = heap_ns as f64 / wheel_ns.max(1) as f64;
-        for (backend_tag, best_ns) in [("wheel", wheel_ns), ("heap", heap_ns)] {
-            let label = format!("{label_base}/{backend_tag}");
-            let eps = events as f64 * 1e9 / best_ns.max(1) as f64;
-            println!(
-                "engine_throughput_eps/{label}: {eps:.0} events/sec \
-                 ({events} events per simulated second, best {best_ns} ns)"
-            );
-            let record = JsonValue::object(vec![
-                ("suite", "engine_throughput_eps".into()),
-                ("bench", label.as_str().into()),
-                ("switches", kind.switch_count().into()),
-                ("events_per_sim_sec", events.into()),
-                ("events_per_wall_sec", eps.into()),
-                ("best_ns", best_ns.into()),
-                // Bytes the heap/wheel sift actually moves per entry; the
-                // boxed-payload scheduler pins this at ≤32 so a payload
-                // regression shows up in the perf trajectory, not just in
-                // the unit test.
-                ("sched_entry_bytes", netsim::sched_entry_bytes().into()),
-            ]);
-            println!("BENCH_JSON {}", record.to_compact());
-        }
-        println!("engine_throughput_eps/{label_base}: wheel/heap speedup {speedup:.3}x");
+        let summary = group.bench_with_setup(
+            &label,
+            || build_sim(kind),
+            |mut sim| {
+                sim.run_for(Duration::from_secs(1));
+                sim.now()
+            },
+        );
+        let median_ns = summary.median_ns;
+        let eps = events as f64 * 1e9 / median_ns.max(1) as f64;
+        println!(
+            "engine_throughput_eps/{label}: {eps:.0} events/sec \
+             ({events} events per simulated second, median {median_ns} ns)"
+        );
+        let record = JsonValue::object(vec![
+            ("suite", "engine_throughput_eps".into()),
+            ("bench", label.as_str().into()),
+            ("switches", kind.switch_count().into()),
+            ("events_per_sim_sec", events.into()),
+            ("events_per_wall_sec", eps.into()),
+            ("median_ns", median_ns.into()),
+            // Bytes the heap sift actually moves per entry; the
+            // boxed-payload scheduler pins this at ≤32 so a payload
+            // regression shows up in the perf trajectory, not just in
+            // the unit test.
+            ("sched_entry_bytes", netsim::sched_entry_bytes().into()),
+        ]);
+        println!("BENCH_JSON {}", record.to_compact());
     }
 }

@@ -1,13 +1,13 @@
 //! The discrete-event core: clock, deterministic event queue, RNG.
 
+use std::collections::BinaryHeap;
+
 use tm_rand::StdRng;
 use tm_telemetry::Telemetry;
 
 use openflow::OfMessage;
 use sdn_types::packet::EthernetFrame;
 use sdn_types::{DatapathId, Duration, HostId, IpAddr, MacAddr, PortNo, SimTime};
-
-use crate::sched::{EventQueue, SchedBackend, Scheduled};
 
 /// The IEEE 802.3 link-integrity-pulse window: a switch declares a port down
 /// after `16 ± 8` ms without link pulses (§V-A). The simulator samples the
@@ -84,10 +84,9 @@ pub(crate) struct IfaceUp {
 ///
 /// Variants whose payload exceeds a couple of machine words (frames,
 /// OpenFlow messages, identity tuples) carry it boxed: every pending event
-/// is moved repeatedly by heap sifts and wheel cascades, so the inline
-/// size of this enum — not the payload size — is what the scheduler pays
-/// per comparison. See the `scheduled_entries_are_sift_cheap` test for the
-/// enforced bound.
+/// is moved repeatedly by heap sifts, so the inline size of this enum —
+/// not the payload size — is what the scheduler pays per comparison. See
+/// the `scheduled_entries_are_sift_cheap` test for the enforced bound.
 #[derive(Debug)]
 pub(crate) enum Event {
     /// A dataplane frame arrives at a switch port.
@@ -210,6 +209,40 @@ impl Event {
     }
 }
 
+/// Size in bytes of one queued entry — what every heap sift moves per
+/// swap. Kept ≤ 32 by boxing fat event payloads (see `Event`); exposed so
+/// benches can record the footprint next to their throughput numbers.
+pub fn sched_entry_bytes() -> usize {
+    std::mem::size_of::<Scheduled>()
+}
+
+/// A queued event with its firing time and tie-break sequence number.
+#[derive(Debug)]
+struct Scheduled {
+    at: SimTime,
+    seq: u64,
+    event: Event,
+}
+
+impl PartialEq for Scheduled {
+    fn eq(&self, other: &Self) -> bool {
+        self.at == other.at && self.seq == other.seq
+    }
+}
+impl Eq for Scheduled {}
+impl PartialOrd for Scheduled {
+    // tm-lint: allow(float-ordering) -- PartialOrd impl over integer (SimTime, seq) keys; no floats involved
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Scheduled {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        // BinaryHeap is a max-heap; reverse to pop the earliest (time, seq).
+        (other.at, other.seq).cmp(&(self.at, self.seq))
+    }
+}
+
 /// Debug-build runtime invariant checker: the dynamic half of the
 /// determinism contract that `tm-lint` enforces statically (see DESIGN.md
 /// §"Determinism contract"). Tracks the last popped `(time, seq)` pair and
@@ -249,7 +282,8 @@ impl PopInvariants {
 pub(crate) struct SimCore {
     clock: SimTime,
     seq: u64,
-    queue: EventQueue,
+    /// Pending events; pops in strictly ascending `(time, seq)` order.
+    queue: BinaryHeap<Scheduled>,
     pub(crate) rng: StdRng,
     /// Shared metrics handle (disabled by default: every publish is a no-op).
     pub(crate) telemetry: Telemetry,
@@ -263,11 +297,11 @@ pub(crate) struct SimCore {
 }
 
 impl SimCore {
-    pub(crate) fn with_backend(seed: u64, telemetry: Telemetry, backend: SchedBackend) -> Self {
+    pub(crate) fn new(seed: u64, telemetry: Telemetry) -> Self {
         SimCore {
             clock: SimTime::ZERO,
             seq: 0,
-            queue: EventQueue::new(backend),
+            queue: BinaryHeap::new(),
             rng: StdRng::seed_from_u64(seed),
             telemetry,
             events_scheduled: 0,
@@ -307,7 +341,10 @@ impl SimCore {
     /// Pops the next event if it fires at or before `horizon`, advancing the
     /// clock to the event time.
     pub(crate) fn pop_until(&mut self, horizon: SimTime) -> Option<Event> {
-        let s = self.queue.pop_at_or_before(horizon)?;
+        if self.queue.peek()?.at > horizon {
+            return None;
+        }
+        let s = self.queue.pop()?;
         #[cfg(debug_assertions)]
         self.invariants.check(s.at, s.seq, self.clock);
         self.clock = s.at;
@@ -358,14 +395,12 @@ impl SimCore {
 mod tests {
     use super::*;
 
-    const BACKENDS: [SchedBackend; 2] = [SchedBackend::Wheel, SchedBackend::Heap];
-
     #[test]
     fn scheduled_entries_are_sift_cheap() {
-        // Every pending event is moved by heap sifts and wheel cascades;
-        // boxing the fat payloads keeps each move to at most four machine
-        // words: `at` + `seq` + a 16-byte `Event` (tag plus one aligned
-        // word). A regression here means someone inlined a payload.
+        // Every pending event is moved by heap sifts; boxing the fat
+        // payloads keeps each move to at most four machine words: `at` +
+        // `seq` + a 16-byte `Event` (tag plus one aligned word). A
+        // regression here means someone inlined a payload.
         assert!(
             std::mem::size_of::<Event>() <= 16,
             "Event grew to {} bytes — box the new payload",
@@ -378,81 +413,71 @@ mod tests {
         );
     }
 
-    fn core(backend: SchedBackend) -> SimCore {
-        SimCore::with_backend(1, Telemetry::disabled(), backend)
+    fn core() -> SimCore {
+        SimCore::new(1, Telemetry::disabled())
     }
 
     #[test]
     fn events_pop_in_time_order() {
-        for backend in BACKENDS {
-            let mut core = core(backend);
-            core.schedule(Duration::from_millis(30), Event::ControllerTimer { id: 3 });
-            core.schedule(Duration::from_millis(10), Event::ControllerTimer { id: 1 });
-            core.schedule(Duration::from_millis(20), Event::ControllerTimer { id: 2 });
-            let mut ids = Vec::new();
-            while let Some(Event::ControllerTimer { id }) = core.pop_until(SimTime::from_secs(1)) {
-                ids.push(id);
-            }
-            assert_eq!(ids, vec![1, 2, 3], "{backend:?}");
-            assert_eq!(core.now(), SimTime::from_millis(30), "{backend:?}");
+        let mut core = core();
+        core.schedule(Duration::from_millis(30), Event::ControllerTimer { id: 3 });
+        core.schedule(Duration::from_millis(10), Event::ControllerTimer { id: 1 });
+        core.schedule(Duration::from_millis(20), Event::ControllerTimer { id: 2 });
+        let mut ids = Vec::new();
+        while let Some(Event::ControllerTimer { id }) = core.pop_until(SimTime::from_secs(1)) {
+            ids.push(id);
         }
+        assert_eq!(ids, vec![1, 2, 3]);
+        assert_eq!(core.now(), SimTime::from_millis(30));
     }
 
     #[test]
     fn ties_break_by_insertion_order() {
-        for backend in BACKENDS {
-            let mut core = core(backend);
-            for id in 0..5 {
-                core.schedule(Duration::from_millis(10), Event::ControllerTimer { id });
-            }
-            let mut ids = Vec::new();
-            while let Some(Event::ControllerTimer { id }) = core.pop_until(SimTime::from_secs(1)) {
-                ids.push(id);
-            }
-            assert_eq!(ids, vec![0, 1, 2, 3, 4], "{backend:?}");
+        let mut core = core();
+        for id in 0..5 {
+            core.schedule(Duration::from_millis(10), Event::ControllerTimer { id });
         }
+        let mut ids = Vec::new();
+        while let Some(Event::ControllerTimer { id }) = core.pop_until(SimTime::from_secs(1)) {
+            ids.push(id);
+        }
+        assert_eq!(ids, vec![0, 1, 2, 3, 4]);
     }
 
     #[test]
     fn horizon_is_respected() {
-        for backend in BACKENDS {
-            let mut core = core(backend);
-            core.schedule(Duration::from_millis(10), Event::ControllerTimer { id: 1 });
-            core.schedule(Duration::from_millis(50), Event::ControllerTimer { id: 2 });
-            assert!(core.pop_until(SimTime::from_millis(20)).is_some());
-            assert!(core.pop_until(SimTime::from_millis(20)).is_none());
-            assert_eq!(core.pending(), 1, "{backend:?}");
-            core.advance_to(SimTime::from_millis(20));
-            assert_eq!(core.now(), SimTime::from_millis(20), "{backend:?}");
-        }
+        let mut core = core();
+        core.schedule(Duration::from_millis(10), Event::ControllerTimer { id: 1 });
+        core.schedule(Duration::from_millis(50), Event::ControllerTimer { id: 2 });
+        assert!(core.pop_until(SimTime::from_millis(20)).is_some());
+        assert!(core.pop_until(SimTime::from_millis(20)).is_none());
+        assert_eq!(core.pending(), 1);
+        core.advance_to(SimTime::from_millis(20));
+        assert_eq!(core.now(), SimTime::from_millis(20));
     }
 
     #[test]
-    fn far_future_timers_survive_both_backends() {
-        // Past the wheel span (≈18 min): exercises the overflow map.
-        for backend in BACKENDS {
-            let mut core = core(backend);
-            core.schedule(Duration::from_secs(3600), Event::ControllerTimer { id: 1 });
-            core.schedule(Duration::from_millis(5), Event::ControllerTimer { id: 2 });
-            assert!(core.pop_until(SimTime::from_secs(1)).is_some());
-            assert!(core.pop_until(SimTime::from_secs(1)).is_none());
-            assert!(core.pop_until(SimTime::from_secs(7200)).is_some());
-            assert_eq!(core.now(), SimTime::from_secs(3600), "{backend:?}");
-            assert_eq!(core.pending(), 0, "{backend:?}");
-        }
+    fn far_future_timers_survive() {
+        // An hour-long timer parked behind a near one: the near one pops
+        // first, the far one waits out an intermediate horizon.
+        let mut core = core();
+        core.schedule(Duration::from_secs(3600), Event::ControllerTimer { id: 1 });
+        core.schedule(Duration::from_millis(5), Event::ControllerTimer { id: 2 });
+        assert!(core.pop_until(SimTime::from_secs(1)).is_some());
+        assert!(core.pop_until(SimTime::from_secs(1)).is_none());
+        assert!(core.pop_until(SimTime::from_secs(7200)).is_some());
+        assert_eq!(core.now(), SimTime::from_secs(3600));
+        assert_eq!(core.pending(), 0);
     }
 
     /// Runs `f` on a fresh core and reports whether it panicked, with the
     /// default panic hook silenced so expected panics don't spam test
     /// output.
-    fn panics(
-        backend: SchedBackend,
-        f: impl FnOnce(&mut SimCore) + std::panic::UnwindSafe,
-    ) -> bool {
+    fn panics(f: impl FnOnce(&mut SimCore) + std::panic::UnwindSafe) -> bool {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
         let result = std::panic::catch_unwind(move || {
-            let mut core = SimCore::with_backend(1, Telemetry::disabled(), backend);
+            let mut core = core();
             f(&mut core);
         });
         std::panic::set_hook(prev);
@@ -461,66 +486,39 @@ mod tests {
 
     #[test]
     fn broken_scheduler_event_in_the_past_is_caught() {
-        for backend in BACKENDS {
-            assert!(
-                panics(backend, |core| {
-                    core.advance_to(SimTime::from_millis(10));
-                    // A correct scheduler clamps to the present; push_raw does not.
-                    core.push_raw_for_test(
-                        SimTime::from_millis(5),
-                        0,
-                        Event::ControllerTimer { id: 1 },
-                    );
-                    core.pop_until(SimTime::from_secs(1));
-                }),
-                "{backend:?}"
-            );
-        }
+        assert!(panics(|core| {
+            core.advance_to(SimTime::from_millis(10));
+            // A correct scheduler clamps to the present; push_raw does not.
+            core.push_raw_for_test(SimTime::from_millis(5), 0, Event::ControllerTimer { id: 1 });
+            core.pop_until(SimTime::from_secs(1));
+        }));
     }
 
     #[test]
     fn broken_scheduler_duplicate_tie_break_is_caught() {
-        for backend in BACKENDS {
-            assert!(
-                panics(backend, |core| {
-                    // Two entries with the same (at, seq): the second pop violates
-                    // the strictly-increasing-seq-within-a-tie invariant.
-                    core.push_raw_for_test(
-                        SimTime::from_millis(5),
-                        7,
-                        Event::ControllerTimer { id: 1 },
-                    );
-                    core.push_raw_for_test(
-                        SimTime::from_millis(5),
-                        7,
-                        Event::ControllerTimer { id: 2 },
-                    );
-                    core.pop_until(SimTime::from_secs(1));
-                    core.pop_until(SimTime::from_secs(1));
-                }),
-                "{backend:?}"
-            );
-        }
+        assert!(panics(|core| {
+            // Two entries with the same (at, seq): the second pop violates
+            // the strictly-increasing-seq-within-a-tie invariant.
+            core.push_raw_for_test(SimTime::from_millis(5), 7, Event::ControllerTimer { id: 1 });
+            core.push_raw_for_test(SimTime::from_millis(5), 7, Event::ControllerTimer { id: 2 });
+            core.pop_until(SimTime::from_secs(1));
+            core.pop_until(SimTime::from_secs(1));
+        }));
     }
 
     #[test]
     fn well_behaved_scheduling_passes_the_invariant_checker() {
-        for backend in BACKENDS {
-            assert!(
-                !panics(backend, |core| {
-                    for id in 0..100 {
-                        core.schedule(Duration::from_millis(id % 7), Event::ControllerTimer { id });
-                    }
-                    while core.pop_until(SimTime::from_secs(1)).is_some() {}
-                }),
-                "{backend:?}"
-            );
-        }
+        assert!(!panics(|core| {
+            for id in 0..100 {
+                core.schedule(Duration::from_millis(id % 7), Event::ControllerTimer { id });
+            }
+            while core.pop_until(SimTime::from_secs(1)).is_some() {}
+        }));
     }
 
     #[test]
     fn clock_does_not_go_backward_on_advance() {
-        let mut core = SimCore::with_backend(1, Telemetry::disabled(), SchedBackend::Wheel);
+        let mut core = core();
         core.advance_to(SimTime::from_millis(20));
         core.advance_to(SimTime::from_millis(10));
         assert_eq!(core.now(), SimTime::from_millis(20));

@@ -60,7 +60,6 @@ mod controller_api;
 mod engine;
 mod host;
 mod link;
-mod sched;
 mod sim;
 mod switch;
 mod trace;
@@ -71,11 +70,10 @@ pub mod pcap;
 pub mod traffic;
 
 pub use controller_api::{ControllerCtx, ControllerLogic, NullController, TimerId};
-pub use engine::PULSE_WINDOW;
+pub use engine::{sched_entry_bytes, PULSE_WINDOW};
 pub use faults::{FaultPlan, FaultWindow, LossModel};
 pub use host::{FrameDisposition, HostApp, HostCtx, HostInfo, NullHostApp};
 pub use link::{BurstModel, LinkProfile};
-pub use sched::{default_sched_backend, sched_entry_bytes, set_global_sched_backend, SchedBackend};
 pub use sim::{NetworkSpec, Simulator};
 pub use trace::{Trace, TraceEvent};
 pub use traffic::{DemandProfile, TrafficPlan, TrafficWindow};

@@ -12,7 +12,6 @@ use crate::engine::{CtrlDelivery, Event, SimCore};
 use crate::faults::{FaultPlan, FaultState, FaultWindowKind};
 use crate::host::{deliver_frame, HostApp, HostCtx, HostInfo, HostState};
 use crate::link::LinkProfile;
-use crate::sched::SchedBackend;
 use crate::switch::{self, Peer, SwitchState};
 use crate::trace::{Trace, TraceEvent};
 use crate::traffic::{self, TrafficPlan, TrafficState};
@@ -49,7 +48,6 @@ pub struct NetworkSpec {
     controller: Box<dyn ControllerLogic>,
     default_ctrl_latency: Duration,
     telemetry: Telemetry,
-    sched_backend: Option<SchedBackend>,
 }
 
 impl NetworkSpec {
@@ -67,18 +65,7 @@ impl NetworkSpec {
             controller: Box::new(NullController),
             default_ctrl_latency: Duration::from_millis(1),
             telemetry: Telemetry::disabled(),
-            sched_backend: None,
         }
-    }
-
-    /// Pins the event-queue backend for simulators built from this spec,
-    /// overriding the process default (see
-    /// [`crate::set_global_sched_backend`]). Backend choice can never
-    /// affect simulation output — the differential scheduler suite proves
-    /// byte-identical traces — only wall-clock speed.
-    pub fn set_sched_backend(&mut self, backend: SchedBackend) -> &mut Self {
-        self.sched_backend = Some(backend);
-        self
     }
 
     /// Installs a telemetry handle; every layer of the simulation publishes
@@ -240,11 +227,8 @@ impl Simulator {
     /// controller handshake (Hello + FeaturesReply per switch), and invokes
     /// `on_start` hooks.
     pub fn new(spec: NetworkSpec, seed: u64) -> Self {
-        let backend = spec
-            .sched_backend
-            .unwrap_or_else(crate::sched::default_sched_backend);
         let mut sim = Simulator {
-            core: SimCore::with_backend(seed, spec.telemetry, backend),
+            core: SimCore::new(seed, spec.telemetry),
             net: spec.net,
             controller: Some(spec.controller),
         };
