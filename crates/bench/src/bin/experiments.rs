@@ -14,8 +14,8 @@ use bench::cli::CommonArgs;
 use bench::json::JsonValue;
 use bench::{ablation, campaign, figures, metrics, runlog, sweeps, tables};
 use tm_campaign::{
-    aggregate_stream, run_campaign, run_campaign_with, CampaignReport, CampaignSpec,
-    CheckpointHeader, Registry, Resume, Saver, Shard, TeeSink,
+    aggregate_stream, run_campaign, run_campaign_with, CampaignReport, CampaignSpec, Registry,
+    Resume, Shard,
 };
 use tm_core::matrix;
 
@@ -65,8 +65,8 @@ fn usage() -> ! {
                      [--shard I/N] [--state DIR] [--resume]\n\
                      (--shard runs only grid cells `index mod N == I`; seeds stay global,\n\
                       so merged shard output is byte-identical to a single invocation;\n\
-                      --state writes a binary run-log + atomic checkpoint per shard;\n\
-                      --resume skips cells the checkpoint already finalized)\n\
+                      --state writes a binary run-log per shard;\n\
+                      --resume skips cells that run-log already completed)\n\
               campaign replay <LOG...> [--json FILE]\n\
                      (merge shard run-logs and re-aggregate without re-simulating)\n\
               scale [--seeds N] [--workers N]  (alias for `campaign scale`)\n\
@@ -95,7 +95,7 @@ fn peak_rss_kb() -> Option<u64> {
 }
 
 /// Campaign execution options beyond the spec itself: shard assignment
-/// and on-disk state (run-log + checkpoint) with resume.
+/// and on-disk state (the shard's run-log) with resume.
 struct CampaignIo {
     shard: Shard,
     state: Option<PathBuf>,
@@ -111,7 +111,7 @@ impl CampaignIo {
         let state: String = common.extra_parsed("--state", String::new())?;
         let state = (!state.is_empty()).then(|| PathBuf::from(state));
         if resume && state.is_none() {
-            return Err("--resume needs --state DIR (that is where the checkpoint lives)".into());
+            return Err("--resume needs --state DIR (that is where the run-log lives)".into());
         }
         Ok(CampaignIo {
             shard,
@@ -122,10 +122,9 @@ impl CampaignIo {
 }
 
 /// Runs one campaign under `io`: plain in-memory execution without
-/// `--state`; with it, every run streams into the shard's binary run-log
-/// and every finalized cell into its atomic checkpoint, with `--resume`
-/// skipping cells both artifacts agree are complete. Returns the report
-/// plus the run-log size when state is on.
+/// `--state`; with it, every run streams into the shard's binary run-log,
+/// and `--resume` first rebuilds the cells that log already completed.
+/// Returns the report plus the run-log size when state is on.
 fn execute_campaign(
     registry: &Registry,
     spec: &CampaignSpec,
@@ -138,55 +137,24 @@ fn execute_campaign(
         .get(&spec.scenario)
         .ok_or_else(|| format!("unknown scenario `{}`", spec.scenario))?;
     std::fs::create_dir_all(dir).map_err(|e| format!("state dir {}: {e}", dir.display()))?;
-    let tag = format!(
-        "{}.shard{}of{}",
+    let log_path = dir.join(format!(
+        "{}.shard{}of{}.runlog",
         spec.scenario, spec.shard.index, spec.shard.count
-    );
-    let ckpt_path = dir.join(format!("{tag}.ckpt"));
-    let log_path = dir.join(format!("{tag}.runlog"));
-    let ckpt_header = CheckpointHeader::for_spec(scenario, spec);
-    let log_header = runlog::RunLogHeader::for_spec(scenario, spec);
-
-    // Resume rule: a cell is skippable iff the checkpoint holds its
-    // finalized report AND the run-log holds all of its raw records —
-    // the pair must survive together or the cell re-runs.
-    let mut resumed_cells = Vec::new();
-    let mut kept_records = Vec::new();
-    if io.resume {
-        let checkpointed = tm_campaign::checkpoint::load(&ckpt_path, &ckpt_header)?;
-        let complete = match runlog::read(&log_path) {
-            Ok(log) if log.header.same_campaign(&log_header) && log.header.shard == spec.shard => {
-                runlog::complete_cells(&log)
-            }
-            // Missing or damaged log: nothing is resumable from it.
-            _ => Default::default(),
-        };
-        for cell in checkpointed {
-            if let Some(records) = complete.get(&cell.index) {
-                kept_records.extend(records.iter().cloned());
-                resumed_cells.push(cell);
-            }
-        }
+    ));
+    let header = runlog::RunLogHeader::for_spec(scenario, spec);
+    let (resume, kept) = if io.resume {
+        let (resume, kept) = runlog::resume(&log_path, &header)?;
         eprintln!(
             "resume: {} completed cell(s) carried over from {}",
-            resumed_cells.len(),
+            resume.cells.len(),
             dir.display()
         );
-    }
-    let mut writer = runlog::Writer::create(&log_path, &log_header, &kept_records)?;
-    let mut saver = Saver::new(ckpt_path, ckpt_header, resumed_cells.clone());
-    let mut tee = TeeSink {
-        first: &mut writer,
-        second: &mut saver,
+        (resume, kept)
+    } else {
+        (Resume::none(), Vec::new())
     };
-    let report = run_campaign_with(
-        registry,
-        spec,
-        &Resume {
-            cells: resumed_cells,
-        },
-        &mut tee,
-    )?;
+    let mut writer = runlog::Writer::create(&log_path, &header, &kept)?;
+    let report = run_campaign_with(registry, spec, &resume, &mut writer)?;
     Ok((report, Some(writer.bytes())))
 }
 

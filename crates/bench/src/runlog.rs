@@ -25,9 +25,10 @@
 //! Records are length-prefixed and appended one `write` per run by the
 //! [`Writer`] sink, so a killed campaign leaves a log whose complete
 //! prefix-of-records is intact; [`read`] stops cleanly at a damaged tail
-//! and flags it. Shard logs [`merge`] by global run index; duplicate or
-//! incomplete coverage is an error naming the offending cell, never a
-//! silently wrong aggregate.
+//! and flags it, and [`resume`] re-aggregates the complete cells of that
+//! prefix, so the log is the only state `--resume` needs. Shard logs
+//! [`merge`] by global run index; duplicate or incomplete coverage is an
+//! error naming the offending cell, never a silently wrong aggregate.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -36,8 +37,8 @@ use std::path::{Path, PathBuf};
 
 use tm_campaign::codec::{put_f64, put_str, put_u32, put_u64, Cursor};
 use tm_campaign::{
-    grid_of, Axis, CampaignMeta, CampaignSpec, GridPoint, Metrics, RunRecord, RunSink, RunStatus,
-    Scenario, Shard,
+    aggregate_stream, grid_of, Axis, CampaignMeta, CampaignSpec, GridPoint, Metrics, Resume,
+    RunRecord, RunSink, RunStatus, Scenario, Shard,
 };
 
 /// File magic + format version. Bump on any layout change.
@@ -98,12 +99,25 @@ impl RunLogHeader {
     /// Whether two headers describe the same campaign, shard aside —
     /// the mergeability test. Confidence is compared bit-exactly.
     pub fn same_campaign(&self, other: &RunLogHeader) -> bool {
-        self.scenario == other.scenario
-            && self.description == other.description
-            && self.base_seed == other.base_seed
-            && self.seeds == other.seeds
-            && self.confidence.to_bits() == other.confidence.to_bits()
-            && self.axes == other.axes
+        self.differences(other).is_empty()
+    }
+
+    /// The campaign fields, shard aside, on which two headers disagree.
+    fn differences(&self, other: &RunLogHeader) -> Vec<&'static str> {
+        [
+            ("scenario", self.scenario != other.scenario),
+            ("description", self.description != other.description),
+            ("base seed", self.base_seed != other.base_seed),
+            ("seed count", self.seeds != other.seeds),
+            (
+                "confidence",
+                self.confidence.to_bits() != other.confidence.to_bits(),
+            ),
+            ("axes", self.axes != other.axes),
+        ]
+        .into_iter()
+        .filter_map(|(field, differs)| differs.then_some(field))
+        .collect()
     }
 
     fn encode(&self) -> Vec<u8> {
@@ -280,6 +294,49 @@ pub fn complete_cells(log: &RunLog) -> BTreeMap<usize, Vec<RunRecord>> {
         })
         .map(|(cell, seeds)| (cell, seeds.into_values().collect()))
         .collect()
+}
+
+/// Rebuilds a shard's finished cells from its run-log — the `--resume`
+/// rule, and the only campaign state kept on disk.
+///
+/// * A missing file, or one whose header cannot be read, is a clean
+///   start: nothing resumed, nothing kept.
+/// * A log written for a different campaign (another base seed, seed
+///   count, confidence, scenario or axes) or by another shard is an
+///   `Err` naming the mismatch; the caller must not touch the file.
+/// * Otherwise every [`complete_cells`] entry is re-aggregated through
+///   [`aggregate_stream`], which also re-checks each record's derived
+///   seed. The returned records are the ones [`Writer::create`] carries
+///   over, in canonical order.
+pub fn resume(path: &Path, header: &RunLogHeader) -> Result<(Resume, Vec<RunRecord>), String> {
+    let Ok(log) = read(path) else {
+        return Ok((Resume::none(), Vec::new()));
+    };
+    let mut differs = log.header.differences(header);
+    if log.header.shard != header.shard {
+        differs.push("shard");
+    }
+    if !differs.is_empty() {
+        return Err(format!(
+            "run-log {} was written with a different {} (it holds `{}`, base seed {:#x}, \
+             {} seeds, shard {}) — delete it or fix the flags",
+            path.display(),
+            differs.join(", "),
+            log.header.scenario,
+            log.header.base_seed,
+            log.header.seeds,
+            log.header.shard.label(),
+        ));
+    }
+    let kept: Vec<RunRecord> = complete_cells(&log).into_values().flatten().collect();
+    let report = aggregate_stream(&header.meta(), &header.grid(), kept.iter().cloned())
+        .map_err(|e| format!("run-log {}: {e}", path.display()))?;
+    Ok((
+        Resume {
+            cells: report.cells,
+        },
+        kept,
+    ))
 }
 
 /// Merges shard logs into one canonical stream.

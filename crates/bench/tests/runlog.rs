@@ -8,9 +8,14 @@
 //! 3. A damaged tail (partial final write) drops cleanly: the complete
 //!    prefix survives, `truncated` is flagged, and `complete_cells`
 //!    offers only cells whose full seed set is on disk.
+//! 4. `resume` is the only campaign state: a log cut anywhere resumes to
+//!    the uninterrupted report and log bytes, a missing or garbage log is
+//!    a clean start, and a log written under other flags is refused with
+//!    its bytes left alone.
 
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::process::Command;
 
 use bench::runlog::{self, RunLogHeader, Writer};
 use tm_campaign::{
@@ -223,5 +228,134 @@ fn writer_carries_kept_records_through_a_resume_rewrite() {
     );
     assert!(!reread.truncated);
     assert_eq!(bytes_reported, fs::metadata(&path).expect("stat").len());
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// The run-log header `run_shard` writes for `spec` with this shard.
+fn header_for(shard: Shard) -> RunLogHeader {
+    let r = registry();
+    let mut s = spec();
+    s.shard = shard;
+    RunLogHeader::for_spec(r.get("rl").expect("scenario"), &s)
+}
+
+#[test]
+fn resume_from_any_cut_reproduces_the_uninterrupted_run() {
+    let dir = tmpdir("resume-cuts");
+    let r = registry();
+    for shard in [Shard::full(), Shard { index: 1, count: 2 }] {
+        let (live, recorder, path) = run_shard(&dir, shard);
+        let full = fs::read(&path).expect("read bytes");
+        let records: usize = recorder
+            .runs
+            .iter()
+            .map(|rec| runlog::encode_record(4, rec).len())
+            .sum();
+        let header = header_for(shard);
+        let mut s = spec();
+        s.shard = shard;
+
+        // A crash can stop the append at any byte of the record area:
+        // resuming from each cut must finish the same report and write
+        // the same log as the uninterrupted run.
+        for cut in full.len() - records..=full.len() {
+            fs::write(&path, &full[..cut]).expect("truncate");
+            let (resume, kept) = runlog::resume(&path, &header).expect("resume");
+            assert_eq!(
+                kept.len(),
+                resume.cells.len() * 4,
+                "kept records are whole cells"
+            );
+            let mut writer = Writer::create(&path, &header, &kept).expect("rewrite");
+            let resumed = run_campaign_with(&r, &s, &resume, &mut writer).expect("resumed run");
+            drop(writer);
+            assert_eq!(resumed.render(), live.render(), "{shard:?} cut={cut}");
+            assert_eq!(resumed, live, "{shard:?} cut={cut}");
+            assert_eq!(
+                fs::read(&path).expect("reread"),
+                full,
+                "{shard:?} cut={cut}"
+            );
+        }
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn resume_refuses_a_log_written_under_other_flags() {
+    let dir = tmpdir("resume-mismatch");
+    let (_, recorder, path) = run_shard(&dir, Shard::full());
+    let bytes = fs::read(&path).expect("read bytes");
+    let header = header_for(Shard::full());
+
+    let mut other_seed = header.clone();
+    other_seed.base_seed ^= 1;
+    let mut other_seeds = header.clone();
+    other_seeds.seeds = 9;
+    let other_shard = header_for(Shard { index: 0, count: 2 });
+    let mut other_axes = header.clone();
+    other_axes.axes = vec![
+        Axis::new("a", &["p", "q", "r"]),
+        Axis::new("b", &["0", "1"]),
+    ];
+    for (want, field) in [
+        (other_seed, "base seed"),
+        (other_seeds, "seed count"),
+        (other_shard, "shard"),
+        (other_axes, "axes"),
+    ] {
+        let err = runlog::resume(&path, &want).expect_err(field);
+        assert!(err.contains(field), "{field}: {err}");
+        assert_eq!(fs::read(&path).expect("reread"), bytes, "{field}");
+    }
+
+    // A record whose stored seed is not its derived one is refused too.
+    let mut forged = recorder.runs.clone();
+    forged[0].seed ^= 1;
+    drop(Writer::create(&path, &header, &forged).expect("forge"));
+    let err = runlog::resume(&path, &header).expect_err("forged seed");
+    assert!(err.contains("expected"), "{err}");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn missing_or_garbage_log_resumes_nothing() {
+    let dir = tmpdir("resume-clean");
+    let header = header_for(Shard::full());
+    let absent = runlog::resume(&dir.join("absent.runlog"), &header).expect("absent");
+    assert!(absent.0.cells.is_empty() && absent.1.is_empty());
+    let garbage = dir.join("garbage.runlog");
+    fs::write(&garbage, b"not a run-log at all").expect("write");
+    let garbled = runlog::resume(&garbage, &header).expect("garbage");
+    assert!(garbled.0.cells.is_empty() && garbled.1.is_empty());
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn experiments_resume_refuses_a_log_from_other_flags_and_keeps_it() {
+    let dir = tmpdir("resume-cli");
+    let state = dir.join("state");
+    let _ = fs::remove_dir_all(&state);
+    let campaign = |extra: &[&str]| {
+        let mut args = vec!["campaign", "probe-overhead", "--shard", "0/2", "--state"];
+        args.push(state.to_str().expect("utf-8 path"));
+        args.extend_from_slice(extra);
+        Command::new(env!("CARGO_BIN_EXE_experiments"))
+            .args(&args)
+            .output()
+            .expect("run experiments")
+    };
+    assert!(campaign(&["--seeds", "2"]).status.success());
+    let log = state.join("probe-overhead.shard0of2.runlog");
+    let bytes = fs::read(&log).expect("read log");
+
+    let out = campaign(&["--seeds", "3", "--resume"]);
+    assert!(
+        !out.status.success(),
+        "a 2-seed log must not resume 3 seeds"
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("seed count"), "{stderr}");
+    assert_eq!(fs::read(&log).expect("reread"), bytes, "log left intact");
     let _ = fs::remove_dir_all(&dir);
 }

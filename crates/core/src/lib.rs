@@ -45,6 +45,6 @@ pub use floodsc::{FloodOutcome, FloodScenario};
 pub use hijack::{HijackOutcome, HijackScenario};
 pub use linkfab::{FabTopology, LinkFabOutcome, LinkFabScenario, RelayMode};
 pub use load::{LoadOutcome, LoadPattern, LoadScenario, TrafficLoad};
-pub use matrix::{run_matrix, run_matrix_on, run_matrix_on_loaded, run_matrix_under, MatrixEntry};
+pub use matrix::{run_matrix, run_matrix_on, run_matrix_under, MatrixEntry};
 pub use robustness::{FaultProfile, ProfileTargets, RobustnessOutcome, RobustnessScenario};
 pub use scale::{ScaleOutcome, ScaleScenario};

@@ -17,7 +17,6 @@ use tm_topo::TopoKind;
 use crate::defense::DefenseStack;
 use crate::hijack::{self, HijackScenario};
 use crate::linkfab::{self, LinkFabScenario, RelayMode};
-use crate::load::TrafficLoad;
 use crate::robustness::FaultProfile;
 
 /// One matrix cell.
@@ -68,7 +67,7 @@ pub fn run_matrix_extended(base_seed: u64) -> Vec<MatrixEntry> {
 
 /// Runs the matrix over an explicit stack list (on a clean network).
 pub fn run_matrix_with(stacks: &[DefenseStack], base_seed: u64) -> Vec<MatrixEntry> {
-    run_matrix_impl(stacks, base_seed, FaultProfile::Clean, None, None)
+    run_matrix_impl(stacks, base_seed, FaultProfile::Clean, None)
 }
 
 /// Runs the matrix on a generated fabric instead of the paper testbeds:
@@ -77,26 +76,7 @@ pub fn run_matrix_with(stacks: &[DefenseStack], base_seed: u64) -> Vec<MatrixEnt
 /// answers whether a verdict is a property of the defense or of the
 /// two-switch demonstration topology.
 pub fn run_matrix_on(kind: TopoKind, stacks: &[DefenseStack], base_seed: u64) -> Vec<MatrixEntry> {
-    run_matrix_impl(stacks, base_seed, FaultProfile::Clean, Some(kind), None)
-}
-
-/// Runs the fabric matrix with flow-level background load riding every
-/// cell (see [`crate::load`]): the same attacks and defenses, but the
-/// detectors form their baselines — and must keep their verdicts — while
-/// the controller fields the load's Packet-In stream.
-pub fn run_matrix_on_loaded(
-    kind: TopoKind,
-    stacks: &[DefenseStack],
-    base_seed: u64,
-    load: TrafficLoad,
-) -> Vec<MatrixEntry> {
-    run_matrix_impl(
-        stacks,
-        base_seed,
-        FaultProfile::Clean,
-        Some(kind),
-        Some(load),
-    )
+    run_matrix_impl(stacks, base_seed, FaultProfile::Clean, Some(kind))
 }
 
 /// Re-runs the full matrix (5 stacks) with every scenario degraded by
@@ -104,7 +84,7 @@ pub fn run_matrix_on_loaded(
 /// congested? `experiments fault_matrix` sweeps this over
 /// [`FaultProfile::MATRIX_SWEEP`].
 pub fn run_matrix_under(profile: FaultProfile, base_seed: u64) -> Vec<MatrixEntry> {
-    run_matrix_impl(&DefenseStack::ALL, base_seed, profile, None, None)
+    run_matrix_impl(&DefenseStack::ALL, base_seed, profile, None)
 }
 
 fn run_matrix_impl(
@@ -112,7 +92,6 @@ fn run_matrix_impl(
     base_seed: u64,
     faults: FaultProfile,
     fabric: Option<TopoKind>,
-    load: Option<TrafficLoad>,
 ) -> Vec<MatrixEntry> {
     let mut entries = Vec::new();
     for (i, stack) in stacks.iter().copied().enumerate() {
@@ -132,11 +111,7 @@ fn run_matrix_impl(
                     None => LinkFabScenario::paper_eval(mode, stack, seed),
                     Some(kind) => LinkFabScenario::on_fabric(mode, kind, stack, seed),
                 };
-                linkfab::run(&LinkFabScenario {
-                    faults,
-                    traffic: load,
-                    ..base
-                })
+                linkfab::run(&LinkFabScenario { faults, ..base })
             }) {
                 Ok(outcome) => entries.push(MatrixEntry {
                     attack: mode.name(),
@@ -160,7 +135,6 @@ fn run_matrix_impl(
             hijack::run(&HijackScenario {
                 victim_rejoins: false, // measure the stealth window itself
                 faults,
-                traffic: load,
                 ..base
             })
         }) {

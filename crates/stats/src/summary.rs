@@ -103,7 +103,7 @@ impl OnlineStats {
 
     /// The raw accumulator state `(count, mean, m2, min, max)`.
     ///
-    /// Intended for checkpoint/run-log serialization: store the five
+    /// Intended for bit-exact serialization: store the five
     /// values bit-exactly (f64 → [`f64::to_bits`]) and rebuild with
     /// [`OnlineStats::from_parts`] to resume accumulation — or
     /// [`OnlineStats::merge`] — without any loss. The parts of an empty
@@ -239,8 +239,7 @@ mod tests {
     #[test]
     fn merge_is_associative_enough_for_sharding() {
         // Three shards merged left-to-right equal the same shards merged
-        // into an empty accumulator — the shard-merge discipline the
-        // campaign checkpoint relies on.
+        // into an empty accumulator — the shard-merge discipline.
         let data: Vec<f64> = (0..60).map(|i| ((i * 13) % 17) as f64 * 0.5).collect();
         let chunks: Vec<OnlineStats> = data
             .chunks(20)

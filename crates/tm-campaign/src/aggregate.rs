@@ -215,8 +215,8 @@ impl CellAccumulator {
     }
 }
 
-/// The descriptive header shared by live campaigns, checkpoints, and
-/// run-log replay: everything [`aggregate_stream`] needs besides the grid
+/// The descriptive header shared by live campaigns and run-log replay
+/// and resume: everything [`aggregate_stream`] needs besides the grid
 /// and the records themselves.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CampaignMeta {

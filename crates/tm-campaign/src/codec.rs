@@ -1,18 +1,16 @@
-//! Little-endian binary primitives shared by the campaign checkpoint and
-//! the `bench::runlog` run-log format.
+//! Little-endian binary primitives for the `bench::runlog` run-log format.
 //!
-//! Both on-disk formats follow the same discipline: a fixed magic +
-//! version header, then **length-prefixed records** so a reader can skip
-//! or stop cleanly at a record boundary. Everything is little-endian and
-//! hand-rolled (the hermetic-workspace rule: zero external dependencies).
-//! Floats are stored as their IEEE-754 bit patterns ([`f64::to_bits`]),
-//! never as decimal text, so a checkpointed aggregate re-renders
+//! The format follows one discipline: a fixed magic + version header,
+//! then **length-prefixed records** so a reader can skip or stop cleanly
+//! at a record boundary. Everything is little-endian and hand-rolled (the
+//! hermetic-workspace rule: zero external dependencies). Floats are
+//! stored as their IEEE-754 bit patterns ([`f64::to_bits`]), never as
+//! decimal text, so a replayed or resumed run re-aggregates
 //! **byte-identically** after a round trip.
 //!
 //! The reader side is total: every accessor returns `Option`, a truncated
-//! or corrupt buffer yields `None` instead of a panic, and callers turn
-//! that into "drop the damaged tail" (checkpoint) or "stop at the last
-//! complete record" (run-log).
+//! or corrupt buffer yields `None` instead of a panic, and the run-log
+//! turns that into "stop at the last complete record".
 
 /// Appends a `u32` in little-endian byte order.
 pub fn put_u32(buf: &mut Vec<u8>, v: u32) {

@@ -1,7 +1,7 @@
 //! The campaign runner: (scenario × parameter-grid × seed-range) batch
 //! execution with a worker-thread pool, per-run panic isolation,
 //! streaming per-cell aggregation, and deterministic sharding with
-//! resumable checkpoints.
+//! resume.
 //!
 //! Every other crate in this workspace is single-threaded by contract —
 //! the simulation must be a pure function of `(scenario, seed)`. This
@@ -30,8 +30,9 @@
 //! 4. **Cell-granular sharding.** [`Shard`] `i/n` owns cells
 //!    `index ≡ i (mod n)`; seeds are derived from global indices, so the
 //!    union of all shards' streams merged back into canonical order is
-//!    the unsharded stream, byte for byte. [`checkpoint`] adds atomic
-//!    crash-safe resume on top.
+//!    the unsharded stream, byte for byte. [`Resume`] splices cells a
+//!    previous invocation finished (rebuilt from its run-log) back into
+//!    the report without re-running them.
 //!
 //! Failure isolation: each run executes under [`isolate`]
 //! (`catch_unwind`), so one panicking parameter point becomes a reported
@@ -78,7 +79,6 @@
 #![deny(missing_docs)]
 
 pub mod aggregate;
-pub mod checkpoint;
 pub mod codec;
 pub mod registry;
 pub mod runner;
@@ -88,7 +88,6 @@ pub use aggregate::{
     aggregate_stream, aggregate_two_pass, CampaignMeta, CampaignReport, CellAccumulator,
     CellReport, MetricAggregate,
 };
-pub use checkpoint::{grid_fingerprint, CheckpointHeader, Saver};
 pub use registry::{grid_of, Axis, GridPoint, Metrics, Registry, Scenario};
 pub use runner::{
     run_campaign, run_campaign_with, CampaignSpec, NullSink, RecordingSink, Resume, RunRecord,

@@ -100,9 +100,9 @@ pub struct RunRecord {
 /// The runner drives a sink strictly in canonical order: every owned,
 /// non-resumed run via [`RunSink::on_run`] (cell-major, seed-minor), and
 /// every cell the moment it finalizes via [`RunSink::on_cell`]. This is
-/// how the binary run-log and the resume checkpoint observe the campaign
-/// without the runner retaining anything itself. A sink error aborts the
-/// campaign with that message.
+/// how the binary run-log observes the campaign without the runner
+/// retaining anything itself. A sink error aborts the campaign with that
+/// message.
 pub trait RunSink {
     /// Called for each completed run, in canonical order.
     fn on_run(&mut self, record: &RunRecord) -> Result<(), String> {
@@ -145,7 +145,8 @@ impl RunSink for RecordingSink {
     }
 }
 
-/// Fans the stream out to two sinks (run-log writer + checkpoint saver).
+/// Fans the stream out to two sinks (say, a run-log writer and a
+/// [`RecordingSink`]).
 pub struct TeeSink<'a> {
     /// First receiver; sees each event before `second`.
     pub first: &'a mut dyn RunSink,
@@ -165,7 +166,8 @@ impl RunSink for TeeSink<'_> {
     }
 }
 
-/// Cells already finalized by a previous invocation (from a checkpoint).
+/// Cells already finalized by a previous invocation, re-aggregated from
+/// its run-log (`bench::runlog::resume`).
 ///
 /// Resumed cells are spliced into the report verbatim and **not** re-run;
 /// the sink never sees them either — their run-log records were written
@@ -235,7 +237,7 @@ pub fn run_campaign(registry: &Registry, spec: &CampaignSpec) -> Result<Campaign
 /// all shards' reports (merged in cell order) is byte-identical to an
 /// unsharded run — both pinned by the differential tests. Resumed cells
 /// must match the grid (owned index, matching point, matching seed
-/// count); a stale or foreign checkpoint is an error, not silent
+/// count); stale or foreign resume state is an error, not silent
 /// mis-aggregation.
 pub fn run_campaign_with(
     registry: &Registry,
@@ -265,21 +267,21 @@ pub fn run_campaign_with(
     for cell in &resume.cells {
         if !spec.shard.owns(cell.index) {
             return Err(format!(
-                "checkpoint cell {} is not owned by shard {}",
+                "resumed cell {} is not owned by shard {}",
                 cell.index,
                 spec.shard.label()
             ));
         }
         let point = grid.get(cell.index).ok_or_else(|| {
             format!(
-                "checkpoint cell {} outside the {}-cell grid (stale checkpoint?)",
+                "resumed cell {} outside the {}-cell grid (stale run-log?)",
                 cell.index,
                 grid.len()
             )
         })?;
         if &cell.point != point {
             return Err(format!(
-                "checkpoint cell {} was [{}] but the grid has [{}] (stale checkpoint?)",
+                "resumed cell {} was [{}] but the grid has [{}] (stale run-log?)",
                 cell.index,
                 cell.point.label(),
                 point.label()
@@ -287,12 +289,12 @@ pub fn run_campaign_with(
         }
         if cell.seeds != spec.seeds {
             return Err(format!(
-                "checkpoint cell {} holds {} seeds, spec wants {}",
+                "resumed cell {} holds {} seeds, spec wants {}",
                 cell.index, cell.seeds, spec.seeds
             ));
         }
         if resumed.insert(cell.index, cell.clone()).is_some() {
-            return Err(format!("checkpoint lists cell {} twice", cell.index));
+            return Err(format!("resumed cell {} listed twice", cell.index));
         }
     }
 

@@ -33,17 +33,15 @@
 //! Tiers and their rule sets live in `tm-lint.toml` at the workspace
 //! root. Exceptions are only possible inline —
 //! `// tm-lint: allow(<rule>) -- <reason>` — so every one is written down
-//! and greppable. Local-pass results are cached per content hash under
-//! `target/tm-lint-cache` (see [`cache`]); the same contract is checked
-//! dynamically by the `debug_assertions` invariants in `netsim::engine` —
-//! see DESIGN.md §"Determinism contract".
+//! and greppable. The same contract is checked dynamically by the
+//! `debug_assertions` invariants in `netsim::engine` — see DESIGN.md
+//! §"Determinism contract".
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 
 pub mod ast;
-pub mod cache;
 pub mod config;
 pub mod lexer;
 pub mod parser;
@@ -70,10 +68,6 @@ pub struct Report {
     pub diagnostics: Vec<Diagnostic>,
     /// Suppressed-diagnostic counts per rule.
     pub allowed: BTreeMap<&'static str, u64>,
-    /// Cache hits this run (0 when caching is off).
-    pub cache_hits: u64,
-    /// Cache misses this run (= files analyzed from source).
-    pub cache_misses: u64,
     /// Wall time per pass, microseconds (`parse` covers lex+parse+fact
     /// extraction).
     pub pass_wall_us: BTreeMap<&'static str, u64>,
@@ -131,10 +125,8 @@ impl Report {
             .collect::<Vec<_>>()
             .join(",");
         format!(
-            "TM_LINT_JSON {{\"allowed\":{},\"cache\":{{\"hits\":{},\"misses\":{}}},\"diagnostics\":{},\"files\":{},\"passes\":{{{passes_json}}},\"rules\":{{{rules_json}}},\"wall_ms\":{}}}",
+            "TM_LINT_JSON {{\"allowed\":{},\"diagnostics\":{},\"files\":{},\"passes\":{{{passes_json}}},\"rules\":{{{rules_json}}},\"wall_ms\":{}}}",
             self.allowed_total(),
-            self.cache_hits,
-            self.cache_misses,
             self.diagnostics.len(),
             self.files,
             self.wall_ms,
@@ -144,7 +136,8 @@ impl Report {
 
 /// Analyzes one file from source: lex, parse, extract fn facts, vet
 /// directives, and run every local pass (keeping only `deny`-listed
-/// rules). The result is the cacheable [`FileFacts`].
+/// rules). The result is the file's [`FileFacts`], all the workspace
+/// pass and report assembly need of it.
 fn analyze_source(
     rel: &str,
     src: &str,
@@ -254,16 +247,9 @@ pub fn check_source(rel: &str, src: &str, deny: &BTreeSet<&str>) -> FileReport {
 }
 
 /// Lints the whole workspace rooted at `root` (which must contain
-/// `tm-lint.toml`), without caching.
+/// `tm-lint.toml`). Files not covered by any tier are themselves
+/// diagnostics: the tier map stays total as crates are added.
 pub fn lint_workspace(root: &Path) -> Result<Report, String> {
-    lint_workspace_with(root, None)
-}
-
-/// Lints the whole workspace, optionally with the incremental cache at
-/// `cache_dir` (conventionally `target/tm-lint-cache`). Files not covered
-/// by any tier are themselves diagnostics: the tier map stays total as
-/// crates are added.
-pub fn lint_workspace_with(root: &Path, cache_dir: Option<&Path>) -> Result<Report, String> {
     let total = Stopwatch::start();
     let cfg_path = root.join("tm-lint.toml");
     let text = fs::read_to_string(&cfg_path)
@@ -273,11 +259,6 @@ pub fn lint_workspace_with(root: &Path, cache_dir: Option<&Path>) -> Result<Repo
     let mut files = Vec::new();
     walk(root, &mut files).map_err(|e| format!("walk failed: {e}"))?;
     files.sort();
-
-    let fingerprint = cache::config_fingerprint(&text);
-    let mut cache = cache_dir
-        .map(|d| cache::Cache::load(d, fingerprint))
-        .unwrap_or_default();
 
     let mut report = Report::default();
     let mut timers: BTreeMap<&'static str, u64> = BTreeMap::new();
@@ -299,15 +280,7 @@ pub fn lint_workspace_with(root: &Path, cache_dir: Option<&Path>) -> Result<Repo
         let deny: BTreeSet<&str> = tier.deny.iter().map(String::as_str).collect();
         let src = fs::read_to_string(&file)
             .map_err(|e| format!("cannot read {}: {e}", file.display()))?;
-        let hash = cache::fnv1a(src.as_bytes());
-        let facts = match cache.lookup(&rel, hash) {
-            Some(facts) => facts,
-            None => {
-                let facts = analyze_source(&rel, &src, &deny, &mut timers);
-                cache.store(&rel, hash, facts.clone());
-                facts
-            }
-        };
+        let facts = analyze_source(&rel, &src, &deny, &mut timers);
         analyzed.push((rel, facts, deny));
     }
 
@@ -323,15 +296,6 @@ pub fn lint_workspace_with(root: &Path, cache_dir: Option<&Path>) -> Result<Repo
         report.absorb(finish_file(rel, facts, deny, &ws, &mut timers));
     }
 
-    if let Some(dir) = cache_dir {
-        let live: Vec<String> = analyzed.iter().map(|(rel, ..)| rel.clone()).collect();
-        cache.retain_files(&live);
-        // A failed cache write only costs the next run a warm start.
-        cache.save(dir).ok();
-    }
-
-    report.cache_hits = cache.hits;
-    report.cache_misses = cache.misses;
     report.pass_wall_us = timers;
     report
         .diagnostics
@@ -356,7 +320,6 @@ pub fn lint_files_strict(root: &Path, files: &[PathBuf]) -> Result<Report, Strin
         let src =
             fs::read_to_string(file).map_err(|e| format!("cannot read {}: {e}", file.display()))?;
         report.files += 1;
-        report.cache_misses += 1;
         let facts = analyze_source(&rel, &src, &deny, &mut timers);
         analyzed.push((rel, facts));
     }

@@ -6,9 +6,6 @@
 //! * `tm-lint <file>…` — lint specific files with every rule denied
 //!   (sim-core strictness), regardless of tier. Handy for fixtures and
 //!   pre-commit spot checks.
-//! * `tm-lint --no-cache` — workspace lint with the incremental cache
-//!   (`target/tm-lint-cache`) disabled; the default run caches local-pass
-//!   results per content hash.
 //!
 //! Always prints a machine-readable `TM_LINT_JSON` summary line last, so
 //! CI and future BENCH_JSON tooling can track rule counts over time.
@@ -17,20 +14,14 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!("usage: tm-lint [--no-cache] [<file.rs>…]\n  no args:    lint the workspace per tm-lint.toml (cached)\n  --no-cache: skip target/tm-lint-cache\n  files:      lint them with every rule denied");
+        eprintln!("usage: tm-lint [<file.rs>…]\n  no args: lint the workspace per tm-lint.toml\n  files:   lint them with every rule denied");
         return ExitCode::SUCCESS;
     }
-    let use_cache = !args.iter().any(|a| a == "--no-cache");
-    args.retain(|a| a != "--no-cache");
 
     let result = if args.is_empty() {
-        workspace_root().and_then(|root| {
-            let cache_dir = root.join("target/tm-lint-cache");
-            let cache = use_cache.then_some(cache_dir.as_path());
-            tm_lint::lint_workspace_with(&root, cache)
-        })
+        workspace_root().and_then(|root| tm_lint::lint_workspace(&root))
     } else {
         let files: Vec<PathBuf> = args.iter().map(PathBuf::from).collect();
         let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));

@@ -4,11 +4,11 @@
 //!
 //! * **Local passes** (token rules, seed-taint, telemetry-names) see one
 //!   file's tokens and item tree. Their diagnostics depend only on file
-//!   content, so they run once per content hash and are cached.
+//!   content, so they run while the file is analyzed.
 //! * **Workspace passes** (panic-reachability) see the whole-workspace
 //!   [`Workspace`] summary — the symbol index and call graph built from
-//!   every file's [`FnFact`]s — and run on every lint invocation (they
-//!   are cheap: the expensive per-file extraction is cached).
+//!   every file's [`FnFact`]s — and run once every file is analyzed,
+//!   over the distilled facts alone.
 //!
 //! The stale-allow ratchet is not a pass: it is part of diagnostic
 //! assembly in [`crate::rules`], because it needs to observe which allow
@@ -25,15 +25,15 @@ use crate::ast::Ast;
 use crate::lexer::Lexed;
 use crate::rules::Diagnostic;
 
-/// One analyzed file as seen by a pass. Fresh analyses carry the lexed
-/// tokens and item tree; cache hits carry only the distilled facts, which
-/// is all a workspace pass needs.
+/// One analyzed file as seen by a pass. Local passes get the lexed
+/// tokens and item tree; workspace passes get only the distilled facts,
+/// which is all they need.
 pub struct AnalyzedFile<'a> {
     /// Workspace-relative path.
     pub rel: &'a str,
-    /// Token stream — `None` when the file came from the cache.
+    /// Token stream — `None` for workspace passes.
     pub lexed: Option<&'a Lexed>,
-    /// Item tree — `None` when the file came from the cache.
+    /// Item tree — `None` for workspace passes.
     pub ast: Option<&'a Ast>,
     /// Function summaries extracted from this file.
     pub fns: &'a [FnFact],
@@ -47,7 +47,7 @@ pub trait Pass {
     /// The rule names this pass can emit.
     fn rules(&self) -> &'static [&'static str];
     /// Whether the pass needs the whole-workspace view (and so runs at
-    /// assembly time over cached facts rather than at analysis time).
+    /// assembly time over distilled facts rather than at analysis time).
     fn needs_workspace(&self) -> bool {
         false
     }
@@ -66,7 +66,6 @@ pub fn all_passes() -> Vec<Box<dyn Pass>> {
 }
 
 /// A summarized function: what the workspace symbol index stores per fn.
-/// Serialized into the lint cache, so keep it plain data.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FnFact {
     /// Function name.
@@ -117,7 +116,7 @@ pub struct DirFact {
     pub covered: Vec<u32>,
 }
 
-/// A raw (pre-allow-filtering) diagnostic, cache-serializable.
+/// A raw (pre-allow-filtering) diagnostic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RawDiag {
     /// Rule name (interned — one of [`crate::rules::rule_names`]).
@@ -128,12 +127,11 @@ pub struct RawDiag {
     pub message: String,
 }
 
-/// Everything the engine needs to re-assemble a file's report without
-/// re-reading its source: the cacheable unit of incremental linting.
+/// Everything the engine needs to assemble a file's report once its
+/// tokens and item tree are dropped.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FileFacts {
-    /// Raw diagnostics from local passes, already tier-deny-filtered
-    /// (the config hash is part of the cache key, so this is safe).
+    /// Raw diagnostics from local passes, already tier-deny-filtered.
     pub raw: Vec<RawDiag>,
     /// Well-formed allow directives.
     pub dirs: Vec<DirFact>,

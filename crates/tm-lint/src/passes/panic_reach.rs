@@ -21,8 +21,8 @@
 //! `+`/`-`/`*` overflow is deliberately out of scope: it wraps in
 //! release builds (no panic) and the debug-build invariants in
 //! `netsim::engine` already exercise it under `debug_assertions`.
-//! Extraction runs per file and is cached; only the cheap
-//! reachability closure re-runs per invocation.
+//! Extraction runs once per file; the cheap reachability closure then
+//! runs over every file's extracted summaries.
 
 use std::collections::BTreeSet;
 use std::ops::Range;
@@ -69,8 +69,8 @@ impl Pass for PanicReach {
     }
 }
 
-/// Extracts the cached per-fn summaries (call edges + panic sites) from a
-/// freshly analyzed file. `#[cfg(test)]` fns are skipped entirely: they
+/// Extracts the per-fn summaries (call edges + panic sites) from an
+/// analyzed file. `#[cfg(test)]` fns are skipped entirely: they
 /// are neither reachability sources nor panic subjects.
 pub(crate) fn extract_fns(lexed: &Lexed, ast: &Ast) -> Vec<FnFact> {
     let toks = &lexed.tokens;

@@ -95,7 +95,7 @@ pub(crate) fn vet_directive(d: &Directive) -> Result<(), String> {
     Ok(())
 }
 
-/// Assembles a file's final report from its cached facts plus the
+/// Assembles a file's final report from its distilled facts plus the
 /// workspace-pass diagnostics for it: applies allow directives, counts
 /// what each suppressed, and turns zero-credit directive rules into
 /// `stale-allow` diagnostics.
