@@ -95,6 +95,18 @@ cargo run -q --release --offline -p bench --bin experiments -- \
     --seeds 1 --workers 1 >"$tmp/tm_topo_matrix.out" 2>/dev/null
 grep -q 'failed=0' "$tmp/tm_topo_matrix.out"
 ! grep -q 'failed=[1-9]' "$tmp/tm_topo_matrix.out"
+# The attack and defense-stack label tables guard the command line too:
+# an unknown label is a usage error (exit 2), never a default run.
+status=0
+cargo run -q --release --offline -p bench --bin experiments -- \
+    matrix --topo ring-4x2 --attacks ddos >/dev/null 2>"$tmp/tm_bad_attack.err" || status=$?
+test "$status" -eq 2
+grep -q 'unknown attack' "$tmp/tm_bad_attack.err"
+status=0
+cargo run -q --release --offline -p bench --bin experiments -- \
+    matrix --topo ring-4x2 --stacks kitchen-sink >/dev/null 2>"$tmp/tm_bad_stack.err" || status=$?
+test "$status" -eq 2
+grep -q 'unknown defense stack' "$tmp/tm_bad_stack.err"
 
 # High-load smoke cell: the 102,400-host flow-level throughput probe
 # (fat-tree-4, steady-2 demand, TOPOGUARD+). Guards the traffic engine

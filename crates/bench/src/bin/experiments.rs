@@ -17,7 +17,7 @@ use tm_campaign::{
     aggregate_stream, run_campaign, run_campaign_with, CampaignReport, CampaignSpec, Registry,
     Resume, Shard,
 };
-use tm_core::matrix;
+use tm_core::{matrix, DefenseStack, FaultProfile};
 
 /// The campaign family's value-taking flags (shared by `campaign`,
 /// `matrix --topo`, and `load`). `--resume` is boolean and filtered out
@@ -30,8 +30,8 @@ fn matrix_to_json(entries: &[tm_core::MatrixEntry]) -> JsonValue {
             .iter()
             .map(|e| {
                 JsonValue::object(vec![
-                    ("attack", e.attack.into()),
-                    ("defense", e.defense.as_str().into()),
+                    ("attack", e.attack.label().into()),
+                    ("defense", e.defense.to_string().into()),
                     ("succeeded", e.succeeded.into()),
                     ("detected", e.detected.into()),
                     ("alerts", e.alerts.into()),
@@ -94,26 +94,57 @@ fn peak_rss_kb() -> Option<u64> {
         .and_then(|kb| kb.parse().ok())
 }
 
-/// Campaign execution options beyond the spec itself: shard assignment
-/// and on-disk state (the shard's run-log) with resume.
-struct CampaignIo {
+/// Prints `<cmd>: <e>` and exits 2.
+fn fail(cmd: &str, e: String) -> ! {
+    eprintln!("{cmd}: {e}");
+    std::process::exit(2)
+}
+
+/// The campaign family's flags, parsed once: the spec's knobs, shard
+/// assignment, and on-disk state (the shard's run-log) with resume.
+struct CampaignArgs {
+    common: CommonArgs,
+    seeds: usize,
+    workers: usize,
+    confidence: f64,
     shard: Shard,
     state: Option<PathBuf>,
     resume: bool,
 }
 
-impl CampaignIo {
-    /// Reads `--shard`/`--state` out of parsed args; `resume` comes from
-    /// the caller (boolean flags are filtered before parsing).
-    fn from_args(common: &CommonArgs, resume: bool) -> Result<CampaignIo, String> {
-        let shard_spec: String = common.extra_parsed("--shard", "0/1".to_string())?;
-        let shard = Shard::parse(&shard_spec)?;
+impl CampaignArgs {
+    /// Parses `args` for subcommand `cmd` (the error prefix): the campaign
+    /// flags plus the value-taking flags in `extra`. An unknown flag
+    /// prints usage; a bad value exits 2.
+    fn parse(cmd: &str, args: &[String], extra: &[&str]) -> CampaignArgs {
+        // `--resume` is boolean; every flag CommonArgs sees takes a value.
+        let resume = args.iter().any(|a| a == "--resume");
+        let filtered: Vec<String> = args
+            .iter()
+            .filter(|a| a.as_str() != "--resume")
+            .cloned()
+            .collect();
+        let common = CommonArgs::parse(&filtered, &[extra, CAMPAIGN_FLAGS].concat())
+            .unwrap_or_else(|e| {
+                eprintln!("{cmd}: {e}");
+                usage()
+            });
+        CampaignArgs::read(common, resume).unwrap_or_else(|e| fail(cmd, e))
+    }
+
+    /// Reads the campaign flags back out of `common`.
+    fn read(common: CommonArgs, resume: bool) -> Result<CampaignArgs, String> {
+        let shard = Shard::parse(&common.extra_parsed("--shard", "0/1".to_string())?)?;
         let state: String = common.extra_parsed("--state", String::new())?;
         let state = (!state.is_empty()).then(|| PathBuf::from(state));
         if resume && state.is_none() {
             return Err("--resume needs --state DIR (that is where the run-log lives)".into());
         }
-        Ok(CampaignIo {
+        Ok(CampaignArgs {
+            seeds: common.extra_parsed("--seeds", 5)?,
+            workers: common.extra_parsed("--workers", 1)?,
+            confidence: common.extra_parsed("--confidence", 0.95)?,
+            common,
             shard,
             state,
             resume,
@@ -121,16 +152,16 @@ impl CampaignIo {
     }
 }
 
-/// Runs one campaign under `io`: plain in-memory execution without
+/// Runs one campaign under `args`: plain in-memory execution without
 /// `--state`; with it, every run streams into the shard's binary run-log,
 /// and `--resume` first rebuilds the cells that log already completed.
 /// Returns the report plus the run-log size when state is on.
 fn execute_campaign(
     registry: &Registry,
     spec: &CampaignSpec,
-    io: &CampaignIo,
+    args: &CampaignArgs,
 ) -> Result<(CampaignReport, Option<u64>), String> {
-    let Some(dir) = &io.state else {
+    let Some(dir) = &args.state else {
         return run_campaign(registry, spec).map(|report| (report, None));
     };
     let scenario = registry
@@ -142,7 +173,7 @@ fn execute_campaign(
         spec.scenario, spec.shard.index, spec.shard.count
     ));
     let header = runlog::RunLogHeader::for_spec(scenario, spec);
-    let (resume, kept) = if io.resume {
+    let (resume, kept) = if args.resume {
         let (resume, kept) = runlog::resume(&log_path, &header)?;
         eprintln!(
             "resume: {} completed cell(s) carried over from {}",
@@ -184,6 +215,62 @@ fn campaign_wall_record(
         fields.push(("runlog_bytes", (bytes as usize).into()));
     }
     eprintln!("BENCH_JSON {}", JsonValue::object(fields).to_compact());
+}
+
+/// Runs each named campaign in `registry` under `args`.
+///
+/// Everything deterministic — the report and the per-cell `BENCH_JSON`
+/// records — goes to **stdout**, so two invocations differing only in
+/// `--workers` are byte-identical there (CI diffs exactly that). The
+/// wall-clock record, which legitimately varies, goes to **stderr**.
+/// `--json` gets the one summary, or an array of them.
+fn run_campaigns(cmd: &str, registry: &Registry, names: &[&str], args: &CampaignArgs) {
+    let mut summaries = Vec::new();
+    for &name in names {
+        let spec = CampaignSpec {
+            seeds: args.seeds,
+            workers: args.workers,
+            confidence: args.confidence,
+            shard: args.shard,
+            // This binary owns the process: silence the default panic hook's
+            // backtraces while isolated cells fail (they are *reported*).
+            quiet_panics: true,
+            ..CampaignSpec::new(name, args.common.seed)
+        };
+
+        // tm-lint: allow(wall-clock) -- campaign wall time is the perf-trajectory record; stderr only, never in the deterministic report
+        let start = std::time::Instant::now();
+        let (report, runlog_bytes) =
+            execute_campaign(registry, &spec, args).unwrap_or_else(|e| fail(cmd, e));
+        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+
+        print!("{}", report.render());
+        for line in campaign::cell_bench_lines(&report) {
+            println!("{line}");
+        }
+        println!();
+
+        campaign_wall_record(
+            name,
+            args.workers,
+            args.shard,
+            &report,
+            wall_ms,
+            runlog_bytes,
+        );
+
+        summaries.push(campaign::summary_json(&report));
+    }
+
+    if let Some(path) = &args.common.json {
+        let json = if summaries.len() == 1 {
+            summaries.remove(0).to_pretty()
+        } else {
+            JsonValue::Array(summaries).to_pretty()
+        };
+        std::fs::write(path, json).expect("write json");
+        eprintln!("wrote {path}");
+    }
 }
 
 /// `campaign replay <LOG...>`: merge shard run-logs and re-aggregate the
@@ -248,14 +335,14 @@ fn replay_cmd(args: &[String]) {
     }
 }
 
-/// Expands a `--topo` grid spec: comma-separated topology labels
-/// (`fat-tree-8`, `ring-4x2`, ...) or family names, each family expanding
-/// to its small+large default pair so one family still covers two sizes.
+/// Expands a `--topo` grid spec: topology labels (`fat-tree-8`,
+/// `ring-4x2`, ...) or family names, each family expanding to its
+/// small+large default pair so one family still covers two sizes.
 /// `default` is the full two-kinds × two-sizes default grid.
-fn expand_topo_spec(spec: &str) -> Vec<String> {
-    spec.split(',')
-        .filter(|item| !item.is_empty())
-        .flat_map(|item| match item {
+fn expand_topo_spec(items: &[String]) -> Vec<String> {
+    items
+        .iter()
+        .flat_map(|item| match item.as_str() {
             "default" => campaign::FABRIC_MATRIX_TOPOS.to_vec(),
             "fat-tree" => vec!["fat-tree-4", "fat-tree-8"],
             "ring" => vec!["ring-4x2", "ring-8x2"],
@@ -272,112 +359,40 @@ fn expand_topo_spec(spec: &str) -> Vec<String> {
 }
 
 /// `matrix --topo`: the detection matrix re-run on generated fabrics, as
-/// a multi-seed campaign. Same stdout/stderr split as [`campaign_cmd`]:
-/// the report and per-cell `BENCH_JSON` lines are deterministic and
-/// byte-identical at any `--workers` count; wall time goes to stderr.
+/// a multi-seed campaign with [`run_campaigns`]' stdout/stderr split.
 fn topo_matrix_cmd(args: &[String]) {
-    let resume = args.iter().any(|a| a == "--resume");
-    let filtered: Vec<String> = args
-        .iter()
-        .filter(|a| a.as_str() != "--resume")
-        .cloned()
-        .collect();
-    let mut flags: Vec<&str> = vec!["--topo", "--attacks", "--stacks"];
-    flags.extend_from_slice(CAMPAIGN_FLAGS);
-    let common = CommonArgs::parse(&filtered, &flags).unwrap_or_else(|e| {
-        eprintln!("matrix --topo: {e}");
-        usage()
-    });
-    let fail = |e: String| -> ! {
-        eprintln!("matrix --topo: {e}");
-        std::process::exit(2)
+    const CMD: &str = "matrix --topo";
+    let args = CampaignArgs::parse(CMD, args, &["--topo", "--attacks", "--stacks"]);
+    let list = |flag: &str, default: String| -> Vec<String> {
+        let csv: String = args
+            .common
+            .extra_parsed(flag, default)
+            .unwrap_or_else(|e| fail(CMD, e));
+        csv.split(',')
+            .filter(|s| !s.is_empty())
+            .map(String::from)
+            .collect()
     };
-    let topo_spec: String = common
-        .extra_parsed("--topo", "default".to_string())
-        .unwrap_or_else(|e| fail(e));
-    let attacks_spec: String = common
-        .extra_parsed(
-            "--attacks",
-            campaign::FABRIC_MATRIX_DEFAULT_ATTACKS.join(","),
-        )
-        .unwrap_or_else(|e| fail(e));
-    let stacks_spec: String = common
-        .extra_parsed("--stacks", campaign::FABRIC_MATRIX_STACKS.join(","))
-        .unwrap_or_else(|e| fail(e));
-    let seeds: usize = common
-        .extra_parsed("--seeds", 5)
-        .unwrap_or_else(|e| fail(e));
-    let workers: usize = common
-        .extra_parsed("--workers", 1)
-        .unwrap_or_else(|e| fail(e));
-    let confidence: f64 = common
-        .extra_parsed("--confidence", 0.95)
-        .unwrap_or_else(|e| fail(e));
-    let io = CampaignIo::from_args(&common, resume).unwrap_or_else(|e| fail(e));
-
-    let topos = expand_topo_spec(&topo_spec);
-    let attacks: Vec<String> = attacks_spec
-        .split(',')
-        .filter(|s| !s.is_empty())
-        .map(String::from)
-        .collect();
-    let stacks: Vec<String> = stacks_spec
-        .split(',')
-        .filter(|s| !s.is_empty())
-        .map(String::from)
-        .collect();
+    let topos = expand_topo_spec(&list("--topo", "default".to_string()));
+    let attacks = list(
+        "--attacks",
+        campaign::FABRIC_MATRIX_DEFAULT_ATTACKS.join(","),
+    );
+    let stacks = list("--stacks", campaign::FABRIC_MATRIX_STACKS.join(","));
     fn as_refs(v: &[String]) -> Vec<&str> {
         v.iter().map(String::as_str).collect()
     }
 
     let scenario =
         campaign::fabric_matrix_scenario(&as_refs(&topos), &as_refs(&attacks), &as_refs(&stacks))
-            .unwrap_or_else(|e| fail(e));
-    let mut registry = tm_campaign::Registry::new();
-    registry.register(scenario).unwrap_or_else(|e| fail(e));
-
-    let mut spec = CampaignSpec::new("fabric-matrix", common.seed);
-    spec.seeds = seeds;
-    spec.workers = workers;
-    spec.confidence = confidence;
-    spec.shard = io.shard;
-    spec.quiet_panics = true;
-
-    // tm-lint: allow(wall-clock) -- campaign wall time is the perf-trajectory record; stderr only, never in the deterministic report
-    let start = std::time::Instant::now();
-    let (report, runlog_bytes) =
-        execute_campaign(&registry, &spec, &io).unwrap_or_else(|e| fail(e));
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-
-    print!("{}", report.render());
-    for line in campaign::cell_bench_lines(&report) {
-        println!("{line}");
-    }
-    println!();
-
-    campaign_wall_record(
-        "fabric-matrix",
-        workers,
-        io.shard,
-        &report,
-        wall_ms,
-        runlog_bytes,
-    );
-
-    if let Some(path) = &common.json {
-        let json = campaign::summary_json(&report).to_pretty();
-        std::fs::write(path, json).expect("write json");
-        eprintln!("wrote {path}");
-    }
+            .unwrap_or_else(|e| fail(CMD, e));
+    let mut registry = Registry::new();
+    registry.register(scenario).unwrap_or_else(|e| fail(CMD, e));
+    run_campaigns(CMD, &registry, &["fabric-matrix"], &args);
 }
 
 /// The `campaign` subcommand: multi-seed parameter-grid campaigns over the
-/// registry in `bench::campaign`.
-///
-/// Everything deterministic — the report and the per-cell `BENCH_JSON`
-/// records — goes to **stdout**, so two invocations differing only in
-/// `--workers` are byte-identical there (CI diffs exactly that). The
-/// wall-clock record, which legitimately varies, goes to **stderr**.
+/// registry in `bench::campaign`, run by [`run_campaigns`].
 fn campaign_cmd(args: &[String]) {
     let Some(target) = args.first() else { usage() };
     if target == "replay" {
@@ -394,83 +409,19 @@ fn campaign_cmd(args: &[String]) {
         return;
     }
 
-    // `--resume` is boolean; every flag CommonArgs sees takes a value.
-    let resume = args[1..].iter().any(|a| a == "--resume");
-    let filtered: Vec<String> = args[1..]
-        .iter()
-        .filter(|a| a.as_str() != "--resume")
-        .cloned()
-        .collect();
-    let common = CommonArgs::parse(&filtered, CAMPAIGN_FLAGS).unwrap_or_else(|e| {
-        eprintln!("campaign: {e}");
-        usage()
-    });
-    let fail = |e: String| -> ! {
-        eprintln!("campaign: {e}");
-        std::process::exit(2)
+    let parsed = CampaignArgs::parse("campaign", &args[1..], &[]);
+    let names: Vec<&str> = match target.as_str() {
+        "smoke" => campaign::SMOKE_SCENARIOS.to_vec(),
+        "faults" => campaign::FAULT_SCENARIOS.to_vec(),
+        name => vec![name],
     };
-    let seeds: usize = common
-        .extra_parsed("--seeds", 5)
-        .unwrap_or_else(|e| fail(e));
-    let workers: usize = common
-        .extra_parsed("--workers", 1)
-        .unwrap_or_else(|e| fail(e));
-    let confidence: f64 = common
-        .extra_parsed("--confidence", 0.95)
-        .unwrap_or_else(|e| fail(e));
-    let io = CampaignIo::from_args(&common, resume).unwrap_or_else(|e| fail(e));
-
-    let names: Vec<&str> = if target == "smoke" {
-        campaign::SMOKE_SCENARIOS.to_vec()
-    } else if target == "faults" {
-        campaign::FAULT_SCENARIOS.to_vec()
-    } else {
-        vec![target.as_str()]
-    };
-
-    let mut summaries = Vec::new();
-    for name in names {
-        let mut spec = CampaignSpec::new(name, common.seed);
-        spec.seeds = seeds;
-        spec.workers = workers;
-        spec.confidence = confidence;
-        spec.shard = io.shard;
-        // The driver owns the process: silence the default panic hook's
-        // backtraces while isolated cells fail (they are *reported*).
-        spec.quiet_panics = true;
-
-        // tm-lint: allow(wall-clock) -- campaign wall time is the perf-trajectory record; stderr only, never in the deterministic report
-        let start = std::time::Instant::now();
-        let (report, runlog_bytes) =
-            execute_campaign(&registry, &spec, &io).unwrap_or_else(|e| fail(e));
-        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-
-        print!("{}", report.render());
-        for line in campaign::cell_bench_lines(&report) {
-            println!("{line}");
-        }
-        println!();
-
-        campaign_wall_record(name, workers, io.shard, &report, wall_ms, runlog_bytes);
-
-        summaries.push(campaign::summary_json(&report));
-    }
-
-    if let Some(path) = &common.json {
-        let json = if summaries.len() == 1 {
-            summaries.remove(0).to_pretty()
-        } else {
-            JsonValue::Array(summaries).to_pretty()
-        };
-        std::fs::write(path, json).expect("write json");
-        eprintln!("wrote {path}");
-    }
+    run_campaigns("campaign", &registry, &names, &parsed);
 }
 
 /// `load`: the flow-level traffic campaign (hosts × demand × stack on the
 /// fat-tree-4 fabric) followed by the 102,400-host throughput probe.
 /// `--probe-only` skips the campaign — the CI smoke path. Same
-/// stdout/stderr split as [`campaign_cmd`]: everything on stdout is a
+/// stdout/stderr split as [`run_campaigns`]: everything on stdout is a
 /// pure function of the seed (diffable across `--workers`); the wall
 /// clock goes to stderr as the `traffic-throughput` `BENCH_JSON` record.
 fn load_cmd(args: &[String]) {
@@ -480,23 +431,11 @@ fn load_cmd(args: &[String]) {
         .filter(|a| a.as_str() != "--probe-only")
         .cloned()
         .collect();
+    let parsed = CampaignArgs::parse("load", &filtered, &[]);
     if !probe_only {
-        // `campaign_cmd` handles `--shard`/`--state`/`--resume` itself;
-        // forward everything but the probe flag.
-        let mut forwarded = vec!["load".to_string()];
-        forwarded.extend_from_slice(&filtered);
-        campaign_cmd(&forwarded);
+        run_campaigns("load", &campaign::registry(), &["load"], &parsed);
     }
-    let flagged: Vec<String> = filtered
-        .iter()
-        .filter(|a| a.as_str() != "--resume")
-        .cloned()
-        .collect();
-    let common = CommonArgs::parse(&flagged, CAMPAIGN_FLAGS).unwrap_or_else(|e| {
-        eprintln!("load: {e}");
-        usage()
-    });
-    throughput_probe(common.seed);
+    throughput_probe(parsed.common.seed);
 }
 
 /// Runs the ≥100k-host flow-level scenario end-to-end and reports the
@@ -598,13 +537,13 @@ fn main() {
                 println!("  {line}");
             }
         }
-        "matrix" => {
-            let entries = matrix::run_matrix(seed);
-            println!("{}", matrix::render(&entries));
-            write_json(&json_path, &entries);
-        }
-        "matrix_extended" => {
-            let entries = matrix::run_matrix_extended(seed);
+        "matrix" | "matrix_extended" => {
+            let stacks: &[DefenseStack] = if id == "matrix" {
+                &DefenseStack::ALL
+            } else {
+                &DefenseStack::ALL_EXTENDED
+            };
+            let entries = matrix::run_matrix(stacks, FaultProfile::Clean, seed);
             println!("{}", matrix::render(&entries));
             write_json(&json_path, &entries);
         }
@@ -613,12 +552,12 @@ fn main() {
             // profile: does detection survive loss, jitter, congestion,
             // and switch restarts?
             let mut all = Vec::new();
-            for profile in tm_core::FaultProfile::MATRIX_SWEEP {
+            for profile in FaultProfile::MATRIX_SWEEP {
                 println!(
                     "DETECTION MATRIX under fault profile: {}\n",
                     profile.label()
                 );
-                let entries = matrix::run_matrix_under(profile, seed);
+                let entries = matrix::run_matrix(&DefenseStack::ALL, profile, seed);
                 println!("{}", matrix::render(&entries));
                 all.extend(entries);
             }
@@ -650,7 +589,7 @@ fn main() {
             }
             println!();
             println!("DETECTION MATRIX (headline result)\n");
-            let entries = matrix::run_matrix(seed);
+            let entries = matrix::run_matrix(&DefenseStack::ALL, FaultProfile::Clean, seed);
             println!("{}", matrix::render(&entries));
             println!("{}", sweeps::scan_detection());
             println!("{}", sweeps::alert_flood(seed));

@@ -7,14 +7,14 @@
 //! arguments — the campaign runner derives per-run seeds itself and
 //! relies on that purity for worker-count-independent output.
 
-use attacks::{IdentChangeModel, ProbeKind};
-use controller::ControllerProfile;
-use sdn_types::{Duration, IpAddr};
-use tm_campaign::{Axis, CampaignReport, Metrics, Registry, Scenario};
+use attacks::IdentChangeModel;
+use sdn_types::Duration;
+use tm_campaign::{Axis, CampaignReport, GridPoint, Metrics, Registry, Scenario};
 use tm_core::floodsc::{self, FloodScenario};
 use tm_core::hijack::{self, HijackScenario};
 use tm_core::linkfab::{self, LinkFabScenario, RelayMode};
-use tm_core::load::{self, LoadScenario, TrafficLoad};
+use tm_core::load::{self, LoadPattern, LoadScenario, TrafficLoad};
+use tm_core::matrix::{run_cell, Attack, CellOutcome};
 use tm_core::robustness::{self, FaultProfile, RobustnessScenario};
 use tm_core::scale::{self, ScaleScenario};
 use tm_core::DefenseStack;
@@ -23,6 +23,7 @@ use tm_stats::{quantile, Summary};
 use tm_topo::TopoKind;
 
 use crate::json::JsonValue;
+use crate::tables::{PROBES, PROFILES};
 
 /// The scenarios cheap enough for the CI smoke campaign (sampling models,
 /// no full simulation): run in seconds even at several seeds per cell.
@@ -32,15 +33,6 @@ pub const SMOKE_SCENARIOS: [&str; 2] = ["probe-overhead", "ident-change"];
 /// two sizes each, so a verdict flip between a small and a large fabric
 /// of the same kind is visible in one run.
 pub const FABRIC_MATRIX_TOPOS: [&str; 4] = ["fat-tree-4", "fat-tree-8", "ring-4x2", "ring-8x2"];
-
-/// The attack families every fabric-matrix cell may name.
-pub const FABRIC_MATRIX_ATTACKS: [&str; 5] = [
-    "naive-relay",
-    "oob-amnesia",
-    "oob-stealthy",
-    "in-band",
-    "port-probing-hijack",
-];
 
 /// Default attack grid for the `fabric-matrix` campaign (the paper's four
 /// matrix rows).
@@ -56,47 +48,61 @@ pub const FABRIC_MATRIX_DEFAULT_ATTACKS: [&str; 4] = [
 pub const FABRIC_MATRIX_STACKS: [&str; 5] =
     ["none", "topoguard", "sphinx", "tg-sphinx", "topoguard-plus"];
 
-/// The defense-stack names [`parse_stack`] understands (campaign naming).
-const KNOWN_STACKS: [&str; 6] = [
-    "none",
-    "topoguard",
-    "sphinx",
-    "tg-sphinx",
-    "topoguard-plus",
-    "tg-plus-binding",
+/// The `load` campaign's demands, `<pattern>-<flows/host/s>`.
+const DEMANDS: [(&str, (LoadPattern, f64)); 2] = [
+    ("steady-0.5", (LoadPattern::Steady, 0.5)),
+    ("bursty-2", (LoadPattern::Bursty, 2.0)),
 ];
 
-/// The demand labels the `load` campaign's cells understand:
-/// `steady-<rate>` / `bursty-<rate>` with `<rate>` in flows/host/s.
-/// Unknown labels fall back to a light steady trickle so a typo degrades
-/// to a near-idle cell instead of a panic.
-fn parse_demand(label: &str) -> (&'static str, f64) {
-    let (pattern, rate) = match label.rsplit_once('-') {
-        Some((p, r)) => (p, r.parse().unwrap_or(0.1)),
-        None => (label, 0.1),
+/// The stacks the soak campaigns (`scale`, `load`) compare.
+const SOAK_STACKS: [DefenseStack; 2] = [DefenseStack::None, DefenseStack::TopoGuardPlus];
+
+/// The `ident-change` campaign's operations, each a one-trial sampler.
+type Sampler = fn(&IdentChangeModel, &mut StdRng) -> Duration;
+const IDENT_OPS: [(&str, Sampler); 2] = [
+    (
+        "ident-change",
+        IdentChangeModel::sample_ident_change::<StdRng>,
+    ),
+    ("bare-cycle", IdentChangeModel::sample_bare_cycle::<StdRng>),
+];
+
+/// The labels of a bench-local table, in table order.
+fn labels<T>(table: &[(&'static str, T)]) -> Vec<&'static str> {
+    table.iter().map(|(label, _)| *label).collect()
+}
+
+/// The value `label` names in a bench-local table.
+fn find<T: Copy>(table: &[(&str, T)], label: &str) -> Option<T> {
+    table
+        .iter()
+        .find(|(l, _)| *l == label)
+        .map(|&(_, value)| value)
+}
+
+/// The typed value of `point`'s `axis`, read back through its table.
+/// A label the table does not know panics with the axis and the label;
+/// the runner isolates the run and reports it as `FAILED(...)`.
+fn value<T>(point: &GridPoint, axis: &str, parse: impl FnOnce(&str) -> Option<T>) -> T {
+    let Some(label) = point.get(axis) else {
+        panic!("grid point has no `{axis}` axis");
     };
-    match pattern {
-        "bursty" => ("bursty", rate),
-        _ => ("steady", rate),
+    match parse(label) {
+        Some(value) => value,
+        None => panic!("unknown {axis} `{label}`"),
     }
 }
 
-fn parse_load(hosts: &str, demand: &str) -> TrafficLoad {
-    let hosts: u32 = hosts.parse().unwrap_or(64);
-    match parse_demand(demand) {
-        ("bursty", rate) => TrafficLoad::bursty(hosts, rate),
-        (_, rate) => TrafficLoad::steady(hosts, rate),
-    }
+/// A numeric axis value, parsed strictly.
+fn number<T: std::str::FromStr>(point: &GridPoint, axis: &str) -> T {
+    value(point, axis, |label| label.parse().ok())
 }
 
-fn parse_stack(name: &str) -> DefenseStack {
-    match name {
-        "topoguard" => DefenseStack::TopoGuard,
-        "sphinx" => DefenseStack::Sphinx,
-        "tg-sphinx" => DefenseStack::TopoGuardSphinx,
-        "topoguard-plus" => DefenseStack::TopoGuardPlus,
-        "tg-plus-binding" => DefenseStack::TopoGuardPlusBinding,
-        _ => DefenseStack::None,
+/// A relay mode, read back through [`Attack`]'s label table.
+fn relay_mode(label: &str) -> Option<RelayMode> {
+    match Attack::from_label(label)? {
+        Attack::Relay(mode) => Some(mode),
+        Attack::PortProbingHijack => None,
     }
 }
 
@@ -158,18 +164,20 @@ pub fn fabric_matrix_scenario(
         }
     }
     for attack in attacks {
-        if !FABRIC_MATRIX_ATTACKS.contains(attack) {
+        if Attack::from_label(attack).is_none() {
             return Err(format!(
                 "unknown attack `{attack}` (known: {})",
-                FABRIC_MATRIX_ATTACKS.join(", ")
+                Attack::ALL.map(Attack::label).join(", ")
             ));
         }
     }
     for stack in stacks {
-        if !KNOWN_STACKS.contains(stack) {
+        if DefenseStack::from_label(stack).is_none() {
             return Err(format!(
                 "unknown defense stack `{stack}` (known: {})",
-                KNOWN_STACKS.join(", ")
+                DefenseStack::ALL_EXTENDED
+                    .map(DefenseStack::label)
+                    .join(", ")
             ));
         }
     }
@@ -188,47 +196,21 @@ pub fn fabric_matrix_scenario(
     ))
 }
 
-fn fabric_matrix_cell(point: &tm_campaign::GridPoint, seed: u64) -> Metrics {
-    let kind = point
-        .get("topology")
-        .and_then(TopoKind::from_label)
-        .unwrap_or(TopoKind::Linear {
-            switches: 4,
-            hosts_per_switch: 2,
-        });
-    let stack = parse_stack(point.get("stack").unwrap_or("none"));
-    match point.get("attack") {
-        Some("port-probing-hijack") => {
-            let outcome = hijack::run(&HijackScenario {
-                victim_rejoins: false, // measure the stealth window itself
-                ..HijackScenario::on_fabric(kind, stack, seed)
-            });
-            Metrics::new()
-                .with("succeeded", f64::from(u8::from(outcome.hijack_succeeded())))
-                .with(
-                    "detected",
-                    f64::from(u8::from(outcome.alerts_before_rejoin > 0)),
-                )
-                .with("alerts_total", outcome.alerts_total as f64)
-                .with(
-                    "client_pings_during_hijack",
-                    outcome.client_pings_during_hijack as f64,
-                )
-        }
-        attack => {
-            let mode = match attack {
-                Some("naive-relay") => RelayMode::NaiveNoAmnesia,
-                Some("oob-stealthy") => RelayMode::OutOfBandStealthy,
-                Some("in-band") => RelayMode::InBand,
-                _ => RelayMode::OutOfBand,
-            };
-            let outcome = linkfab::run(&LinkFabScenario::on_fabric(mode, kind, stack, seed));
-            Metrics::new()
-                .with("succeeded", f64::from(u8::from(outcome.link_established)))
-                .with("detected", f64::from(u8::from(outcome.detected())))
-                .with("alerts_total", outcome.alerts_total as f64)
-                .with("benign_pings_ok", outcome.benign_pings_ok as f64)
-        }
+fn fabric_matrix_cell(point: &GridPoint, seed: u64) -> Metrics {
+    let kind = value(point, "topology", TopoKind::from_label);
+    let attack = value(point, "attack", Attack::from_label);
+    let stack = value(point, "stack", DefenseStack::from_label);
+    let cell = run_cell(attack, stack, Some(kind), FaultProfile::Clean, seed);
+    let metrics = Metrics::new()
+        .with("succeeded", f64::from(u8::from(cell.succeeded())))
+        .with("detected", f64::from(u8::from(cell.detected())))
+        .with("alerts_total", cell.alerts() as f64);
+    match cell {
+        CellOutcome::Relay(o) => metrics.with("benign_pings_ok", o.benign_pings_ok as f64),
+        CellOutcome::Hijack(o) => metrics.with(
+            "client_pings_during_hijack",
+            o.client_pings_during_hijack as f64,
+        ),
     }
 }
 
@@ -245,20 +227,9 @@ pub fn registry() -> Registry {
     add(Scenario::new(
         "probe-overhead",
         "Table I liveness probe overhead model, 1000 scans per run",
-        vec![Axis::new(
-            "probe",
-            &["icmp-ping", "tcp-syn", "arp-ping", "idle-scan"],
-        )],
+        vec![Axis::new("probe", &labels(&PROBES))],
         |point, seed| {
-            let kind = match point.get("probe") {
-                Some("tcp-syn") => ProbeKind::TcpSyn { port: 80 },
-                Some("arp-ping") => ProbeKind::ArpPing,
-                Some("idle-scan") => ProbeKind::IdleScan {
-                    zombie: IpAddr::new(10, 0, 0, 9),
-                    port: 80,
-                },
-                _ => ProbeKind::IcmpPing,
-            };
+            let kind = value(point, "probe", |l| find(&PROBES, l));
             let mut rng = StdRng::seed_from_u64(seed);
             let samples: Vec<f64> = (0..1000)
                 .map(|_| kind.sample_overhead(&mut rng).as_millis_f64())
@@ -274,18 +245,13 @@ pub fn registry() -> Registry {
     add(Scenario::new(
         "ident-change",
         "Fig. 4 ifconfig identifier-change timing model, 1000 trials per run",
-        vec![Axis::new("op", &["ident-change", "bare-cycle"])],
+        vec![Axis::new("op", &labels(&IDENT_OPS))],
         |point, seed| {
+            let sample = value(point, "op", |l| find(&IDENT_OPS, l));
             let model = IdentChangeModel::paper_default();
             let mut rng = StdRng::seed_from_u64(seed);
             let samples: Vec<f64> = (0..1000)
-                .map(|_| {
-                    if point.get("op") == Some("bare-cycle") {
-                        model.sample_bare_cycle(&mut rng).as_millis_f64()
-                    } else {
-                        model.sample_ident_change(&mut rng).as_millis_f64()
-                    }
-                })
+                .map(|_| sample(&model, &mut rng).as_millis_f64())
                 .collect();
             let s = Summary::of(&samples);
             Metrics::new()
@@ -300,10 +266,10 @@ pub fn registry() -> Registry {
         "Port Probing hijack (§IV-B) across defense stacks, full simulation",
         vec![Axis::new(
             "stack",
-            &["none", "topoguard", "sphinx", "tg-sphinx", "topoguard-plus"],
+            &DefenseStack::ALL.map(DefenseStack::label),
         )],
         |point, seed| {
-            let stack = parse_stack(point.get("stack").unwrap_or("none"));
+            let stack = value(point, "stack", DefenseStack::from_label);
             let outcome = hijack::run(&HijackScenario::new(stack, seed));
             let mut m = Metrics::new()
                 .with(
@@ -336,16 +302,23 @@ pub fn registry() -> Registry {
         "linkfab",
         "Port Amnesia link fabrication (§IV-A) on the Fig. 1 topology",
         vec![
-            Axis::new("mode", &["naive-relay", "oob-amnesia", "oob-stealthy"]),
-            Axis::new("stack", &["topoguard", "topoguard-plus"]),
+            Axis::new(
+                "mode",
+                &[
+                    RelayMode::NaiveNoAmnesia,
+                    RelayMode::OutOfBand,
+                    RelayMode::OutOfBandStealthy,
+                ]
+                .map(|m| m.name()),
+            ),
+            Axis::new(
+                "stack",
+                &[DefenseStack::TopoGuard, DefenseStack::TopoGuardPlus].map(DefenseStack::label),
+            ),
         ],
         |point, seed| {
-            let mode = match point.get("mode") {
-                Some("naive-relay") => RelayMode::NaiveNoAmnesia,
-                Some("oob-stealthy") => RelayMode::OutOfBandStealthy,
-                _ => RelayMode::OutOfBand,
-            };
-            let stack = parse_stack(point.get("stack").unwrap_or("topoguard"));
+            let mode = value(point, "mode", relay_mode);
+            let stack = value(point, "stack", DefenseStack::from_label);
             let outcome = linkfab::run(&LinkFabScenario::new(mode, stack, seed));
             Metrics::new()
                 .with(
@@ -362,16 +335,9 @@ pub fn registry() -> Registry {
     add(Scenario::new(
         "discovery-profiles",
         "Table III discovery cadence and link expiry per controller profile",
-        vec![Axis::new(
-            "controller",
-            &["floodlight", "pox", "opendaylight"],
-        )],
+        vec![Axis::new("controller", &labels(&PROFILES))],
         |point, seed| {
-            let profile = match point.get("controller") {
-                Some("pox") => ControllerProfile::POX,
-                Some("opendaylight") => ControllerProfile::OPENDAYLIGHT,
-                _ => ControllerProfile::FLOODLIGHT,
-            };
+            let profile = value(point, "controller", |l| find(&PROFILES, l));
             let (cadence_s, expiry_s) = crate::tables::measure_profile(profile, seed);
             Metrics::new()
                 .with("cadence_s", cadence_s)
@@ -384,7 +350,7 @@ pub fn registry() -> Registry {
         "Alert flooding (§IV-B) under TopoGuard: alert volume vs spoof rate",
         vec![Axis::new("rate", &["1", "5", "10", "20", "50"])],
         |point, seed| {
-            let rate: u64 = point.get("rate").and_then(|v| v.parse().ok()).unwrap_or(20);
+            let rate: u64 = number(point, "rate");
             let outcome = floodsc::run(&FloodScenario {
                 spoof_rate_per_sec: rate,
                 run_for: Duration::from_secs(20),
@@ -406,10 +372,7 @@ pub fn registry() -> Registry {
         "LLI false positives on a benign Fig. 9 network under trunk jitter spikes (§VIII-A robustness)",
         vec![Axis::new("spike_ms", &["0", "2", "5"])],
         |point, seed| {
-            let spike_ms: u16 = point
-                .get("spike_ms")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0);
+            let spike_ms: u16 = number(point, "spike_ms");
             // Defaults: 240 s run, jitter active from 150 s — after the
             // LLI's 10-sample baseline has formed at the 15 s LLDP cadence.
             let outcome = robustness::run(&RobustnessScenario::new(
@@ -426,7 +389,7 @@ pub fn registry() -> Registry {
         "CMM false positives on a benign Fig. 9 network while a host port flaps (§VIII-B robustness)",
         vec![Axis::new("flaps", &["0", "2", "5", "10"])],
         |point, seed| {
-            let count: u8 = point.get("flaps").and_then(|v| v.parse().ok()).unwrap_or(0);
+            let count: u8 = number(point, "flaps");
             // Flaps are fast events; a 60 s run with a 2 s flap cadence
             // from t=20 s exercises them all.
             let outcome = robustness::run(&RobustnessScenario {
@@ -451,10 +414,7 @@ pub fn registry() -> Registry {
         "Topology discovery convergence on a benign Fig. 9 network under trunk packet loss",
         vec![Axis::new("loss_pct", &["0", "10", "30", "50"])],
         |point, seed| {
-            let pct: u8 = point
-                .get("loss_pct")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0);
+            let pct: u8 = number(point, "loss_pct");
             // Loss starts almost immediately: the question is whether LLDP
             // discovery still converges to the 6 ground-truth directed
             // links by the end of a 60 s run.
@@ -480,17 +440,11 @@ pub fn registry() -> Registry {
                 "topology",
                 &["linear-4", "fat-tree-4", "fat-tree-8", "core-edge-4x96x1"],
             ),
-            Axis::new("stack", &["none", "topoguard-plus"]),
+            Axis::new("stack", &SOAK_STACKS.map(DefenseStack::label)),
         ],
         |point, seed| {
-            let topo = point
-                .get("topology")
-                .and_then(TopoKind::from_label)
-                .unwrap_or(TopoKind::Linear {
-                    switches: 4,
-                    hosts_per_switch: 1,
-                });
-            let stack = parse_stack(point.get("stack").unwrap_or("none"));
+            let topo = value(point, "topology", TopoKind::from_label);
+            let stack = value(point, "stack", DefenseStack::from_label);
             let outcome = scale::run(&ScaleScenario::new(topo, stack, seed));
             Metrics::new()
                 .with("events_per_sim_sec", outcome.events_per_sim_sec)
@@ -510,15 +464,17 @@ pub fn registry() -> Registry {
             // absent: its ARP floods Packet-In at every one of 80 switches,
             // ~10x the wall per host for the same detector coverage.
             Axis::new("hosts", &["800", "3200", "12800"]),
-            Axis::new("demand", &["steady-0.5", "bursty-2"]),
-            Axis::new("stack", &["none", "topoguard-plus"]),
+            Axis::new("demand", &labels(&DEMANDS)),
+            Axis::new("stack", &SOAK_STACKS.map(DefenseStack::label)),
         ],
         |point, seed| {
-            let traffic = parse_load(
-                point.get("hosts").unwrap_or("800"),
-                point.get("demand").unwrap_or("steady-0.5"),
-            );
-            let stack = parse_stack(point.get("stack").unwrap_or("none"));
+            let (pattern, rate) = value(point, "demand", |l| find(&DEMANDS, l));
+            let traffic = TrafficLoad {
+                hosts_per_edge: number(point, "hosts"),
+                flows_per_host_per_sec: rate,
+                pattern,
+            };
+            let stack = value(point, "stack", DefenseStack::from_label);
             let outcome = load::run(&LoadScenario::new(
                 TopoKind::FatTree { k: 4 },
                 stack,
@@ -733,6 +689,43 @@ mod tests {
             &FABRIC_MATRIX_STACKS
         )
         .is_ok());
+    }
+
+    #[test]
+    fn default_fabric_grids_are_the_paper_label_tables() {
+        assert_eq!(
+            FABRIC_MATRIX_DEFAULT_ATTACKS,
+            Attack::PAPER.map(Attack::label)
+        );
+        assert_eq!(
+            FABRIC_MATRIX_STACKS,
+            DefenseStack::ALL.map(DefenseStack::label)
+        );
+    }
+
+    #[test]
+    fn an_unknown_axis_label_fails_the_run_instead_of_defaulting() {
+        let r = registry();
+        for (name, axis) in [
+            ("probe-overhead", "probe"),
+            ("ident-change", "op"),
+            ("discovery-profiles", "controller"),
+            ("alert-flood", "rate"),
+            ("hijack", "stack"),
+        ] {
+            let scenario = r.get(name).expect(name);
+            let mut point = scenario.cells().remove(0);
+            for (a, v) in &mut point.coords {
+                if a == axis {
+                    *v = "bogus".to_string();
+                }
+            }
+            let err = tm_campaign::isolate(|| (scenario.run)(&point, 1)).expect_err(name);
+            assert!(
+                err.contains(axis) && err.contains("`bogus`"),
+                "{name}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -12,19 +12,31 @@ use sdn_types::{DatapathId, Duration, HostId, IpAddr, MacAddr, PortNo, SimTime};
 use tm_rand::StdRng;
 use tm_stats::Summary;
 
-/// Table I: liveness probe timing and stealth. 1000 scans per technique;
-/// timings exclude attacker↔victim RTT, exactly as in the paper.
-pub fn table1(seed: u64) -> String {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let kinds = [
-        ProbeKind::IcmpPing,
-        ProbeKind::TcpSyn { port: 80 },
-        ProbeKind::ArpPing,
+/// Table I's liveness probes, in table order, by campaign label.
+pub(crate) const PROBES: [(&str, ProbeKind); 4] = [
+    ("icmp-ping", ProbeKind::IcmpPing),
+    ("tcp-syn", ProbeKind::TcpSyn { port: 80 }),
+    ("arp-ping", ProbeKind::ArpPing),
+    (
+        "idle-scan",
         ProbeKind::IdleScan {
             zombie: IpAddr::new(10, 0, 0, 9),
             port: 80,
         },
-    ];
+    ),
+];
+
+/// Table III's controller profiles, in table order, by campaign label.
+pub(crate) const PROFILES: [(&str, ControllerProfile); 3] = [
+    ("floodlight", ControllerProfile::FLOODLIGHT),
+    ("pox", ControllerProfile::POX),
+    ("opendaylight", ControllerProfile::OPENDAYLIGHT),
+];
+
+/// Table I: liveness probe timing and stealth. 1000 scans per technique;
+/// timings exclude attacker↔victim RTT, exactly as in the paper.
+pub fn table1(seed: u64) -> String {
+    let mut rng = StdRng::seed_from_u64(seed);
     let mut out =
         String::from("TABLE I: Liveness Probe Options (1000 scans per type, RTT excluded)\n\n");
     out.push_str(&format!(
@@ -32,7 +44,7 @@ pub fn table1(seed: u64) -> String {
         "Type", "Stealth", "Requirements", "Timing (ms)", "paper"
     ));
     let paper = ["0.91 ± 0.04", "492.3 ± 1.4", "133.5 ± 1.6", "1.8 ± 0.1"];
-    for (kind, paper) in kinds.iter().zip(paper) {
+    for ((_, kind), paper) in PROBES.iter().zip(paper) {
         let samples: Vec<f64> = (0..1000)
             .map(|_| kind.sample_overhead(&mut rng).as_millis_f64())
             .collect();
@@ -170,7 +182,7 @@ pub fn table3(seed: u64) -> String {
         "{:<14} {:<12} {:<12} {:<18} {:<16}\n",
         "Controller", "interval", "timeout", "measured cadence", "measured expiry"
     ));
-    for profile in ControllerProfile::ALL {
+    for (_, profile) in PROFILES {
         let (cadence, expiry) = measure_profile(profile, seed);
         out.push_str(&format!(
             "{:<14} {:<12} {:<12} {:<18} {:<16}\n",

@@ -47,6 +47,26 @@ impl DefenseStack {
         DefenseStack::TopoGuardPlusBinding,
     ];
 
+    /// The stack's label on campaign axes and the command line.
+    pub fn label(self) -> &'static str {
+        match self {
+            DefenseStack::None => "none",
+            DefenseStack::TopoGuard => "topoguard",
+            DefenseStack::Sphinx => "sphinx",
+            DefenseStack::TopoGuardSphinx => "tg-sphinx",
+            DefenseStack::TopoGuardPlus => "topoguard-plus",
+            DefenseStack::TopoGuardPlusBinding => "tg-plus-binding",
+        }
+    }
+
+    /// The stack in [`DefenseStack::ALL_EXTENDED`] whose
+    /// [`label`](DefenseStack::label) is `label`.
+    pub fn from_label(label: &str) -> Option<DefenseStack> {
+        DefenseStack::ALL_EXTENDED
+            .into_iter()
+            .find(|s| s.label() == label)
+    }
+
     /// Builds a controller with this stack installed, on top of `config`.
     ///
     /// The stack adjusts controller features it depends on: TopoGuard turns

@@ -17,12 +17,13 @@
 //!   scenarios on generated fat-tree / core–edge / linear / ring fabrics
 //!   (`tm-topo`), with attacker placement drawn from the spec's forked
 //!   stream.
-//! * [`matrix`] — the headline attack × defense detection matrix, on the
-//!   paper testbeds or any generated fabric.
+//! * [`matrix`] — the headline attack × defense detection matrix: the
+//!   typed [`Attack`] rows, and [`matrix::run_cell`], the one definition of
+//!   a cell on the paper testbeds or any generated fabric.
 //! * [`robustness`] — fault profiles (trunk loss, jitter, flaps, control
 //!   congestion, switch restarts) and benign-traffic false-positive
 //!   scenarios; every scenario in this crate can run under a profile, and
-//!   [`matrix::run_matrix_under`] re-runs the whole matrix per profile.
+//!   [`matrix::run_matrix`] runs the whole matrix under one.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,6 +46,6 @@ pub use floodsc::{FloodOutcome, FloodScenario};
 pub use hijack::{HijackOutcome, HijackScenario};
 pub use linkfab::{FabTopology, LinkFabOutcome, LinkFabScenario, RelayMode};
 pub use load::{LoadOutcome, LoadPattern, LoadScenario, TrafficLoad};
-pub use matrix::{run_matrix, run_matrix_on, run_matrix_under, MatrixEntry};
+pub use matrix::{run_cell, run_matrix, Attack, CellOutcome, MatrixEntry};
 pub use robustness::{FaultProfile, ProfileTargets, RobustnessOutcome, RobustnessScenario};
 pub use scale::{ScaleOutcome, ScaleScenario};

@@ -101,14 +101,14 @@ pub fn t_interval(samples: &[f64], confidence: f64) -> Option<ConfidenceInterval
 /// The two-sided Student-t confidence interval computed from
 /// already-accumulated summary statistics.
 ///
-/// This is the streaming-aggregation entry point: a campaign shard folds
-/// its samples into an [`OnlineStats`](crate::OnlineStats) accumulator
-/// (optionally [`merge`](crate::OnlineStats::merge)d across shards), takes
-/// a [`Summary`] snapshot, and derives the interval without ever holding
-/// the raw samples. Because [`Summary::of`] is itself a sequential Welford
-/// fold, `t_interval_of(&Summary::of(samples), c)` is **bit-identical** to
-/// [`t_interval`]`(samples, c)` — the campaign runner's byte-identical
-/// output contract depends on this, and a regression test pins it.
+/// This is the streaming-aggregation entry point: a campaign cell folds
+/// its samples into an [`OnlineStats`](crate::OnlineStats) accumulator,
+/// takes a [`Summary`] snapshot, and derives the interval without ever
+/// holding the raw samples. Because [`Summary::of`] is itself a
+/// sequential Welford fold, `t_interval_of(&Summary::of(samples), c)` is
+/// **bit-identical** to [`t_interval`]`(samples, c)` — the campaign
+/// runner's byte-identical output contract depends on this, and a
+/// regression test pins it.
 ///
 /// Returns `None` for an empty summary (`count == 0`) or a confidence
 /// outside `(0, 1)`; a single sample yields a degenerate half-width of

@@ -100,53 +100,6 @@ impl OnlineStats {
             max: if self.count == 0 { 0.0 } else { self.max },
         }
     }
-
-    /// The raw accumulator state `(count, mean, m2, min, max)`.
-    ///
-    /// Intended for bit-exact serialization: store the five
-    /// values bit-exactly (f64 → [`f64::to_bits`]) and rebuild with
-    /// [`OnlineStats::from_parts`] to resume accumulation — or
-    /// [`OnlineStats::merge`] — without any loss. The parts of an empty
-    /// tracker include the `±∞` min/max sentinels; round-tripping them
-    /// through `from_parts` preserves that state exactly.
-    pub fn to_parts(&self) -> (usize, f64, f64, f64, f64) {
-        (self.count, self.mean, self.m2, self.min, self.max)
-    }
-
-    /// Rebuilds a tracker from [`OnlineStats::to_parts`] output.
-    ///
-    /// The parts are trusted verbatim: feeding values that did not come
-    /// from `to_parts` produces a tracker whose statistics are undefined
-    /// (though never unsafe — all derived quantities stay total).
-    pub fn from_parts(count: usize, mean: f64, m2: f64, min: f64, max: f64) -> OnlineStats {
-        OnlineStats {
-            count,
-            mean,
-            m2,
-            min,
-            max,
-        }
-    }
-
-    /// Merges another tracker into this one (parallel Welford merge).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        let new_mean = self.mean + delta * other.count as f64 / total as f64;
-        self.m2 +=
-            other.m2 + delta * delta * (self.count as f64 * other.count as f64) / total as f64;
-        self.mean = new_mean;
-        self.count = total;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 #[cfg(test)]
@@ -192,80 +145,6 @@ mod tests {
         let s = online.summary();
         assert!((s.mean - offline.mean).abs() < 1e-9);
         assert!((s.sd - offline.sd).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let data: Vec<f64> = (0..50).map(|i| i as f64 * 0.7).collect();
-        let mut whole = OnlineStats::new();
-        for &x in &data {
-            whole.push(x);
-        }
-        let mut left = OnlineStats::new();
-        let mut right = OnlineStats::new();
-        for &x in &data[..20] {
-            left.push(x);
-        }
-        for &x in &data[20..] {
-            right.push(x);
-        }
-        left.merge(&right);
-        assert!((left.mean() - whole.mean()).abs() < 1e-9);
-        assert!((left.sd() - whole.sd()).abs() < 1e-9);
-        assert_eq!(left.count(), whole.count());
-    }
-
-    #[test]
-    fn parts_round_trip_bit_exactly() {
-        let mut stats = OnlineStats::new();
-        for x in [0.1, -3.7, 1e9, 0.0, 42.42] {
-            stats.push(x);
-        }
-        let (count, mean, m2, min, max) = stats.to_parts();
-        let rebuilt = OnlineStats::from_parts(count, mean, m2, min, max);
-        assert_eq!(stats, rebuilt);
-        // Resuming accumulation from the rebuilt tracker matches exactly.
-        let mut a = stats;
-        let mut b = rebuilt;
-        a.push(7.5);
-        b.push(7.5);
-        assert_eq!(a, b);
-        // The empty tracker's ±∞ sentinels survive the round trip.
-        let empty = OnlineStats::new();
-        let (c, m, m2, lo, hi) = empty.to_parts();
-        assert_eq!(OnlineStats::from_parts(c, m, m2, lo, hi), empty);
-    }
-
-    #[test]
-    fn merge_is_associative_enough_for_sharding() {
-        // Three shards merged left-to-right equal the same shards merged
-        // into an empty accumulator — the shard-merge discipline.
-        let data: Vec<f64> = (0..60).map(|i| ((i * 13) % 17) as f64 * 0.5).collect();
-        let chunks: Vec<OnlineStats> = data
-            .chunks(20)
-            .map(|c| {
-                let mut s = OnlineStats::new();
-                for &x in c {
-                    s.push(x);
-                }
-                s
-            })
-            .collect();
-        let mut left = chunks[0];
-        left.merge(&chunks[1]);
-        left.merge(&chunks[2]);
-        let mut from_empty = OnlineStats::new();
-        for c in &chunks {
-            from_empty.merge(c);
-        }
-        assert_eq!(left, from_empty);
-        let mut whole = OnlineStats::new();
-        for &x in &data {
-            whole.push(x);
-        }
-        assert!((left.mean() - whole.mean()).abs() < 1e-9);
-        assert!((left.sd() - whole.sd()).abs() < 1e-9);
-        assert_eq!(left.count(), whole.count());
     }
 
     #[test]

@@ -98,21 +98,14 @@ pub struct RunRecord {
 /// Observer of the canonical result stream as the campaign executes.
 ///
 /// The runner drives a sink strictly in canonical order: every owned,
-/// non-resumed run via [`RunSink::on_run`] (cell-major, seed-minor), and
-/// every cell the moment it finalizes via [`RunSink::on_cell`]. This is
-/// how the binary run-log observes the campaign without the runner
+/// non-resumed run via [`RunSink::on_run`] (cell-major, seed-minor). This
+/// is how the binary run-log observes the campaign without the runner
 /// retaining anything itself. A sink error aborts the campaign with that
 /// message.
 pub trait RunSink {
     /// Called for each completed run, in canonical order.
     fn on_run(&mut self, record: &RunRecord) -> Result<(), String> {
         let _ = record;
-        Ok(())
-    }
-
-    /// Called when a cell's last seed lands and the cell finalizes.
-    fn on_cell(&mut self, cell: &CellReport) -> Result<(), String> {
-        let _ = cell;
         Ok(())
     }
 }
@@ -129,18 +122,11 @@ impl RunSink for NullSink {}
 pub struct RecordingSink {
     /// Every run, in the order emitted.
     pub runs: Vec<RunRecord>,
-    /// Every finalized cell, in the order emitted.
-    pub cells: Vec<CellReport>,
 }
 
 impl RunSink for RecordingSink {
     fn on_run(&mut self, record: &RunRecord) -> Result<(), String> {
         self.runs.push(record.clone());
-        Ok(())
-    }
-
-    fn on_cell(&mut self, cell: &CellReport) -> Result<(), String> {
-        self.cells.push(cell.clone());
         Ok(())
     }
 }
@@ -158,11 +144,6 @@ impl RunSink for TeeSink<'_> {
     fn on_run(&mut self, record: &RunRecord) -> Result<(), String> {
         self.first.on_run(record)?;
         self.second.on_run(record)
-    }
-
-    fn on_cell(&mut self, cell: &CellReport) -> Result<(), String> {
-        self.first.on_cell(cell)?;
-        self.second.on_cell(cell)
     }
 }
 
@@ -393,14 +374,7 @@ pub fn run_campaign_with(
                 });
                 acc.absorb(&record);
                 if acc.is_complete() {
-                    let done = open.take().map(|a| a.finalize(spec.confidence));
-                    if let Some(done) = done {
-                        if let Err(e) = sink.on_cell(&done) {
-                            stream_error = Some(e);
-                            break 'drain;
-                        }
-                        fresh.push(done);
-                    }
+                    fresh.extend(open.take().map(|a| a.finalize(spec.confidence)));
                 }
                 next_emit += 1;
             }
@@ -494,17 +468,12 @@ mod tests {
             run_campaign_with(&registry(), &spec, &Resume::none(), &mut sink).expect("campaign");
         assert_eq!(report.total_runs, 6);
         assert_eq!(sink.runs.len(), 6);
-        assert_eq!(sink.cells.len(), 2);
         for (k, run) in sink.runs.iter().enumerate() {
             assert_eq!(run.cell, k / 3);
             assert_eq!(run.seed_index, k % 3);
             assert_eq!(run.seed, tm_rand::stream_seed(0xC0FFEE, k as u64));
             assert!(matches!(run.status, RunStatus::Ok(_)));
         }
-        assert_eq!(
-            sink.cells, report.cells,
-            "sink cells are the report's cells"
-        );
     }
 
     #[test]
@@ -539,11 +508,6 @@ mod tests {
         assert!(
             sink.runs.iter().all(|r| r.cell == 1),
             "cell 0 must not re-run"
-        );
-        assert_eq!(
-            sink.cells.len(),
-            1,
-            "sink only sees freshly finalized cells"
         );
     }
 

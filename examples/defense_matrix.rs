@@ -5,11 +5,11 @@
 //! cargo run --release --example defense_matrix
 //! ```
 
-use topomirage::scenarios::matrix;
+use topomirage::scenarios::{matrix, DefenseStack, FaultProfile};
 
 fn main() {
     println!("running 4 attacks x 5 defense stacks (Fig. 9 evaluation testbed)...\n");
-    let entries = matrix::run_matrix(1000);
+    let entries = matrix::run_matrix(&DefenseStack::ALL, FaultProfile::Clean, 1000);
     println!("{}", matrix::render(&entries));
     println!("reading the table:");
     println!("  naive-relay         caught by TopoGuard-based stacks (the baseline works)");
