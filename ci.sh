@@ -5,7 +5,9 @@
 set -eux
 
 cargo fmt --check
-cargo clippy --offline --all-targets -- -D warnings
+# --workspace: the root has its own [package], so without it clippy would
+# lint only the root crate and none of the member crates.
+cargo clippy --offline --workspace --all-targets -- -D warnings
 # Documentation is part of the contract: broken intra-doc links or missing
 # docs on public items fail the build. Fully offline, no deps to fetch.
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
@@ -18,6 +20,12 @@ lint_ms=$(sed -n 's/^TM_LINT_JSON .*"wall_ms":\([0-9]*\).*/\1/p' "$tmp/tm_lint.o
 test "$lint_ms" -lt 2000
 
 cargo build --release --offline
+# The repo benchmark is a package of its own that uses the workspace's
+# public API; build and test it against this tree. --locked fails on a
+# stale benches/topobench/Cargo.lock instead of rewriting it, and the
+# shared target dir keeps build output out of benches/topobench/.
+CARGO_TARGET_DIR=target cargo test -q --release --offline --locked \
+    --manifest-path benches/topobench/Cargo.toml
 cargo test -q --offline --workspace
 cargo bench --no-run --offline
 

@@ -34,14 +34,6 @@ impl IdentChangeModel {
         }
     }
 
-    /// Custom calibration.
-    pub fn new(ident_mean_ms: f64, ident_sd_ms: f64, cycle_mean_ms: f64, cycle_sd_ms: f64) -> Self {
-        IdentChangeModel {
-            ident_change: LogNormal::from_mean_sd(ident_mean_ms, ident_sd_ms),
-            bare_cycle: LogNormal::from_mean_sd(cycle_mean_ms, cycle_sd_ms),
-        }
-    }
-
     /// Samples the time `ifconfig` takes to bring the interface down and
     /// back up with new MAC/IP identifiers.
     pub fn sample_ident_change<R: Rng + ?Sized>(&self, rng: &mut R) -> Duration {

@@ -127,11 +127,6 @@ impl PortProbingAttacker {
         }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &ProbingConfig {
-        &self.config
-    }
-
     fn arping(&mut self, ctx: &mut HostCtx<'_>) {
         let info = ctx.info();
         let arp = ArpPacket::request(info.mac, info.ip, self.config.victim_ip);

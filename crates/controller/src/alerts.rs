@@ -118,16 +118,6 @@ impl AlertSink {
     pub fn count(&self, kind: AlertKind) -> usize {
         self.of_kind(kind).count()
     }
-
-    /// Alerts raised by a given module.
-    pub fn from_source<'a>(&'a self, source: &'a str) -> impl Iterator<Item = &'a Alert> + 'a {
-        self.alerts.iter().filter(move |a| a.source == source)
-    }
-
-    /// Clears all alerts (scenario phase boundaries).
-    pub fn clear(&mut self) {
-        self.alerts.clear();
-    }
 }
 
 #[cfg(test)]
@@ -153,8 +143,6 @@ mod tests {
         assert_eq!(sink.len(), 3);
         assert_eq!(sink.count(AlertKind::LinkFabrication), 2);
         assert_eq!(sink.count(AlertKind::IdentifierConflict), 0);
-        assert_eq!(sink.from_source("topoguard").count(), 3);
-        assert_eq!(sink.from_source("sphinx").count(), 0);
     }
 
     #[test]

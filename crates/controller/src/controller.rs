@@ -120,21 +120,10 @@ impl SdnController {
         }
     }
 
-    /// Adds a defense module to the end of the pipeline.
-    pub fn add_module(&mut self, module: Box<dyn DefenseModule>) -> &mut Self {
-        self.modules.push(module);
-        self
-    }
-
     /// Builder-style module addition.
     pub fn with_module(mut self, module: Box<dyn DefenseModule>) -> Self {
         self.modules.push(module);
         self
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &ControllerConfig {
-        &self.config
     }
 
     /// The link table.
@@ -155,11 +144,6 @@ impl SdnController {
     /// The alert sink.
     pub fn alerts(&self) -> &AlertSink {
         &self.alerts
-    }
-
-    /// Mutable alert sink (for clearing between scenario phases).
-    pub fn alerts_mut(&mut self) -> &mut AlertSink {
-        &mut self.alerts
     }
 
     /// Downcasts a module by type.

@@ -114,11 +114,6 @@ impl DeviceTable {
         self.devices.get(mac)
     }
 
-    /// Finds the device currently holding `ip`, if any.
-    pub fn by_ip(&self, ip: &IpAddr) -> Option<&Device> {
-        self.devices.values().find(|d| d.ips.contains(ip))
-    }
-
     /// The location bound to `mac`.
     pub fn location_of(&self, mac: &MacAddr) -> Option<SwitchPort> {
         self.devices.get(mac).map(|d| d.location)
@@ -142,17 +137,6 @@ impl DeviceTable {
     /// Iterates all devices.
     pub fn devices(&self) -> impl Iterator<Item = &Device> {
         self.devices.values()
-    }
-
-    /// MACs that share a location with another MAC — a denormalized view
-    /// SPHINX-style detectors use to spot identifier conflicts.
-    pub fn conflicting_locations(&self) -> Vec<(SwitchPort, Vec<MacAddr>)> {
-        let mut by_loc: BTreeMap<SwitchPort, Vec<MacAddr>> = BTreeMap::new();
-        for d in self.devices.values() {
-            by_loc.entry(d.location).or_default().push(d.mac);
-        }
-        by_loc.retain(|_, macs| macs.len() > 1);
-        by_loc.into_iter().collect()
     }
 }
 
@@ -212,21 +196,6 @@ mod tests {
     }
 
     #[test]
-    fn by_ip_finds_holder() {
-        let mut t = DeviceTable::new();
-        let ip = IpAddr::new(10, 0, 0, 7);
-        t.commit(mac(1), Some(ip), loc(1, 1), SimTime::ZERO);
-        t.commit(
-            mac(2),
-            Some(IpAddr::new(10, 0, 0, 8)),
-            loc(1, 2),
-            SimTime::ZERO,
-        );
-        assert_eq!(t.by_ip(&ip).unwrap().mac, mac(1));
-        assert!(t.by_ip(&IpAddr::new(10, 0, 0, 99)).is_none());
-    }
-
-    #[test]
     fn multiple_ips_accumulate() {
         let mut t = DeviceTable::new();
         t.commit(
@@ -242,18 +211,6 @@ mod tests {
             SimTime::ZERO,
         );
         assert_eq!(t.get(&mac(1)).unwrap().ips.len(), 2);
-    }
-
-    #[test]
-    fn conflicting_locations_detects_sharing() {
-        let mut t = DeviceTable::new();
-        t.commit(mac(1), None, loc(1, 1), SimTime::ZERO);
-        t.commit(mac(2), None, loc(1, 1), SimTime::ZERO);
-        t.commit(mac(3), None, loc(1, 2), SimTime::ZERO);
-        let conflicts = t.conflicting_locations();
-        assert_eq!(conflicts.len(), 1);
-        assert_eq!(conflicts[0].0, loc(1, 1));
-        assert_eq!(conflicts[0].1.len(), 2);
     }
 
     #[test]

@@ -50,13 +50,6 @@ impl ControllerProfile {
         ControllerProfile::POX,
         ControllerProfile::OPENDAYLIGHT,
     ];
-
-    /// The timeout-to-interval ratio the paper leans on in §VIII-A: every
-    /// profile tolerates at least one missed LLDP round before expiring a
-    /// link.
-    pub fn timeout_interval_ratio(&self) -> f64 {
-        self.link_timeout.as_nanos() as f64 / self.link_discovery_interval.as_nanos() as f64
-    }
 }
 
 #[cfg(test)]
@@ -93,7 +86,8 @@ mod tests {
         // §VIII-A: "the default link timeout value exceeds the LLDP probing
         // interval by a factor of 2-3".
         for p in ControllerProfile::ALL {
-            let ratio = p.timeout_interval_ratio();
+            let ratio =
+                p.link_timeout.as_nanos() as f64 / p.link_discovery_interval.as_nanos() as f64;
             assert!((2.0..=3.0).contains(&ratio), "{}: ratio {ratio}", p.name);
         }
     }

@@ -3,7 +3,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use sdn_types::{DatapathId, Duration, PortNo, SimTime, SwitchPort};
+use sdn_types::{DatapathId, Duration, SimTime, SwitchPort};
 
 /// A directed link from one switch port to another, as inferred from one
 /// LLDP traversal (probe emitted at `src`, received at `dst`).
@@ -174,13 +174,6 @@ impl Topology {
         None
     }
 
-    /// The output port on `dpid` toward a destination switch, following the
-    /// shortest path. `None` if unreachable.
-    pub fn next_hop_port(&self, dpid: DatapathId, to: DatapathId) -> Option<PortNo> {
-        let path = self.shortest_path(dpid, to)?;
-        path.first().map(|l| l.src.port)
-    }
-
     /// The set of switch ports on a deterministic BFS spanning tree of the
     /// switch graph (one tree per connected component, rooted at the
     /// component's smallest dpid, neighbors explored in link order).
@@ -225,6 +218,7 @@ impl Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sdn_types::PortNo;
 
     fn sp(d: u64, p: u16) -> SwitchPort {
         SwitchPort::new(DatapathId::new(d), PortNo::new(p))
@@ -287,10 +281,6 @@ mod tests {
         assert_eq!(path.len(), 2);
         assert_eq!(path[0], link((1, 2), (2, 1)));
         assert_eq!(path[1], link((2, 2), (3, 1)));
-        assert_eq!(
-            t.next_hop_port(DatapathId::new(1), DatapathId::new(3)),
-            Some(PortNo::new(2))
-        );
     }
 
     #[test]

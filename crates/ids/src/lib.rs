@@ -40,18 +40,6 @@ pub enum IdsRule {
     ZeroDataTcpFlows,
 }
 
-impl IdsRule {
-    /// A Snort-style message for the rule.
-    pub fn message(&self) -> &'static str {
-        match self {
-            IdsRule::TcpSynScan => "ET SCAN Potential SSH/Generic TCP SYN scan",
-            IdsRule::IcmpPingSweep => "ICMP PING sweep detected",
-            IdsRule::ArpDiscoveryFlood => "ARP discovery flood (network-wide scan)",
-            IdsRule::ZeroDataTcpFlows => "Suspicious zero-data TCP sessions",
-        }
-    }
-}
-
 /// One IDS alert.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct IdsAlert {
@@ -130,11 +118,6 @@ impl IdsEngine {
     /// All alerts raised so far.
     pub fn alerts(&self) -> &[IdsAlert] {
         &self.alerts
-    }
-
-    /// Alerts for a specific rule.
-    pub fn alerts_for(&self, rule: IdsRule) -> impl Iterator<Item = &IdsAlert> {
-        self.alerts.iter().filter(move |a| a.rule == rule)
     }
 
     /// Whether any alert of `rule` has fired.
@@ -428,7 +411,11 @@ mod tests {
             );
         }
         // 5 seconds of sustained scanning with a 5s cooldown: 1 alert.
-        assert_eq!(ids.alerts_for(IdsRule::TcpSynScan).count(), 1);
+        let syn_scans = ids
+            .alerts()
+            .iter()
+            .filter(|a| a.rule == IdsRule::TcpSynScan);
+        assert_eq!(syn_scans.count(), 1);
     }
 
     #[test]

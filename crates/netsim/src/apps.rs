@@ -154,11 +154,6 @@ impl FrameRecorder {
     pub fn new() -> Self {
         FrameRecorder::default()
     }
-
-    /// Counts captured LLDP frames.
-    pub fn lldp_count(&self) -> usize {
-        self.frames.iter().filter(|(_, f)| f.is_lldp()).count()
-    }
 }
 
 impl HostApp for FrameRecorder {

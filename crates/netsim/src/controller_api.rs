@@ -7,9 +7,7 @@
 
 use std::any::Any;
 
-use tm_rand::StdRng;
-
-use openflow::{OfMessage, PortDesc};
+use openflow::OfMessage;
 use sdn_types::{DatapathId, Duration, SimTime};
 
 use crate::engine::{CtrlDelivery, Event, SimCore};
@@ -29,11 +27,6 @@ impl ControllerCtx<'_> {
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.core.now()
-    }
-
-    /// The seeded RNG (for controller-side randomness, e.g. echo payloads).
-    pub fn rng(&mut self) -> &mut StdRng {
-        &mut self.core.rng
     }
 
     /// The simulation's telemetry handle (cheap clone; controllers grab it
@@ -63,27 +56,6 @@ impl ControllerCtx<'_> {
     pub fn set_timer(&mut self, delay: Duration, id: TimerId) {
         self.core
             .schedule(delay, Event::ControllerTimer { id: id.0 });
-    }
-
-    /// Datapath ids of all connected switches, in ascending order.
-    pub fn switch_ids(&self) -> Vec<DatapathId> {
-        self.net.switches.keys().copied().collect()
-    }
-
-    /// Port descriptions for `dpid` (the switch's current physical view).
-    pub fn switch_ports(&self, dpid: DatapathId) -> Vec<PortDesc> {
-        self.net
-            .switches
-            .get(&dpid)
-            .map(|sw| sw.port_descs())
-            .unwrap_or_default()
-    }
-
-    /// The configured control-link latency for `dpid` (used by experiments
-    /// to validate latency estimation; a real controller would not know
-    /// this and must measure it with echoes).
-    pub fn ground_truth_ctrl_latency(&self, dpid: DatapathId) -> Option<Duration> {
-        self.net.switches.get(&dpid).map(|sw| sw.ctrl_latency)
     }
 }
 

@@ -164,11 +164,6 @@ impl HostCtx<'_> {
         &mut self.core.rng
     }
 
-    /// This host's id.
-    pub fn host_id(&self) -> HostId {
-        self.host
-    }
-
     /// Snapshot of this host's state.
     pub fn info(&self) -> HostInfo {
         debug_assert!(
@@ -223,11 +218,6 @@ impl HostCtx<'_> {
         true
     }
 
-    /// The simulation's telemetry handle (cheap clone).
-    pub fn telemetry(&self) -> tm_telemetry::Telemetry {
-        self.core.telemetry.clone()
-    }
-
     /// Builds and sends an IPv4 frame, stamping the host's IP-ID counter.
     /// `dst_mac` is the next-hop MAC. Returns `false` if the interface is
     /// down.
@@ -267,11 +257,6 @@ impl HostCtx<'_> {
                 down_epoch: epoch,
             })),
         );
-    }
-
-    /// Brings the interface up immediately (keeping current identifiers).
-    pub fn iface_up_now(&mut self) {
-        self.complete_iface_up(None);
     }
 
     /// Schedules the interface to come up after `delay`, optionally
@@ -318,15 +303,6 @@ impl HostCtx<'_> {
             self.core
                 .schedule(detect, Event::PulseCheckUp { dpid, port });
         }
-    }
-
-    /// Changes the host's identifiers instantly (packet-header spoofing —
-    /// the paper notes `ifconfig` is fast enough that rewriting is not even
-    /// necessary, §IV-B).
-    pub fn set_identity(&mut self, mac: MacAddr, ip: IpAddr) {
-        let h = self.state();
-        h.mac = mac;
-        h.ip = ip;
     }
 
     /// Registers a TCP listener (SYN to this port gets SYN-ACK).

@@ -392,11 +392,6 @@ impl Simulator {
         self.run_until(deadline);
     }
 
-    /// The simulator's telemetry handle (clone it to publish from outside).
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.core.telemetry
-    }
-
     /// Takes a deterministic snapshot of every metric published so far,
     /// flushing the engine's hot-path counters first. Byte-identical across
     /// runs with the same seed.
@@ -408,11 +403,6 @@ impl Simulator {
     /// The event trace.
     pub fn trace(&self) -> &Trace {
         &self.net.trace
-    }
-
-    /// Clears retained trace records.
-    pub fn clear_trace(&mut self) {
-        self.net.trace.clear();
     }
 
     /// Snapshot of a host's state.
@@ -503,16 +493,6 @@ impl Simulator {
             .app
             .as_ref()
             .and_then(|a| a.as_any().downcast_ref())
-    }
-
-    /// Downcasts a host's app to a concrete type, mutably.
-    pub fn host_app_as_mut<T: 'static>(&mut self, host: HostId) -> Option<&mut T> {
-        self.net
-            .hosts
-            .get_mut(&host)?
-            .app
-            .as_mut()
-            .and_then(|a| a.as_any_mut().downcast_mut())
     }
 
     /// Imperatively takes a host's interface down (scenario scripting).

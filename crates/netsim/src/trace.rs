@@ -129,11 +129,6 @@ impl Trace {
     pub fn of_kind<'a>(&'a self, kind: &'a str) -> impl Iterator<Item = &'a TraceEvent> + 'a {
         self.records.iter().filter(move |r| r.kind() == kind)
     }
-
-    /// Clears retained records (the total count is preserved).
-    pub fn clear(&mut self) {
-        self.records.clear();
-    }
 }
 
 impl Default for Trace {

@@ -1,6 +1,6 @@
 //! The OpenFlow 1.0 match structure (wildcard-based).
 
-use sdn_types::packet::{EthernetFrame, Payload, Transport};
+use sdn_types::packet::{EthernetFrame, Transport};
 use sdn_types::{IpAddr, MacAddr, PortNo};
 
 /// A flow match: each field is optional, `None` meaning wildcarded.
@@ -51,54 +51,6 @@ impl FlowMatch {
     pub fn with_eth_dst(mut self, mac: MacAddr) -> Self {
         self.eth_dst = Some(mac);
         self
-    }
-
-    /// Restricts to the given EtherType.
-    pub fn with_ethertype(mut self, ethertype: u16) -> Self {
-        self.ethertype = Some(ethertype);
-        self
-    }
-
-    /// Restricts to the given IPv4 source.
-    pub fn with_ip_src(mut self, ip: IpAddr) -> Self {
-        self.ip_src = Some(ip);
-        self
-    }
-
-    /// Restricts to the given IPv4 destination.
-    pub fn with_ip_dst(mut self, ip: IpAddr) -> Self {
-        self.ip_dst = Some(ip);
-        self
-    }
-
-    /// Restricts to the given IP protocol.
-    pub fn with_ip_proto(mut self, proto: u8) -> Self {
-        self.ip_proto = Some(proto);
-        self
-    }
-
-    /// Restricts to the given L4 destination port.
-    pub fn with_l4_dst(mut self, port: u16) -> Self {
-        self.l4_dst = Some(port);
-        self
-    }
-
-    /// Builds the exact match OpenFlow reactive forwarding would install for
-    /// `frame` arriving on `in_port`: src/dst MACs, EtherType, and (for
-    /// IPv4) addresses and protocol.
-    pub fn exact_for(frame: &EthernetFrame, in_port: PortNo) -> Self {
-        let mut m = FlowMatch::new()
-            .with_in_port(in_port)
-            .with_eth_src(frame.src)
-            .with_eth_dst(frame.dst)
-            .with_ethertype(frame.ethertype().0);
-        if let Payload::Ipv4(ip) = &frame.payload {
-            m = m
-                .with_ip_src(ip.src)
-                .with_ip_dst(ip.dst)
-                .with_ip_proto(ip.transport.protocol().0);
-        }
-        m
     }
 
     /// Returns `true` if `frame` arriving on `in_port` matches this entry.
@@ -183,26 +135,12 @@ impl FlowMatch {
             && covered(&self.l4_src, &other.l4_src)
             && covered(&self.l4_dst, &other.l4_dst)
     }
-
-    /// Number of specified (non-wildcard) fields — a specificity measure
-    /// used for diagnostics.
-    pub fn specificity(&self) -> u32 {
-        self.in_port.is_some() as u32
-            + self.eth_src.is_some() as u32
-            + self.eth_dst.is_some() as u32
-            + self.ethertype.is_some() as u32
-            + self.ip_src.is_some() as u32
-            + self.ip_dst.is_some() as u32
-            + self.ip_proto.is_some() as u32
-            + self.l4_src.is_some() as u32
-            + self.l4_dst.is_some() as u32
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdn_types::packet::{ArpPacket, IcmpPacket, Ipv4Packet, TcpSegment};
+    use sdn_types::packet::{ArpPacket, IcmpPacket, Ipv4Packet, Payload, TcpSegment};
 
     fn icmp_frame() -> EthernetFrame {
         EthernetFrame::new(
@@ -261,14 +199,20 @@ mod tests {
                 IpAddr::new(10, 0, 0, 2),
             )),
         );
-        let m = FlowMatch::new().with_ip_src(IpAddr::new(10, 0, 0, 1));
+        let m = FlowMatch {
+            ip_src: Some(IpAddr::new(10, 0, 0, 1)),
+            ..FlowMatch::new()
+        };
         assert!(!m.matches(&arp, PortNo::new(1)), "ARP has no IPv4 header");
         assert!(m.matches(&icmp_frame(), PortNo::new(1)));
     }
 
     #[test]
     fn l4_ports_are_checked() {
-        let m = FlowMatch::new().with_l4_dst(80);
+        let m = FlowMatch {
+            l4_dst: Some(80),
+            ..FlowMatch::new()
+        };
         assert!(m.matches(&tcp_frame(80), PortNo::new(1)));
         assert!(!m.matches(&tcp_frame(443), PortNo::new(1)));
         assert!(
@@ -278,11 +222,19 @@ mod tests {
     }
 
     #[test]
-    fn exact_for_matches_its_own_frame() {
+    fn exact_match_matches_its_own_frame() {
         let frame = tcp_frame(80);
-        let m = FlowMatch::exact_for(&frame, PortNo::new(3));
+        let m = FlowMatch {
+            in_port: Some(PortNo::new(3)),
+            eth_src: Some(frame.src),
+            eth_dst: Some(frame.dst),
+            ethertype: Some(frame.ethertype().0),
+            ip_src: Some(IpAddr::new(10, 0, 0, 1)),
+            ip_dst: Some(IpAddr::new(10, 0, 0, 2)),
+            ip_proto: Some(6),
+            ..FlowMatch::new()
+        };
         assert!(m.matches(&frame, PortNo::new(3)));
         assert!(!m.matches(&frame, PortNo::new(4)));
-        assert_eq!(m.specificity(), 7);
     }
 }

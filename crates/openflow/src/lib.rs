@@ -36,7 +36,6 @@ mod flow_match;
 mod messages;
 mod port;
 mod table;
-pub mod wire;
 
 pub use actions::Action;
 pub use flow_match::FlowMatch;

@@ -223,72 +223,11 @@ impl OfMessage {
             OfMessage::PortStatsReply { .. } => "PortStatsReply",
         }
     }
-
-    /// Returns `true` for PortStatus messages reporting a link-down — the
-    /// profile-reset trigger exploited by Port Amnesia.
-    pub fn is_port_down(&self) -> bool {
-        matches!(
-            self,
-            OfMessage::PortStatus {
-                reason: PortStatusReason::Modify,
-                desc,
-                ..
-            } if !desc.is_up()
-        )
-    }
-
-    /// Returns `true` for PortStatus messages reporting a link-up.
-    pub fn is_port_up(&self) -> bool {
-        matches!(
-            self,
-            OfMessage::PortStatus {
-                reason: PortStatusReason::Modify,
-                desc,
-                ..
-            } if desc.is_up()
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::PortLinkState;
-    use sdn_types::MacAddr;
-
-    fn port_status(state: PortLinkState) -> OfMessage {
-        OfMessage::PortStatus {
-            reason: PortStatusReason::Modify,
-            desc: PortDesc {
-                port_no: PortNo::new(1),
-                hw_addr: MacAddr::new([1; 6]),
-                state,
-            },
-            observed_at: SimTime::ZERO,
-        }
-    }
-
-    #[test]
-    fn port_down_detection() {
-        assert!(port_status(PortLinkState::Down).is_port_down());
-        assert!(!port_status(PortLinkState::Down).is_port_up());
-        assert!(port_status(PortLinkState::Up).is_port_up());
-        assert!(!OfMessage::Hello.is_port_down());
-    }
-
-    #[test]
-    fn add_reason_is_not_modify_down() {
-        let msg = OfMessage::PortStatus {
-            reason: PortStatusReason::Add,
-            desc: PortDesc {
-                port_no: PortNo::new(1),
-                hw_addr: MacAddr::new([1; 6]),
-                state: PortLinkState::Down,
-            },
-            observed_at: SimTime::ZERO,
-        };
-        assert!(!msg.is_port_down());
-    }
 
     #[test]
     fn kinds_are_distinct_for_logging() {

@@ -139,108 +139,3 @@ tm_prop! {
         prop_assert_eq!(table.len(), total - timed);
     }
 }
-
-// ---------- wire codec ----------
-
-use openflow::wire;
-use openflow::{FlowModCommand, OfMessage, Xid};
-use sdn_types::{IpAddr, MacAddr as Mac};
-
-fn arb_full_match() -> impl Strategy<Value = FlowMatch> {
-    (
-        option::of(0u16..0xff00),
-        option::of(any::<[u8; 6]>()),
-        option::of(any::<[u8; 6]>()),
-        option::of(any::<u16>()),
-        option::of(any::<[u8; 4]>()),
-        option::of(any::<[u8; 4]>()),
-        option::of(any::<u8>()),
-        option::of(any::<u16>()),
-        option::of(any::<u16>()),
-    )
-        .prop_map(
-            |(in_port, src, dst, et, ip_s, ip_d, proto, l4s, l4d)| FlowMatch {
-                in_port: in_port.map(PortNo::new),
-                eth_src: src.map(Mac::new),
-                eth_dst: dst.map(Mac::new),
-                ethertype: et,
-                ip_src: ip_s.map(IpAddr::from),
-                ip_dst: ip_d.map(IpAddr::from),
-                ip_proto: proto,
-                l4_src: l4s,
-                l4_dst: l4d,
-            },
-        )
-}
-
-fn arb_actions() -> impl Strategy<Value = Vec<Action>> {
-    collection::vec(
-        prop_oneof![
-            (0u16..0xff00).prop_map(|p| Action::Output(PortNo::new(p))),
-            any::<[u8; 6]>().prop_map(|m| Action::SetEthSrc(Mac::new(m))),
-            any::<[u8; 6]>().prop_map(|m| Action::SetEthDst(Mac::new(m))),
-            any::<[u8; 4]>().prop_map(|ip| Action::SetIpSrc(IpAddr::from(ip))),
-            any::<[u8; 4]>().prop_map(|ip| Action::SetIpDst(IpAddr::from(ip))),
-        ],
-        0..5,
-    )
-}
-
-tm_prop! {
-    /// Any FlowMod survives the OpenFlow 1.0 binary wire format.
-    #[test]
-    fn wire_flow_mod_round_trips(
-        xid in any::<u32>(),
-        m in arb_full_match(),
-        actions in arb_actions(),
-        priority in any::<u16>(),
-        idle in any::<u16>(),
-        hard in any::<u16>(),
-        cookie in any::<u64>(),
-        delete in any::<bool>(),
-    ) {
-        let msg = OfMessage::FlowMod {
-            command: if delete { FlowModCommand::Delete } else { FlowModCommand::Add },
-            flow_match: m,
-            priority,
-            idle_timeout_secs: idle,
-            hard_timeout_secs: hard,
-            actions,
-            cookie,
-        };
-        let bytes = wire::encode(Xid(u64::from(xid)), &msg);
-        let (got_xid, decoded) = wire::decode(&bytes).expect("round trip");
-        prop_assert_eq!(got_xid, Xid(u64::from(xid)));
-        prop_assert_eq!(decoded, msg);
-    }
-
-    /// PacketIn/PacketOut data payloads survive byte-exactly.
-    #[test]
-    fn wire_packet_messages_round_trip(
-        data in collection::vec(any::<u8>(), 0..256),
-        in_port in 0u16..0xff00,
-        actions in arb_actions(),
-    ) {
-        let pin = OfMessage::PacketIn {
-            in_port: PortNo::new(in_port),
-            reason: openflow::PacketInReason::NoMatch,
-            data: data.clone(),
-        };
-        let (_, decoded) = wire::decode(&wire::encode(Xid(1), &pin)).expect("packet-in");
-        prop_assert_eq!(decoded, pin);
-
-        let pout = OfMessage::PacketOut {
-            in_port: PortNo::new(in_port),
-            actions,
-            data,
-        };
-        let (_, decoded) = wire::decode(&wire::encode(Xid(2), &pout)).expect("packet-out");
-        prop_assert_eq!(decoded, pout);
-    }
-
-    /// Arbitrary bytes never panic the decoder.
-    #[test]
-    fn wire_decoder_is_total(bytes in collection::vec(any::<u8>(), 0..256)) {
-        let _ = wire::decode(&bytes);
-    }
-}

@@ -141,23 +141,9 @@ impl IpAddr {
         self.0
     }
 
-    /// Returns the address as a big-endian `u32`.
-    pub const fn to_u32(&self) -> u32 {
-        u32::from_be_bytes(self.0)
-    }
-
     /// Builds an address from a big-endian `u32`.
     pub const fn from_u32(raw: u32) -> Self {
         IpAddr(raw.to_be_bytes())
-    }
-
-    /// Returns `true` if both addresses fall in the same `/prefix` network.
-    pub fn same_subnet(&self, other: &IpAddr, prefix: u8) -> bool {
-        if prefix == 0 {
-            return true;
-        }
-        let mask = u32::MAX << (32 - prefix.min(32) as u32);
-        (self.to_u32() & mask) == (other.to_u32() & mask)
     }
 
     /// Parses from wire bytes. Returns `None` if `bytes` is shorter than 4.
@@ -256,20 +242,8 @@ mod tests {
     }
 
     #[test]
-    fn ip_u32_round_trips() {
-        let ip = IpAddr::new(192, 168, 1, 42);
-        assert_eq!(IpAddr::from_u32(ip.to_u32()), ip);
-    }
-
-    #[test]
-    fn ip_same_subnet() {
-        let a = IpAddr::new(10, 0, 0, 1);
-        let b = IpAddr::new(10, 0, 0, 200);
-        let c = IpAddr::new(10, 0, 1, 1);
-        assert!(a.same_subnet(&b, 24));
-        assert!(!a.same_subnet(&c, 24));
-        assert!(a.same_subnet(&c, 16));
-        assert!(a.same_subnet(&c, 0));
+    fn ip_from_u32_is_big_endian() {
+        assert_eq!(IpAddr::from_u32(0xC0A8_012A), IpAddr::new(192, 168, 1, 42));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! them as `&[u8]`, so two small types cover every use:
 //!
 //! * [`BytesMut`] — a growable big-endian append buffer
-//!   (`put_u8`/`put_u16`/`put_u32`/`put_u64`/`put_slice`);
+//!   (`put_u8`/`put_u16`/`put_u32`/`put_slice`);
 //! * [`Bytes`] — a frozen, cheaply-cloneable immutable byte string.
 //!
 //! Both deref to `[u8]`, so parsers take plain `&[u8]` and stay agnostic.
@@ -47,11 +47,6 @@ impl BytesMut {
         self.data.extend_from_slice(&v.to_be_bytes());
     }
 
-    /// Appends a `u64` big-endian.
-    pub fn put_u64(&mut self, v: u64) {
-        self.data.extend_from_slice(&v.to_be_bytes());
-    }
-
     /// Appends raw bytes.
     pub fn put_slice(&mut self, src: &[u8]) {
         self.data.extend_from_slice(src);
@@ -72,11 +67,6 @@ impl BytesMut {
         Bytes {
             data: Arc::from(self.data.into_boxed_slice()),
         }
-    }
-
-    /// Consumes the buffer, returning the underlying vector.
-    pub fn into_vec(self) -> Vec<u8> {
-        self.data
     }
 
     /// The written bytes as a plain vector copy.
@@ -116,13 +106,6 @@ impl Bytes {
     pub fn from_vec(data: Vec<u8>) -> Self {
         Bytes {
             data: Arc::from(data.into_boxed_slice()),
-        }
-    }
-
-    /// Copies from a slice.
-    pub fn copy_from_slice(src: &[u8]) -> Self {
-        Bytes {
-            data: Arc::from(src),
         }
     }
 
@@ -198,17 +181,13 @@ mod tests {
         buf.put_u8(0xab);
         buf.put_u16(0x1234);
         buf.put_u32(0xdead_beef);
-        buf.put_u64(0x0102_0304_0506_0708);
         buf.put_slice(&[9, 10]);
         let bytes = buf.freeze();
         assert_eq!(
             &bytes[..],
-            &[
-                0xab, 0x12, 0x34, 0xde, 0xad, 0xbe, 0xef, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07,
-                0x08, 9, 10
-            ]
+            &[0xab, 0x12, 0x34, 0xde, 0xad, 0xbe, 0xef, 9, 10]
         );
-        assert_eq!(bytes.len(), 17);
+        assert_eq!(bytes.len(), 9);
     }
 
     #[test]

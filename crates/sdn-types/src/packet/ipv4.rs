@@ -79,12 +79,6 @@ impl Ipv4Packet {
         }
     }
 
-    /// Sets the IP identification field.
-    pub fn with_ident(mut self, ident: u16) -> Self {
-        self.ident = ident;
-        self
-    }
-
     /// Appends the wire encoding (header + payload) to `buf`.
     pub fn encode_into(&self, buf: &mut BytesMut) {
         let mut body = BytesMut::new();

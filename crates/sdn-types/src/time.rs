@@ -60,11 +60,6 @@ impl SimTime {
     pub fn since(&self, earlier: SimTime) -> Duration {
         Duration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Saturating addition of a duration.
-    pub fn saturating_add(&self, d: Duration) -> SimTime {
-        SimTime(self.0.saturating_add(d.0))
-    }
 }
 
 impl Duration {
@@ -98,15 +93,6 @@ impl Duration {
             return Duration::ZERO;
         }
         Duration((ms * 1e6).round() as u64)
-    }
-
-    /// Creates a duration from fractional seconds, saturating at zero for
-    /// negative inputs.
-    pub fn from_secs_f64(s: f64) -> Self {
-        if s <= 0.0 {
-            return Duration::ZERO;
-        }
-        Duration((s * 1e9).round() as u64)
     }
 
     /// Nanoseconds in this duration.
@@ -256,7 +242,6 @@ mod tests {
     fn float_constructors_saturate() {
         assert_eq!(Duration::from_millis_f64(-2.0), Duration::ZERO);
         assert_eq!(Duration::from_millis_f64(1.5).as_micros(), 1500);
-        assert_eq!(Duration::from_secs_f64(0.25).as_millis(), 250);
     }
 
     #[test]

@@ -38,15 +38,6 @@ pub struct ConfidenceInterval {
 }
 
 impl ConfidenceInterval {
-    /// Formats as `mean ± half_width` with the given precision, the
-    /// paper's table style.
-    pub fn mean_pm(&self, decimals: usize) -> String {
-        format!(
-            "{:.*} ± {:.*}",
-            decimals, self.mean, decimals, self.half_width
-        )
-    }
-
     /// Whether `value` lies inside the interval (inclusive).
     pub fn contains(&self, value: f64) -> bool {
         (self.lo..=self.hi).contains(&value)
@@ -269,12 +260,6 @@ mod tests {
         assert!(t_interval_of(&Summary::of(&[1.0]), 1.0).is_none());
         let one = t_interval_of(&Summary::of(&[3.0]), 0.95).expect("single sample");
         assert_eq!(one.half_width, 0.0);
-    }
-
-    #[test]
-    fn mean_pm_formats_like_the_paper() {
-        let ci = t_interval(&[1.0, 2.0, 3.0], 0.95).expect("interval");
-        assert_eq!(ci.mean_pm(2), "2.00 ± 2.48");
     }
 
     #[test]

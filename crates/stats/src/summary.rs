@@ -67,11 +67,6 @@ impl OnlineStats {
         self.max = self.max.max(x);
     }
 
-    /// Number of samples seen.
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
     /// Current mean (0 when empty).
     pub fn mean(&self) -> f64 {
         if self.count == 0 {

@@ -232,13 +232,15 @@ pub fn run_campaign_with(
     if spec.seeds == 0 {
         return Err("campaign needs at least one seed per cell".to_string());
     }
+    if spec.workers == 0 {
+        return Err("campaign needs at least one worker".to_string());
+    }
     // Everything below derives (cell, seed_index) as `j / spec.seeds` and
     // `j % spec.seeds`; restate the guard where the divisions live.
     debug_assert!(spec.seeds > 0);
     if !(spec.confidence > 0.0 && spec.confidence < 1.0) {
         return Err(format!("confidence {} outside (0, 1)", spec.confidence));
     }
-    let workers = spec.workers.max(1);
     let grid = scenario.cells();
     let owned: Vec<usize> = (0..grid.len()).filter(|&c| spec.shard.owns(c)).collect();
 
@@ -324,7 +326,7 @@ pub fn run_campaign_with(
     let mut fresh: Vec<CellReport> = Vec::new();
     let mut stream_error: Option<String> = None;
     let pool_result: Result<(), String> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
+        let handles: Vec<_> = (0..spec.workers)
             .map(|_| {
                 let tx = tx.clone();
                 scope.spawn(|| {
@@ -454,6 +456,9 @@ mod tests {
         let mut zero_seeds = CampaignSpec::new("synthetic", 1);
         zero_seeds.seeds = 0;
         assert!(run_campaign(&r, &zero_seeds).is_err());
+        let mut zero_workers = CampaignSpec::new("synthetic", 1);
+        zero_workers.workers = 0;
+        assert!(run_campaign(&r, &zero_workers).is_err());
         let mut bad_conf = CampaignSpec::new("synthetic", 1);
         bad_conf.confidence = 1.0;
         assert!(run_campaign(&r, &bad_conf).is_err());

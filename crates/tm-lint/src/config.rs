@@ -3,9 +3,8 @@
 //! The linter's unit of policy is a *tier*: a set of workspace paths that
 //! share a determinism posture. `sim-core` and `defense` code must be a
 //! pure function of `(scenario, seed)`, so every rule applies; `tooling`
-//! (the bench harness, telemetry's wall-span side channel, the linter
-//! itself) legitimately reads wall clocks but still must not introduce
-//! unseeded randomness.
+//! (the bench harness, the linter itself) legitimately reads wall clocks
+//! but still must not introduce unseeded randomness.
 //!
 //! The parser handles exactly the subset of TOML the config uses —
 //! `[section]` headers and `key = ["a", "b"]` string arrays — by hand, in

@@ -9,8 +9,8 @@
 //!
 //! **Local (token) rules** — single-site pattern matches:
 //!
-//! * **wall-clock** — `Instant` / `SystemTime` outside the bench &
-//!   telemetry wall-span allowlist;
+//! * **wall-clock** — `Instant` / `SystemTime` outside the bench
+//!   harness's allowed timing sites;
 //! * **unordered-collections** — `HashMap` / `HashSet` in sim-visible
 //!   state (hash iteration order is seed- and layout-dependent);
 //! * **unseeded-rng** — any entropy not forked from the seeded `tm-rand`

@@ -530,8 +530,7 @@ fn bounded_idents(toks: &[Tok], body: &crate::ast::Body) -> BTreeSet<String> {
         }
         if t.text == "for" {
             // Collect the loop pattern's identifiers up to `in`.
-            for k in j + 1..(j + 9).min(range.end) {
-                let p = &toks[k];
+            for p in &toks[j + 1..(j + 9).min(range.end)] {
                 if p.text == "in" {
                     break;
                 }

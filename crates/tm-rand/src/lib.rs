@@ -266,11 +266,6 @@ impl Xoshiro256StarStar {
         Xoshiro256StarStar { s }
     }
 
-    /// The raw state words (for diagnostics and replay).
-    pub fn state(&self) -> [u64; 4] {
-        self.s
-    }
-
     /// Splits off an independent child generator, advancing `self`.
     ///
     /// The child is seeded from fresh output of the parent, so repeated

@@ -11,10 +11,6 @@
 //! * **Histograms** — fixed-bucket latency/size distributions. Buckets are
 //!   fixed at first observation, so two runs that observe the same values
 //!   produce byte-identical snapshots.
-//! * **Span timers** — [`SpanTimer`] measures *virtual-time* intervals
-//!   (deterministic, part of the snapshot); [`WallSpan`] measures
-//!   *wall-clock* phases (nondeterministic by nature, reported separately
-//!   and never part of a snapshot).
 //!
 //! # Determinism
 //!
@@ -22,9 +18,8 @@
 //! `BTreeMap` (stable iteration order) and rendered by [`MetricsSnapshot::render`]
 //! into a canonical text form. Two simulation runs with the same seed must
 //! produce byte-identical renders — the workspace determinism suite pins
-//! this. Wall-clock spans live in a separate side channel
-//! ([`Telemetry::wall_report`]) precisely so they cannot leak
-//! nondeterminism into the snapshot.
+//! this. Nothing here reads the wall clock; wall time is measured from
+//! outside the simulator (see `benches/topobench`).
 //!
 //! # Zero cost when unused
 //!
@@ -45,10 +40,8 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::rc::Rc;
-// tm-lint: allow(wall-clock) -- Instant feeds only WallSpan, the wall-clock side channel snapshots deliberately exclude
-use std::time::Instant;
 
-use sdn_types::{Duration, SimTime};
+use sdn_types::Duration;
 
 /// Default histogram bucket upper bounds, in nanoseconds: 1 µs to 10 s,
 /// shaped for the latency scales the simulator produces (link transits are
@@ -137,30 +130,11 @@ pub struct HistogramSnapshot {
     pub max: u64,
 }
 
-impl HistogramSnapshot {
-    /// Mean observed value, or `None` when empty.
-    pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.sum as f64 / self.count as f64)
-    }
-}
-
-/// Wall-clock span statistics (nondeterministic side channel).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WallStats {
-    /// Completed spans.
-    pub count: u64,
-    /// Total wall time across spans, nanoseconds.
-    pub total_ns: u64,
-    /// Longest single span, nanoseconds.
-    pub max_ns: u64,
-}
-
 #[derive(Debug, Default)]
 struct Registry {
     counters: BTreeMap<&'static str, u64>,
     gauges: BTreeMap<&'static str, i64>,
     histograms: BTreeMap<&'static str, Histogram>,
-    wall: BTreeMap<&'static str, WallStats>,
 }
 
 /// A cheaply cloneable handle onto a shared metrics registry (or onto
@@ -182,11 +156,6 @@ impl Telemetry {
     /// [`Telemetry::snapshot`] returns an empty snapshot.
     pub fn disabled() -> Self {
         Telemetry { inner: None }
-    }
-
-    /// Whether this handle is connected to a registry.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
     }
 
     /// Increments counter `name` by one.
@@ -245,41 +214,8 @@ impl Telemetry {
         self.observe_ns(name, d.as_nanos());
     }
 
-    /// Starts a deterministic span at virtual time `start`; finish it with
-    /// [`SpanTimer::finish`] to record the elapsed virtual time.
-    pub fn span(&self, name: &'static str, start: SimTime) -> SpanTimer {
-        SpanTimer {
-            telemetry: self.clone(),
-            name,
-            start,
-        }
-    }
-
-    /// Starts a wall-clock span; the elapsed wall time is recorded when
-    /// the guard drops. Wall spans are reported via
-    /// [`Telemetry::wall_report`] and are **never** part of a
-    /// [`MetricsSnapshot`].
-    pub fn wall_span(&self, name: &'static str) -> WallSpan {
-        WallSpan {
-            telemetry: self.clone(),
-            name,
-            // tm-lint: allow(wall-clock) -- wall spans exist to read the wall clock; excluded from MetricsSnapshot by design
-            start: Instant::now(),
-        }
-    }
-
-    fn record_wall(&self, name: &'static str, elapsed_ns: u64) {
-        if let Some(inner) = &self.inner {
-            let mut reg = inner.borrow_mut();
-            let w = reg.wall.entry(name).or_default();
-            w.count += 1;
-            w.total_ns = w.total_ns.saturating_add(elapsed_ns);
-            w.max_ns = w.max_ns.max(elapsed_ns);
-        }
-    }
-
     /// Takes a deterministic snapshot of all counters, gauges and
-    /// histograms. Wall-clock spans are deliberately excluded.
+    /// histograms.
     pub fn snapshot(&self) -> MetricsSnapshot {
         match &self.inner {
             None => MetricsSnapshot::default(),
@@ -304,53 +240,6 @@ impl Telemetry {
                 }
             }
         }
-    }
-
-    /// The wall-clock spans recorded so far, sorted by name. These are
-    /// nondeterministic and kept out of [`MetricsSnapshot`] by design.
-    pub fn wall_report(&self) -> Vec<(String, WallStats)> {
-        match &self.inner {
-            None => Vec::new(),
-            Some(inner) => inner
-                .borrow()
-                .wall
-                .iter()
-                .map(|(k, v)| (k.to_string(), *v))
-                .collect(),
-        }
-    }
-}
-
-/// A deterministic span over virtual time. Created by [`Telemetry::span`];
-/// call [`SpanTimer::finish`] with the end time to record it.
-#[must_use = "a span records nothing until finished"]
-pub struct SpanTimer {
-    telemetry: Telemetry,
-    name: &'static str,
-    start: SimTime,
-}
-
-impl SpanTimer {
-    /// Records `end − start` (saturating at zero) into the span's
-    /// histogram.
-    pub fn finish(self, end: SimTime) {
-        self.telemetry
-            .observe_duration(self.name, end.since(self.start));
-    }
-}
-
-/// An RAII wall-clock span. Recorded on drop into the wall side channel.
-pub struct WallSpan {
-    telemetry: Telemetry,
-    name: &'static str,
-    // tm-lint: allow(wall-clock) -- the span's start is wall time by definition; never enters a snapshot
-    start: Instant,
-}
-
-impl Drop for WallSpan {
-    fn drop(&mut self) {
-        let elapsed_ns = u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        self.telemetry.record_wall(self.name, elapsed_ns);
     }
 }
 
@@ -454,15 +343,10 @@ mod tests {
     #[test]
     fn disabled_handle_is_a_no_op() {
         let t = Telemetry::disabled();
-        assert!(!t.is_enabled());
         t.counter_inc("x");
         t.gauge_set("y", 1);
         t.observe_ns("z", 10);
-        let span = t.span("s", SimTime::ZERO);
-        span.finish(SimTime::from_millis(5));
-        drop(t.wall_span("w"));
         assert!(t.snapshot().is_empty());
-        assert!(t.wall_report().is_empty());
     }
 
     #[test]
@@ -501,28 +385,6 @@ mod tests {
         assert_eq!(h.counts[5], 1); // the 5 ms bucket
         assert_eq!(*h.counts.last().unwrap(), 1); // overflow
         assert_eq!(h.sum, 500 + 4_000_000 + 99_000_000_000);
-    }
-
-    #[test]
-    fn sim_spans_record_virtual_time() {
-        let t = Telemetry::new();
-        let span = t.span("phase", SimTime::from_millis(10));
-        span.finish(SimTime::from_millis(25));
-        let s = t.snapshot();
-        let h = s.histogram("phase").expect("recorded");
-        assert_eq!(h.count, 1);
-        assert_eq!(h.sum, Duration::from_millis(15).as_nanos());
-    }
-
-    #[test]
-    fn wall_spans_stay_out_of_the_snapshot() {
-        let t = Telemetry::new();
-        drop(t.wall_span("phase.wall"));
-        assert!(t.snapshot().is_empty());
-        let wall = t.wall_report();
-        assert_eq!(wall.len(), 1);
-        assert_eq!(wall[0].0, "phase.wall");
-        assert_eq!(wall[0].1.count, 1);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 
 use sdn_types::Duration;
 use tm_prop::prelude::*;
-use tm_rand::{stream_seed, Rng, StdRng};
+use tm_rand::{stream_seed, StdRng};
 use tm_traffic::{ArrivalProcess, DemandProfile, SizeMix};
 
 /// Rates on a lattice: 0.01 .. 20.0 flows/host/s.

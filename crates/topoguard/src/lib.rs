@@ -40,14 +40,3 @@ pub use cmm::{Cmm, CmmConfig};
 pub use lli::{Lli, LliConfig, LliObservation};
 pub use profiler::{PortProfiler, PortType};
 pub use topoguard::{TopoGuard, TopoGuardConfig};
-
-/// Boxes the full TOPOGUARD+ stack (TopoGuard + CMM + LLI) for insertion
-/// into a controller pipeline. The controller should have `sign_lldp`,
-/// `timestamp_lldp`, and `echo_interval` enabled for full coverage.
-pub fn topoguard_plus_stack() -> Vec<Box<dyn controller::DefenseModule>> {
-    vec![
-        Box::new(TopoGuard::new(TopoGuardConfig::default())),
-        Box::new(Cmm::new(CmmConfig::default())),
-        Box::new(Lli::new(LliConfig::default())),
-    ]
-}

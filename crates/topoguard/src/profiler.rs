@@ -94,19 +94,6 @@ impl PortProfiler {
         }
         profile.reset_count += 1;
     }
-
-    /// Total profile resets across all ports.
-    pub fn total_resets(&self) -> u64 {
-        self.profiles.values().map(|p| p.reset_count).sum()
-    }
-
-    /// Number of ports with a non-ANY classification.
-    pub fn classified_ports(&self) -> usize {
-        self.profiles
-            .values()
-            .filter(|p| p.port_type != PortType::Any)
-            .count()
-    }
 }
 
 // Small helper because `PortProfile::default()` has no timestamp.
@@ -187,15 +174,5 @@ mod tests {
             p.port_down(port(1), SimTime::from_secs(i));
         }
         assert_eq!(p.profile(port(1)).unwrap().reset_count, 5);
-        assert_eq!(p.total_resets(), 5);
-    }
-
-    #[test]
-    fn classified_ports_counts_non_any() {
-        let mut p = PortProfiler::new();
-        p.saw_host_traffic(port(1), SimTime::ZERO);
-        p.saw_lldp(port(2), SimTime::ZERO);
-        p.port_down(port(1), SimTime::from_secs(1));
-        assert_eq!(p.classified_ports(), 1);
     }
 }
