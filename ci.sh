@@ -26,6 +26,27 @@ cargo build --release --offline
 # shared target dir keeps build output out of benches/topobench/.
 CARGO_TARGET_DIR=target cargo test -q --release --offline --locked \
     --manifest-path benches/topobench/Cargo.toml
+# Benchmark pins: one rep of each workload at the suite's seed must pass
+# the workload's own checks ("failed":0 — a benign soak raises no alert,
+# every trunk is discovered, the paper's Fig. 1/9 verdicts hold) and
+# reproduce its simulation fingerprint. A change that moves simulation
+# output on purpose updates these values, as it would experiments_output.txt.
+CARGO_TARGET_DIR=target cargo build -q --release --offline --locked \
+    --manifest-path benches/topobench/Cargo.toml
+cat >"$tmp/tm_rep_expected.out" <<'PINS'
+load-probe 7d06ae3b24189f4
+flow-churn a96ba58bdbc4d757
+fabric-soak c0922088aebf7843
+paper-matrix b2b8e7b50fda9650
+PINS
+: >"$tmp/tm_rep_actual.out"
+while read -r workload _; do
+    target/release/topobench rep "$workload" 0xd52018 0 </dev/null >"$tmp/tm_rep.out"
+    grep -q '"failed":0,' "$tmp/tm_rep.out"
+    fingerprint=$(sed -n 's/.*"fingerprint":"\([0-9a-f]*\)".*/\1/p' "$tmp/tm_rep.out")
+    echo "$workload $fingerprint" >>"$tmp/tm_rep_actual.out"
+done <"$tmp/tm_rep_expected.out"
+diff "$tmp/tm_rep_expected.out" "$tmp/tm_rep_actual.out"
 cargo test -q --offline --workspace
 cargo bench --no-run --offline
 
@@ -120,10 +141,12 @@ grep -q 'unknown defense stack' "$tmp/tm_bad_stack.err"
 # (fat-tree-4, steady-2 demand, TOPOGUARD+). Guards the traffic engine
 # end to end — plan elaboration → arrival chains → detector-boundary
 # expansion → controller — and records the aggregation leverage. The
-# probe's stdout is a pure function of the seed; its speedup line is the
-# flow-level-vs-per-packet floor and must stay at least 50x.
+# probe's stdout is a pure function of the seed, pinned byte for byte by
+# load_probe_output.txt; its speedup line is the flow-level-vs-per-packet
+# floor and must stay at least 50x.
 cargo run -q --release --offline -p bench --bin experiments -- \
     load --probe-only >"$tmp/tm_load_probe.out" 2>"$tmp/tm_load_probe.err"
+diff load_probe_output.txt "$tmp/tm_load_probe.out"
 grep -q 'flow-level speedup' "$tmp/tm_load_probe.out"
 probe_speedup=$(sed -n 's/.*flow-level speedup  *\([0-9]*\)x.*/\1/p' "$tmp/tm_load_probe.out")
 test "$probe_speedup" -ge 50

@@ -13,7 +13,7 @@ const KEY: Key = Key::new(0x1234_5678_9abc_def0, 0x0fed_cba9_8765_4321);
 const DPID: DatapathId = DatapathId::new(7);
 const PORT: PortNo = PortNo::new(3);
 
-fn construct_plain() -> sdn_types::buf::Bytes {
+fn construct_plain() -> Vec<u8> {
     let lldp = LldpPacket::new(DPID, PORT);
     EthernetFrame::new(
         MacAddr::from_index(1),
@@ -23,7 +23,7 @@ fn construct_plain() -> sdn_types::buf::Bytes {
     .encode()
 }
 
-fn construct_topoguard_plus() -> sdn_types::buf::Bytes {
+fn construct_topoguard_plus() -> Vec<u8> {
     let lldp = LldpPacket::new(DPID, PORT)
         .with_timestamp(KEY, SimTime::from_millis(123))
         .signed(KEY);

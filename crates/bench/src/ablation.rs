@@ -183,7 +183,7 @@ pub fn probe_timeout_sweep(base_seed: u64) -> String {
                         Duration::from_millis(250),
                     )),
                 );
-                let mut sim = Simulator::new(spec, base_seed + timeout_ms * 1000 + i);
+                let mut sim = Simulator::new(spec, base_seed.wrapping_add(timeout_ms * 1000 + i));
                 sim.host_iface_down(ids.victim_new);
                 let down_at = SimTime::from_secs(3);
                 sim.run_until(down_at);

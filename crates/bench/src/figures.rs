@@ -68,7 +68,7 @@ pub fn run_hijack_trials(
         let out = hijack::run(&HijackScenario {
             victim_rejoins: false,
             tail: Duration::from_millis(500),
-            ..HijackScenario::new(stack, base_seed + i as u64)
+            ..HijackScenario::new(stack, base_seed.wrapping_add(i as u64))
         });
         if let Some(ms) = out.final_probe_start_delay_ms() {
             d.final_probe_start.push(ms);
@@ -318,6 +318,15 @@ mod tests {
         let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
         assert!(mean(&d.believed_down) <= mean(&d.iface_up));
         assert!(mean(&d.iface_up) <= mean(&d.controller_ack));
+    }
+
+    #[test]
+    fn hijack_trials_wrap_at_the_top_of_the_seed_range() {
+        // Seeds u64::MAX and 0: the per-trial seed wraps instead of
+        // overflowing, in debug and release builds alike.
+        let d = run_hijack_trials(u64::MAX, 2, DefenseStack::None);
+        assert_eq!(d.trials, 2);
+        assert_eq!(d.successes, 2, "an undefended hijack lands at any seed");
     }
 
     #[test]

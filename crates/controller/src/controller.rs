@@ -29,6 +29,17 @@ const TIMER_STATS: TimerId = TimerId(4);
 /// How often modules receive `on_tick`.
 const TICK_INTERVAL: Duration = Duration::from_millis(100);
 
+/// Delay before the first LLDP round after startup.
+const FIRST_DISCOVERY_DELAY: Duration = Duration::from_millis(100);
+
+/// Host learning is suppressed until this long after startup. Floodlight
+/// gates its DeviceManager on topology readiness for the same reason:
+/// before the first discovery round, flooded broadcasts produce PacketIns
+/// at inter-switch ports that are not yet known to be infrastructure, and
+/// naive learning would register phantom host migrations along the flood
+/// path.
+const HOST_LEARNING_AFTER: Duration = Duration::from_millis(300);
+
 /// Controller configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct ControllerConfig {
@@ -40,21 +51,10 @@ pub struct ControllerConfig {
     pub timestamp_lldp: bool,
     /// The controller-owned key for signing/sealing.
     pub lldp_key: Key,
-    /// Enable reactive shortest-path forwarding.
-    pub forwarding: bool,
     /// Poll control-link latency with echoes at this interval.
     pub echo_interval: Option<Duration>,
     /// Poll switch flow/port statistics at this interval (SPHINX).
     pub stats_interval: Option<Duration>,
-    /// Delay before the first LLDP round after startup.
-    pub first_discovery_delay: Duration,
-    /// Suppress host learning until this long after startup. Floodlight
-    /// gates its DeviceManager on topology readiness for the same reason:
-    /// before the first discovery round, flooded broadcasts produce
-    /// PacketIns at inter-switch ports that are not yet known to be
-    /// infrastructure, and naive learning would register phantom host
-    /// migrations along the flood path.
-    pub host_learning_after: Duration,
     /// Scope dataplane floods to a spanning tree of the discovered topology
     /// instead of the switch-native `FLOOD` action. Required on fabrics
     /// with physical cycles (fat-tree, ring, multi-core core–edge), where a
@@ -70,11 +70,8 @@ impl Default for ControllerConfig {
             sign_lldp: false,
             timestamp_lldp: false,
             lldp_key: Key::from_seed(0xC0FF_EE00),
-            forwarding: true,
             echo_interval: None,
             stats_interval: None,
-            first_discovery_delay: Duration::from_millis(100),
-            host_learning_after: Duration::from_millis(300),
             tree_scoped_flood: false,
         }
     }
@@ -252,7 +249,7 @@ impl SdnController {
                 OfMessage::PacketOut {
                     in_port: PortNo::NONE,
                     actions: vec![Action::Output(port.port_no)],
-                    data: frame.encode().to_vec(),
+                    frame,
                 },
             );
             self.lldp_emitted += 1;
@@ -351,7 +348,7 @@ impl SdnController {
         // Host tracking: learn/refresh/move from the source header, unless
         // the source is multicast, the port is infrastructure, or topology
         // discovery has not completed its first round yet.
-        let learning_active = now.as_nanos() >= self.config.host_learning_after.as_nanos();
+        let learning_active = now.as_nanos() >= HOST_LEARNING_AFTER.as_nanos();
         if learning_active
             && frame.src.is_unicast()
             && !self.topology.is_infrastructure_port(location)
@@ -406,29 +403,27 @@ impl SdnController {
         }
 
         // Reactive forwarding.
-        if self.config.forwarding {
-            let scope = if self.config.tree_scoped_flood {
-                Some(self.tree_flood_ports(dpid))
-            } else {
-                None
-            };
-            let (msgs, _flooded) = forwarding::handle_table_miss(
-                &self.topology,
-                &self.devices,
-                dpid,
-                in_port,
-                frame,
-                scope.as_deref(),
-            );
-            for (target, msg) in msgs {
-                if matches!(msg, OfMessage::FlowMod { .. }) {
-                    self.module_pass(ctx, |m, cx| {
-                        m.on_flow_mod(cx, target, &msg);
-                        Command::Continue
-                    });
-                }
-                ctx.send(target, msg);
+        let scope = if self.config.tree_scoped_flood {
+            Some(self.tree_flood_ports(dpid))
+        } else {
+            None
+        };
+        let (msgs, _flooded) = forwarding::handle_table_miss(
+            &self.topology,
+            &self.devices,
+            dpid,
+            in_port,
+            frame,
+            scope.as_deref(),
+        );
+        for (target, msg) in msgs {
+            if matches!(msg, OfMessage::FlowMod { .. }) {
+                self.module_pass(ctx, |m, cx| {
+                    m.on_flow_mod(cx, target, &msg);
+                    Command::Continue
+                });
             }
+            ctx.send(target, msg);
         }
     }
 }
@@ -444,7 +439,7 @@ fn extract_src_ip(frame: &EthernetFrame) -> Option<IpAddr> {
 impl ControllerLogic for SdnController {
     fn on_start(&mut self, ctx: &mut ControllerCtx<'_>) {
         self.telemetry = ctx.telemetry();
-        ctx.set_timer(self.config.first_discovery_delay, TIMER_DISCOVERY);
+        ctx.set_timer(FIRST_DISCOVERY_DELAY, TIMER_DISCOVERY);
         ctx.set_timer(TICK_INTERVAL, TIMER_TICK);
         if let Some(interval) = self.config.echo_interval {
             // First echoes early so T_SW estimates exist before discovery.
@@ -488,12 +483,7 @@ impl ControllerLogic for SdnController {
                 // exactly the race Port Probing exploits).
                 let _ = reason;
             }
-            OfMessage::PacketIn { in_port, data, .. } => {
-                let Ok(frame) = EthernetFrame::parse(&data) else {
-                    self.telemetry
-                        .counter_inc("controller.packet_in.unparseable");
-                    return;
-                };
+            OfMessage::PacketIn { in_port, frame } => {
                 self.packet_ins += 1;
                 self.telemetry.counter_inc("controller.packet_in.total");
                 let pin = PacketInCtx {

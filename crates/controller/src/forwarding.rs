@@ -39,22 +39,22 @@ pub fn handle_table_miss(
     frame: &EthernetFrame,
     flood_scope: Option<&[PortNo]>,
 ) -> (Vec<(DatapathId, OfMessage)>, bool) {
-    let data = frame.encode().to_vec();
-
-    // Broadcast/multicast or unknown unicast: flood at the reporting switch.
+    // Broadcast/multicast, unknown unicast, or a destination tracked but
+    // unreachable in the link graph: flood at the reporting switch.
     let dst_loc = if frame.dst.is_multicast() {
         None
     } else {
         devices.location_of(&frame.dst)
     };
-    let Some(dst_loc) = dst_loc else {
+    let route = dst_loc.and_then(|loc| Some((loc, topology.shortest_path(dpid, loc.dpid)?)));
+    let Some((dst_loc, path)) = route else {
         return (
             vec![(
                 dpid,
                 OfMessage::PacketOut {
                     in_port,
                     actions: flood_actions(in_port, flood_scope),
-                    data,
+                    frame: frame.clone(),
                 },
             )],
             true,
@@ -62,21 +62,6 @@ pub fn handle_table_miss(
     };
 
     // Known unicast: install the path and re-inject.
-    let Some(path) = topology.shortest_path(dpid, dst_loc.dpid) else {
-        // Destination tracked but unreachable in the link graph: flood.
-        return (
-            vec![(
-                dpid,
-                OfMessage::PacketOut {
-                    in_port,
-                    actions: flood_actions(in_port, flood_scope),
-                    data,
-                },
-            )],
-            true,
-        );
-    };
-
     let flow_match = FlowMatch::new()
         .with_eth_src(frame.src)
         .with_eth_dst(frame.dst);
@@ -97,7 +82,7 @@ pub fn handle_table_miss(
         OfMessage::PacketOut {
             in_port,
             actions: vec![Action::Output(out_port)],
-            data,
+            frame: frame.clone(),
         },
     ));
     (msgs, false)

@@ -71,8 +71,8 @@ fn synthesize_host(topo: &TopologySpec, dpid: sdn_types::DatapathId, offset: u32
     }
 }
 
-/// When fabric scenarios let hosts start talking. The first LLDP round
-/// (at `first_discovery_delay` ≈ 100 ms) maps every trunk well within a
+/// When fabric scenarios let hosts start talking. The controller's first
+/// LLDP round (100 ms after startup) maps every trunk well within a
 /// second even on 1000-switch fabrics; 2 s leaves generous margin.
 pub const TRAFFIC_START: Duration = Duration::from_secs(2);
 

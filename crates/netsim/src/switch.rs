@@ -4,8 +4,8 @@
 use std::collections::BTreeMap;
 
 use openflow::{
-    FlowEntry, FlowModCommand, FlowTable, MatchOutcome, OfMessage, PacketInReason, PortDesc,
-    PortLinkState, PortStatsEntry, PortStatusReason,
+    Action, FlowEntry, FlowModCommand, FlowTable, MatchOutcome, OfMessage, PortDesc, PortLinkState,
+    PortStatsEntry, PortStatusReason,
 };
 use sdn_types::packet::EthernetFrame;
 use sdn_types::{DatapathId, Duration, HostId, MacAddr, PortNo, SimTime};
@@ -355,8 +355,7 @@ pub(crate) fn emit_outputs(
                     dpid,
                     OfMessage::PacketIn {
                         in_port,
-                        reason: PacketInReason::Action,
-                        data: frame.encode().to_vec(),
+                        frame: frame.clone(),
                     },
                 );
             }
@@ -420,7 +419,7 @@ pub(crate) fn handle_frame(
     }
 
     match outcome {
-        MatchOutcome::Forward { ports, frame } => {
+        MatchOutcome::Forward { ports } => {
             emit_outputs(core, net, dpid, in_port, &ports, &frame);
         }
         MatchOutcome::Miss => {
@@ -431,16 +430,7 @@ pub(crate) fn handle_frame(
                 port: in_port,
                 ethertype: frame.ethertype().0,
             });
-            send_to_controller(
-                core,
-                net,
-                dpid,
-                OfMessage::PacketIn {
-                    in_port,
-                    reason: PacketInReason::NoMatch,
-                    data: frame.encode().to_vec(),
-                },
-            );
+            send_to_controller(core, net, dpid, OfMessage::PacketIn { in_port, frame });
         }
     }
 }
@@ -456,22 +446,9 @@ pub(crate) fn handle_ctrl(
         OfMessage::PacketOut {
             in_port,
             actions,
-            data,
+            frame,
         } => {
-            let Ok(mut frame) = EthernetFrame::parse(&data) else {
-                net.trace.push(TraceEvent::Dropped {
-                    at: core.now(),
-                    reason: "unparseable PacketOut",
-                });
-                return;
-            };
-            let mut outputs = Vec::new();
-            for action in &actions {
-                action.apply(&mut frame);
-                if let openflow::Action::Output(p) = action {
-                    outputs.push(*p);
-                }
-            }
+            let outputs: Vec<PortNo> = actions.iter().map(|&Action::Output(p)| p).collect();
             emit_outputs(core, net, dpid, in_port, &outputs, &frame);
         }
         OfMessage::FlowMod {

@@ -4,12 +4,16 @@
 
 use std::any::Any;
 
+use netsim::apps::FrameRecorder;
 use netsim::{
     ControllerCtx, ControllerLogic, FrameDisposition, HostApp, HostCtx, LinkProfile, NetworkSpec,
     Simulator, TimerId,
 };
 use openflow::{Action, FlowMatch, FlowModCommand, OfMessage, Xid};
-use sdn_types::packet::{EthernetFrame, Payload};
+use sdn_types::crypto::Key;
+use sdn_types::packet::{
+    EthernetFrame, Ipv4Packet, LldpPacket, Payload, TcpFlags, TcpSegment, Transport,
+};
 use sdn_types::{DatapathId, Duration, HostId, IpAddr, MacAddr, PortNo, SimTime};
 
 const SW1: DatapathId = DatapathId::new(1);
@@ -71,14 +75,14 @@ impl ControllerLogic for FloodController {
 
     fn on_message(&mut self, ctx: &mut ControllerCtx<'_>, dpid: DatapathId, msg: OfMessage) {
         match msg {
-            OfMessage::PacketIn { in_port, data, .. } => {
+            OfMessage::PacketIn { in_port, frame } => {
                 self.packet_ins.push((dpid, in_port));
                 ctx.send(
                     dpid,
                     OfMessage::PacketOut {
                         in_port,
                         actions: vec![Action::Output(PortNo::FLOOD)],
-                        data,
+                        frame,
                     },
                 );
             }
@@ -113,17 +117,53 @@ impl ControllerLogic for FloodController {
 
 #[test]
 fn table_miss_reaches_controller_and_flood_reaches_peer() {
+    let h1 = MacAddr::from_index(1);
+    let key = Key::from_seed(7);
+    // An opaque broadcast, a signed and timestamped LLDP probe, and a TCP
+    // segment with a payload. A bare ACK draws no reply from h2's stack.
+    let sent = vec![
+        opaque(h1, MacAddr::BROADCAST),
+        EthernetFrame::new(
+            h1,
+            MacAddr::LLDP_MULTICAST,
+            Payload::Lldp(
+                LldpPacket::new(DatapathId::new(9), PortNo::new(4))
+                    .with_timestamp(key, SimTime::from_millis(3))
+                    .signed(key),
+            ),
+        ),
+        EthernetFrame::new(
+            h1,
+            MacAddr::from_index(2),
+            Payload::Ipv4(Ipv4Packet::new(
+                IpAddr::new(10, 0, 0, 1),
+                IpAddr::new(10, 0, 0, 2),
+                Transport::Tcp(TcpSegment {
+                    flags: TcpFlags::ACK,
+                    data: b"GET / HTTP/1.0".to_vec(),
+                    ..TcpSegment::syn(40_000, 80, 1)
+                }),
+            )),
+        ),
+    ];
     let mut spec = two_host_spec();
     spec.set_controller(Box::new(FloodController::new()));
+    spec.set_host_app(H2, Box::new(FrameRecorder::new()));
     let mut sim = Simulator::new(spec, 1);
     sim.run_for(Duration::from_millis(5));
-    sim.host_send_frame(H1, opaque(MacAddr::from_index(1), MacAddr::BROADCAST));
-    sim.run_for(Duration::from_millis(50));
+    for frame in &sent {
+        sim.host_send_frame(H1, frame.clone());
+        sim.run_for(Duration::from_millis(50));
+    }
 
     let ctrl: &FloodController = sim.controller_as().expect("controller type");
-    assert_eq!(ctrl.packet_ins, vec![(SW1, PortNo::new(1))]);
+    assert_eq!(ctrl.packet_ins, vec![(SW1, PortNo::new(1)); sent.len()]);
     // The flood must reach h2 but not loop back to h1 (FLOOD excludes ingress).
-    assert_eq!(sim.trace().count("HostRx"), 1);
+    assert_eq!(sim.trace().count("HostRx"), sent.len());
+    // Packet-In, the controller and Packet-Out hand each frame on unchanged.
+    let recorder: &FrameRecorder = sim.host_app_as(H2).expect("recorder app");
+    let received: Vec<EthernetFrame> = recorder.frames.iter().map(|(_, f)| f.clone()).collect();
+    assert_eq!(received, sent);
 }
 
 #[test]

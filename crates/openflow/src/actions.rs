@@ -1,117 +1,37 @@
 //! OpenFlow actions.
 
-use sdn_types::packet::{EthernetFrame, Payload};
-use sdn_types::{IpAddr, MacAddr, PortNo};
+use sdn_types::PortNo;
 
 /// An action applied to a matched packet. An empty action list drops the
-/// packet (OpenFlow 1.0 semantics).
+/// packet (OpenFlow 1.0 semantics). Forwarding is the only action: no
+/// controller, defense or attack in the simulation rewrites headers, so
+/// the switch always emits the frame it received.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Action {
     /// Forward out of a port (physical or reserved: FLOOD, CONTROLLER, ...).
     Output(PortNo),
-    /// Rewrite the Ethernet source address.
-    SetEthSrc(MacAddr),
-    /// Rewrite the Ethernet destination address.
-    SetEthDst(MacAddr),
-    /// Rewrite the IPv4 source address (no-op for non-IPv4).
-    SetIpSrc(IpAddr),
-    /// Rewrite the IPv4 destination address (no-op for non-IPv4).
-    SetIpDst(IpAddr),
 }
 
-impl Action {
-    /// Applies header-rewrite actions to `frame` in place. `Output` is a
-    /// forwarding directive and leaves the frame unchanged.
-    pub fn apply(&self, frame: &mut EthernetFrame) {
-        match self {
-            Action::Output(_) => {}
-            Action::SetEthSrc(mac) => frame.src = *mac,
-            Action::SetEthDst(mac) => frame.dst = *mac,
-            Action::SetIpSrc(ip) => {
-                if let Payload::Ipv4(pkt) = &mut frame.payload {
-                    pkt.src = *ip;
-                }
-            }
-            Action::SetIpDst(ip) => {
-                if let Payload::Ipv4(pkt) = &mut frame.payload {
-                    pkt.dst = *ip;
-                }
-            }
-        }
-    }
-}
-
-/// Applies a rule's action list to `frame`, returning the ports the
-/// (possibly rewritten) frame must be emitted on.
-pub(crate) fn apply_actions(actions: &[Action], frame: &mut EthernetFrame) -> Vec<PortNo> {
-    let mut outputs = Vec::new();
-    for action in actions {
-        action.apply(frame);
-        if let Action::Output(port) = action {
-            outputs.push(*port);
-        }
-    }
-    outputs
+/// The ports a rule's action list emits the frame on, in action order.
+pub(crate) fn apply_actions(actions: &[Action]) -> Vec<PortNo> {
+    actions.iter().map(|&Action::Output(port)| port).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdn_types::packet::{IcmpPacket, Ipv4Packet, Transport};
-
-    fn frame() -> EthernetFrame {
-        EthernetFrame::new(
-            MacAddr::new([1; 6]),
-            MacAddr::new([2; 6]),
-            Payload::Ipv4(Ipv4Packet::new(
-                IpAddr::new(10, 0, 0, 1),
-                IpAddr::new(10, 0, 0, 2),
-                Transport::Icmp(IcmpPacket::echo_request(1, 1, vec![])),
-            )),
-        )
-    }
-
-    #[test]
-    fn rewrites_apply() {
-        let mut f = frame();
-        Action::SetEthSrc(MacAddr::new([9; 6])).apply(&mut f);
-        Action::SetIpDst(IpAddr::new(10, 0, 0, 9)).apply(&mut f);
-        assert_eq!(f.src, MacAddr::new([9; 6]));
-        assert_eq!(f.ipv4().unwrap().dst, IpAddr::new(10, 0, 0, 9));
-    }
-
-    #[test]
-    fn ip_rewrite_noop_on_non_ip() {
-        let mut f = EthernetFrame::new(
-            MacAddr::new([1; 6]),
-            MacAddr::new([2; 6]),
-            Payload::Opaque {
-                ethertype: 0x1234,
-                data: vec![],
-            },
-        );
-        Action::SetIpSrc(IpAddr::new(1, 2, 3, 4)).apply(&mut f);
-        assert!(f.ipv4().is_none());
-    }
 
     #[test]
     fn apply_actions_collects_outputs_in_order() {
-        let mut f = frame();
-        let out = apply_actions(
-            &[
-                Action::SetEthDst(MacAddr::new([7; 6])),
-                Action::Output(PortNo::new(1)),
-                Action::Output(PortNo::new(2)),
-            ],
-            &mut f,
-        );
+        let out = apply_actions(&[
+            Action::Output(PortNo::new(1)),
+            Action::Output(PortNo::new(2)),
+        ]);
         assert_eq!(out, vec![PortNo::new(1), PortNo::new(2)]);
-        assert_eq!(f.dst, MacAddr::new([7; 6]));
     }
 
     #[test]
     fn empty_actions_drop() {
-        let mut f = frame();
-        assert!(apply_actions(&[], &mut f).is_empty());
+        assert!(apply_actions(&[]).is_empty());
     }
 }

@@ -9,7 +9,8 @@
 //!   `PortStatus` (Port-Up / Port-Down — the trigger for Port Amnesia),
 //!   `EchoRequest`/`EchoReply` (used by TopoGuard+ to measure control-link
 //!   latency), and flow/port statistics (used by SPHINX).
-//! * [`FlowMatch`] / [`Action`] — the match/action model.
+//! * [`FlowMatch`] / [`Action`] — header matches and output-only action
+//!   lists.
 //! * [`FlowTable`] — a priority-ordered rule table with idle/hard timeouts
 //!   and per-flow packet/byte counters.
 //!
@@ -40,8 +41,8 @@ mod table;
 pub use actions::Action;
 pub use flow_match::FlowMatch;
 pub use messages::{
-    FlowModCommand, FlowRemovedReason, FlowStatsEntry, OfMessage, PacketInReason, PortStatsEntry,
-    PortStatusReason, Xid,
+    FlowModCommand, FlowRemovedReason, FlowStatsEntry, OfMessage, PortStatsEntry, PortStatusReason,
+    Xid,
 };
 pub use port::{PortDesc, PortLinkState};
 pub use table::{FlowEntry, FlowTable, MatchOutcome, RemovedFlow};

@@ -10,6 +10,7 @@
 //!   control-link latency (`T_SW`).
 //! * `FlowStats`/`PortStats` — the switch counters SPHINX audits.
 
+use sdn_types::packet::EthernetFrame;
 use sdn_types::{DatapathId, PortNo, SimTime};
 
 use crate::{Action, FlowMatch, PortDesc};
@@ -17,15 +18,6 @@ use crate::{Action, FlowMatch, PortDesc};
 /// A transaction identifier correlating requests with replies.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub struct Xid(pub u64);
-
-/// Why a packet was sent to the controller.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum PacketInReason {
-    /// No flow-table entry matched.
-    NoMatch,
-    /// An explicit `Output(CONTROLLER)` action fired.
-    Action,
-}
 
 /// Why a PortStatus message was emitted.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -119,23 +111,22 @@ pub enum OfMessage {
         /// The switch's ports.
         ports: Vec<PortDesc>,
     },
-    /// A dataplane packet forwarded to the controller.
+    /// A dataplane frame forwarded to the controller, on a table miss or
+    /// an `Output(CONTROLLER)` action.
     PacketIn {
-        /// The port the packet arrived on.
+        /// The port the frame arrived on.
         in_port: PortNo,
-        /// Why it was sent up.
-        reason: PacketInReason,
-        /// The full packet bytes.
-        data: Vec<u8>,
+        /// The frame, exactly as the switch received it.
+        frame: EthernetFrame,
     },
-    /// The controller injects a packet into the dataplane.
+    /// The controller injects a frame into the dataplane.
     PacketOut {
         /// Ingress port for FLOOD semantics ([`PortNo::NONE`] if none).
         in_port: PortNo,
-        /// Actions to apply (typically a single `Output`).
+        /// The ports to emit on (typically a single `Output`).
         actions: Vec<Action>,
-        /// The packet bytes.
-        data: Vec<u8>,
+        /// The frame to emit.
+        frame: EthernetFrame,
     },
     /// The controller modifies the flow table.
     FlowMod {

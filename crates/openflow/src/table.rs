@@ -105,13 +105,11 @@ pub struct RemovedFlow {
 /// The outcome of offering a packet to the table.
 #[derive(Clone, Debug, PartialEq)]
 pub enum MatchOutcome {
-    /// A rule matched; the (possibly rewritten) frame must be emitted on
-    /// these ports. An empty list means the rule dropped the packet.
+    /// A rule matched; the frame must be emitted on these ports. An empty
+    /// list means the rule dropped the packet.
     Forward {
         /// Output ports, in action order.
         ports: Vec<PortNo>,
-        /// The frame after rewrite actions.
-        frame: EthernetFrame,
     },
     /// No rule matched (table miss) — becomes a PacketIn.
     Miss,
@@ -249,7 +247,7 @@ impl FlowTable {
     /// Offers `frame` (arriving on `in_port` at `now`) to the table.
     ///
     /// On a hit the matched rule's counters and idle timer are updated and
-    /// the rewritten frame plus output ports are returned.
+    /// its output ports are returned.
     pub fn process(
         &mut self,
         frame: &EthernetFrame,
@@ -265,11 +263,8 @@ impl FlowTable {
                 entry.packet_count += 1;
                 entry.byte_count += wire_len;
                 entry.last_hit = now;
-                let mut rewritten = frame.clone();
-                let ports = apply_actions(&entry.actions, &mut rewritten);
                 return MatchOutcome::Forward {
-                    ports,
-                    frame: rewritten,
+                    ports: apply_actions(&entry.actions),
                 };
             }
         }
@@ -444,28 +439,6 @@ mod tests {
         assert_eq!(removed.len(), 1);
         assert_eq!(removed[0].reason, FlowRemovedReason::Delete);
         assert_eq!(table.len(), 1);
-    }
-
-    #[test]
-    fn rewrite_actions_apply_to_forwarded_frame() {
-        let mut table = FlowTable::new();
-        table.insert(
-            FlowEntry::new(
-                FlowMatch::new(),
-                vec![
-                    Action::SetEthDst(MacAddr::new([9; 6])),
-                    Action::Output(PortNo::new(4)),
-                ],
-            ),
-            SimTime::ZERO,
-        );
-        match table.process(&frame(2), PortNo::new(1), SimTime::ZERO) {
-            MatchOutcome::Forward { frame, ports } => {
-                assert_eq!(frame.dst, MacAddr::new([9; 6]));
-                assert_eq!(ports, vec![PortNo::new(4)]);
-            }
-            other => panic!("expected forward, got {other:?}"),
-        }
     }
 
     #[test]

@@ -83,10 +83,7 @@ tm_prop! {
             (MatchOutcome::Miss, Some(_)) => prop_assert!(false, "missed but a rule matches"),
             (MatchOutcome::Forward { .. }, None) => prop_assert!(false, "forwarded with no matching rule: {snapshot:?}"),
             (MatchOutcome::Forward { ports, .. }, Some(actions)) => {
-                let want: Vec<PortNo> = actions.iter().filter_map(|a| match a {
-                    Action::Output(p) => Some(*p),
-                    _ => None,
-                }).collect();
+                let want: Vec<PortNo> = actions.iter().map(|&Action::Output(p)| p).collect();
                 prop_assert_eq!(ports, want);
             }
         }

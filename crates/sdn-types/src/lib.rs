@@ -12,9 +12,10 @@
 //!   paper's defenses rely on: an HMAC authentication TLV (TopoGuard) and an
 //!   encrypted departure-timestamp TLV (TopoGuard+'s Link Latency Inspector).
 //!
-//! All packet types encode to and parse from big-endian wire bytes, so the
-//! simulation moves real byte buffers around and defenses can only see what
-//! a real controller would see.
+//! All packet types encode to and parse from big-endian wire bytes. The
+//! simulation passes frames as typed values and builds those images only
+//! where bytes matter: frame lengths, pcap capture, and tunnels that carry
+//! a frame inside another packet.
 //!
 //! # Example
 //!

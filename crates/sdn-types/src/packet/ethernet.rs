@@ -1,6 +1,6 @@
 //! Ethernet II framing.
 
-use crate::buf::{Bytes, BytesMut};
+use crate::buf::BytesMut;
 
 use crate::{MacAddr, ParseError};
 
@@ -110,7 +110,7 @@ impl EthernetFrame {
     }
 
     /// Encodes to wire bytes.
-    pub fn encode(&self) -> Bytes {
+    pub fn encode(&self) -> Vec<u8> {
         let mut buf = BytesMut::with_capacity(64);
         buf.put_slice(&self.dst.octets());
         buf.put_slice(&self.src.octets());
@@ -121,7 +121,7 @@ impl EthernetFrame {
             Payload::Lldp(lldp) => lldp.encode_into(&mut buf),
             Payload::Opaque { data, .. } => buf.put_slice(data),
         }
-        buf.freeze()
+        buf.into_vec()
     }
 
     /// The encoded length in bytes, used by the simulator's serialization

@@ -329,7 +329,7 @@ mod tests {
     fn encode(pkt: &LldpPacket) -> Vec<u8> {
         let mut buf = BytesMut::new();
         pkt.encode_into(&mut buf);
-        buf.to_vec()
+        buf.into_vec()
     }
 
     #[test]
