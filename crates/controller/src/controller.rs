@@ -9,7 +9,7 @@ use openflow::{Action, OfMessage, PortDesc, Xid};
 use sdn_types::crypto::Key;
 use sdn_types::packet::{EthernetFrame, Payload};
 use sdn_types::{DatapathId, Duration, IpAddr, MacAddr, PortNo, SwitchPort};
-use tm_telemetry::Telemetry;
+use tm_telemetry::{CounterHandle, HistogramHandle, Telemetry};
 
 use crate::alerts::AlertSink;
 use crate::devices::{DeviceTable, Observation};
@@ -77,6 +77,32 @@ impl Default for ControllerConfig {
     }
 }
 
+/// The metrics written once per Packet-In, LLDP probe or echo, resolved
+/// once per run in `on_start` so those writes skip the registry's name
+/// lookup. Disabled until then, like the `Telemetry` they come from.
+#[derive(Default)]
+struct HotMetrics {
+    packet_in_total: CounterHandle,
+    lldp_emitted: CounterHandle,
+    lldp_received: CounterHandle,
+    echo_sent: CounterHandle,
+    echo_replies: CounterHandle,
+    echo_rtt_ns: HistogramHandle,
+}
+
+impl HotMetrics {
+    fn resolve(t: &Telemetry) -> Self {
+        HotMetrics {
+            packet_in_total: t.counter_handle("controller.packet_in.total"),
+            lldp_emitted: t.counter_handle("controller.lldp.emitted"),
+            lldp_received: t.counter_handle("controller.lldp.received"),
+            echo_sent: t.counter_handle("controller.echo.sent"),
+            echo_replies: t.counter_handle("controller.echo.replies"),
+            echo_rtt_ns: t.histogram_handle("controller.echo.rtt_ns"),
+        }
+    }
+}
+
 /// The controller.
 pub struct SdnController {
     config: ControllerConfig,
@@ -90,6 +116,8 @@ pub struct SdnController {
     /// The run's metrics handle; disabled until `on_start` clones the
     /// simulation-wide handle out of the context.
     telemetry: Telemetry,
+    /// Hot-path metrics resolved from `telemetry`.
+    metrics: HotMetrics,
     /// Count of LLDP probes emitted (diagnostics / Table II workload).
     pub lldp_emitted: u64,
     /// Count of LLDP packets received (diagnostics).
@@ -111,6 +139,7 @@ impl SdnController {
             switch_ports: BTreeMap::new(),
             next_xid: 1,
             telemetry: Telemetry::disabled(),
+            metrics: HotMetrics::default(),
             lldp_emitted: 0,
             lldp_received: 0,
             packet_ins: 0,
@@ -195,28 +224,6 @@ impl SdnController {
         verdict
     }
 
-    /// The ports on `dpid` a scoped flood may use: every up physical port
-    /// that is either host-facing (not on any discovered link) or a trunk on
-    /// the spanning tree of the discovered topology. Ascending port order,
-    /// so flood fan-out is deterministic.
-    fn tree_flood_ports(&self, dpid: DatapathId) -> Vec<PortNo> {
-        let tree = self.topology.spanning_tree();
-        self.switch_ports
-            .get(&dpid)
-            .map(|ports| {
-                ports
-                    .iter()
-                    .filter(|p| p.port_no.is_physical() && p.is_up())
-                    .map(|p| p.port_no)
-                    .filter(|port| {
-                        let sp = SwitchPort::new(dpid, *port);
-                        !self.topology.is_infrastructure_port(sp) || tree.contains(&sp)
-                    })
-                    .collect()
-            })
-            .unwrap_or_default()
-    }
-
     fn emit_lldp_round(&mut self, ctx: &mut ControllerCtx<'_>) {
         let now = ctx.now();
         self.telemetry.counter_inc("controller.discovery.rounds");
@@ -253,7 +260,7 @@ impl SdnController {
                 },
             );
             self.lldp_emitted += 1;
-            self.telemetry.counter_inc("controller.lldp.emitted");
+            self.metrics.lldp_emitted.inc();
         }
 
         // Link expiry shares the discovery cadence.
@@ -277,7 +284,7 @@ impl SdnController {
     ) {
         let Some(lldp) = frame.lldp() else { return };
         self.lldp_received += 1;
-        self.telemetry.counter_inc("controller.lldp.received");
+        self.metrics.lldp_received.inc();
         let now = ctx.now();
         let src = SwitchPort::new(lldp.dpid, lldp.port);
         let dst = SwitchPort::new(dpid, in_port);
@@ -403,18 +410,17 @@ impl SdnController {
         }
 
         // Reactive forwarding.
-        let scope = if self.config.tree_scoped_flood {
-            Some(self.tree_flood_ports(dpid))
-        } else {
-            None
-        };
+        let scope = self
+            .config
+            .tree_scoped_flood
+            .then(|| self.switch_ports.get(&dpid).map_or(&[][..], Vec::as_slice));
         let (msgs, _flooded) = forwarding::handle_table_miss(
             &self.topology,
             &self.devices,
             dpid,
             in_port,
             frame,
-            scope.as_deref(),
+            scope,
         );
         for (target, msg) in msgs {
             if matches!(msg, OfMessage::FlowMod { .. }) {
@@ -439,6 +445,7 @@ fn extract_src_ip(frame: &EthernetFrame) -> Option<IpAddr> {
 impl ControllerLogic for SdnController {
     fn on_start(&mut self, ctx: &mut ControllerCtx<'_>) {
         self.telemetry = ctx.telemetry();
+        self.metrics = HotMetrics::resolve(&self.telemetry);
         ctx.set_timer(FIRST_DISCOVERY_DELAY, TIMER_DISCOVERY);
         ctx.set_timer(TICK_INTERVAL, TIMER_TICK);
         if let Some(interval) = self.config.echo_interval {
@@ -485,7 +492,7 @@ impl ControllerLogic for SdnController {
             }
             OfMessage::PacketIn { in_port, frame } => {
                 self.packet_ins += 1;
-                self.telemetry.counter_inc("controller.packet_in.total");
+                self.metrics.packet_in_total.inc();
                 let pin = PacketInCtx {
                     dpid,
                     in_port,
@@ -503,9 +510,8 @@ impl ControllerLogic for SdnController {
             }
             OfMessage::EchoReply { xid, .. } => {
                 if let Some(rtt) = self.latency.echo_received(xid.0, ctx.now()) {
-                    self.telemetry.counter_inc("controller.echo.replies");
-                    self.telemetry
-                        .observe_duration("controller.echo.rtt_ns", rtt);
+                    self.metrics.echo_replies.inc();
+                    self.metrics.echo_rtt_ns.observe(rtt);
                 }
             }
             OfMessage::FlowStatsReply { flows, .. } => {
@@ -545,7 +551,7 @@ impl ControllerLogic for SdnController {
                 for dpid in dpids {
                     let xid = self.fresh_xid();
                     self.latency.echo_sent(xid.0, dpid, now);
-                    self.telemetry.counter_inc("controller.echo.sent");
+                    self.metrics.echo_sent.inc();
                     ctx.send(dpid, OfMessage::EchoRequest { xid, payload: 0 });
                 }
                 if let Some(interval) = self.config.echo_interval {

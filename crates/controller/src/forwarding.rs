@@ -7,9 +7,9 @@
 //! traffic stops — which is why a host-location hijack takes effect as soon
 //! as new flows are set up toward the attacker's location.
 
-use openflow::{Action, FlowMatch, FlowModCommand, OfMessage};
+use openflow::{Action, FlowMatch, FlowModCommand, OfMessage, PortDesc};
 use sdn_types::packet::EthernetFrame;
-use sdn_types::{DatapathId, PortNo};
+use sdn_types::{DatapathId, PortNo, SwitchPort};
 
 use crate::devices::DeviceTable;
 use crate::topology::Topology;
@@ -28,16 +28,16 @@ pub const RULE_PRIORITY: u16 = 100;
 /// `flood_scope` restricts flooding to an explicit port list instead of the
 /// switch's `FLOOD` action. On loop-free testbeds it is `None` and floods
 /// use plain `Output(FLOOD)`; on fabrics with cycles the controller passes
-/// the switch's spanning-tree flood ports (tree trunks plus host-facing
-/// ports) so a broadcast traverses each switch exactly once instead of
-/// storming.
+/// the reporting switch's ports, and a flood leaves only through those on
+/// the spanning tree or facing hosts, so a broadcast traverses each switch
+/// exactly once instead of storming.
 pub fn handle_table_miss(
     topology: &Topology,
     devices: &DeviceTable,
     dpid: DatapathId,
     in_port: PortNo,
     frame: &EthernetFrame,
-    flood_scope: Option<&[PortNo]>,
+    flood_scope: Option<&[PortDesc]>,
 ) -> (Vec<(DatapathId, OfMessage)>, bool) {
     // Broadcast/multicast, unknown unicast, or a destination tracked but
     // unreachable in the link graph: flood at the reporting switch.
@@ -53,7 +53,7 @@ pub fn handle_table_miss(
                 dpid,
                 OfMessage::PacketOut {
                     in_port,
-                    actions: flood_actions(in_port, flood_scope),
+                    actions: flood_actions(topology, dpid, in_port, flood_scope),
                     frame: frame.clone(),
                 },
             )],
@@ -89,16 +89,29 @@ pub fn handle_table_miss(
 }
 
 /// The flood action list: the switch-native `FLOOD` port when unscoped, or
-/// one explicit `Output` per scoped port (ascending, `in_port` excluded).
-fn flood_actions(in_port: PortNo, flood_scope: Option<&[PortNo]>) -> Vec<Action> {
-    match flood_scope {
-        None => vec![Action::Output(PortNo::FLOOD)],
-        Some(ports) => ports
-            .iter()
-            .filter(|p| **p != in_port)
-            .map(|p| Action::Output(*p))
-            .collect(),
-    }
+/// one explicit `Output` per scoped port, in the switch's port order with
+/// `in_port` excluded. A scoped flood uses every up physical port that is
+/// either host-facing (not on any discovered link) or a trunk on the
+/// spanning tree of the discovered topology.
+fn flood_actions(
+    topology: &Topology,
+    dpid: DatapathId,
+    in_port: PortNo,
+    flood_scope: Option<&[PortDesc]>,
+) -> Vec<Action> {
+    let Some(ports) = flood_scope else {
+        return vec![Action::Output(PortNo::FLOOD)];
+    };
+    let tree = topology.spanning_tree();
+    ports
+        .iter()
+        .filter(|p| p.port_no.is_physical() && p.is_up() && p.port_no != in_port)
+        .filter(|p| {
+            let sp = SwitchPort::new(dpid, p.port_no);
+            !topology.is_infrastructure_port(sp) || tree.contains(&sp)
+        })
+        .map(|p| Action::Output(p.port_no))
+        .collect()
 }
 
 fn flow_mod(flow_match: FlowMatch, out: PortNo) -> OfMessage {
@@ -117,8 +130,9 @@ fn flow_mod(flow_match: FlowMatch, out: PortNo) -> OfMessage {
 mod tests {
     use super::*;
     use crate::topology::DirectedLink;
+    use openflow::PortLinkState;
     use sdn_types::packet::Payload;
-    use sdn_types::{IpAddr, MacAddr, SimTime, SwitchPort};
+    use sdn_types::{IpAddr, MacAddr, SimTime};
 
     fn sp(d: u64, p: u16) -> SwitchPort {
         SwitchPort::new(DatapathId::new(d), PortNo::new(p))
@@ -263,29 +277,63 @@ mod tests {
     }
 
     #[test]
-    fn scoped_flood_outputs_explicit_ports_minus_ingress() {
-        let (t, d) = line_topology();
-        let scope = vec![PortNo::new(1), PortNo::new(2), PortNo::new(3)];
-        let (msgs, flooded) = handle_table_miss(
-            &t,
-            &d,
-            DatapathId::new(1),
-            PortNo::new(1),
-            &frame(1, MacAddr::BROADCAST),
-            Some(&scope),
-        );
-        assert!(flooded);
-        assert_eq!(msgs.len(), 1);
-        if let OfMessage::PacketOut { actions, .. } = &msgs[0].1 {
-            assert_eq!(
-                actions,
-                &vec![
-                    Action::Output(PortNo::new(2)),
-                    Action::Output(PortNo::new(3)),
-                ]
-            );
-        } else {
-            panic!("expected a PacketOut");
+    fn scoped_flood_outputs_tree_and_host_ports_minus_ingress() {
+        // Ring 1-2-3-1 on ports 2 (clockwise) and 3 (counter-clockwise);
+        // the spanning tree rooted at switch 1 keeps both of its trunks
+        // and drops the 2-3 segment.
+        let mut t = Topology::new();
+        for (a, b) in [((1, 2), (2, 3)), ((2, 2), (3, 3)), ((3, 2), (1, 3))] {
+            let link = DirectedLink::new(sp(a.0, a.1), sp(b.0, b.1));
+            for l in [link, link.reversed()] {
+                t.observe(l, SimTime::ZERO, None);
+            }
         }
+        let d = DeviceTable::new();
+        let port = |no: u16, state| PortDesc {
+            port_no: PortNo::new(no),
+            hw_addr: MacAddr::from_index(u32::from(no)),
+            state,
+        };
+        let flood = |dpid: u64, ports: &[PortDesc]| {
+            let (msgs, flooded) = handle_table_miss(
+                &t,
+                &d,
+                DatapathId::new(dpid),
+                PortNo::new(1),
+                &frame(1, MacAddr::BROADCAST),
+                Some(ports),
+            );
+            assert!(flooded);
+            match &msgs[..] {
+                [(_, OfMessage::PacketOut { actions, .. })] => actions.clone(),
+                other => panic!("expected one PacketOut, got {other:?}"),
+            }
+        };
+        let up = PortLinkState::Up;
+        // Switch 1: ingress 1 excluded, both trunks on the tree, host port
+        // 4 kept, downed host port 5 skipped.
+        let ports = [
+            port(1, up),
+            port(2, up),
+            port(3, up),
+            port(4, up),
+            port(5, PortLinkState::Down),
+        ];
+        assert_eq!(
+            flood(1, &ports),
+            vec![
+                Action::Output(PortNo::new(2)),
+                Action::Output(PortNo::new(3)),
+                Action::Output(PortNo::new(4)),
+            ]
+        );
+        // Switch 2: trunk port 2 toward switch 3 is off the tree.
+        assert_eq!(
+            flood(2, &ports[..4]),
+            vec![
+                Action::Output(PortNo::new(3)),
+                Action::Output(PortNo::new(4)),
+            ]
+        );
     }
 }

@@ -1,6 +1,16 @@
 //! The controller's topology view: directed switch-to-switch links inferred
 //! from LLDP, with refresh/expiry and shortest-path search.
+//!
+//! Every Packet-In asks the topology whether its port is infrastructure,
+//! and every unicast miss or scoped flood asks for a path or the spanning
+//! tree, while the link set changes only when LLDP discovers, removes or
+//! expires a link. So the answers come from one derived index — the link
+//! endpoints, the outgoing links per switch and the BFS spanning tree —
+//! built on first use and dropped whenever the link set changes. A refresh
+//! of a known link keeps it. Floodlight likewise rebuilds its topology
+//! instance only when links change.
 
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use sdn_types::{DatapathId, Duration, SimTime, SwitchPort};
@@ -42,16 +52,75 @@ pub struct LinkState {
     pub last_latency_ms: Option<f64>,
 }
 
+/// What the queries need from one link set, derived from it in one pass.
+#[derive(Clone, Debug)]
+struct Index {
+    /// Every port that is an endpoint of some link.
+    endpoints: BTreeSet<SwitchPort>,
+    /// Outgoing links per switch, in link order.
+    out: BTreeMap<DatapathId, Vec<DirectedLink>>,
+    /// The ports on the BFS spanning tree (see [`Topology::spanning_tree`]).
+    tree: BTreeSet<SwitchPort>,
+}
+
+impl Index {
+    fn build(links: &BTreeMap<DirectedLink, LinkState>) -> Self {
+        let mut endpoints = BTreeSet::new();
+        let mut out: BTreeMap<DatapathId, Vec<DirectedLink>> = BTreeMap::new();
+        // Undirected adjacency: dpid -> links out of it (either direction).
+        let mut undirected: BTreeMap<DatapathId, Vec<DirectedLink>> = BTreeMap::new();
+        for link in links.keys() {
+            endpoints.insert(link.src);
+            endpoints.insert(link.dst);
+            out.entry(link.src.dpid).or_default().push(*link);
+            undirected.entry(link.src.dpid).or_default().push(*link);
+            undirected
+                .entry(link.dst.dpid)
+                .or_default()
+                .push(link.reversed());
+        }
+        let mut tree = BTreeSet::new();
+        let mut visited: BTreeSet<DatapathId> = BTreeSet::new();
+        for &root in undirected.keys() {
+            if !visited.insert(root) {
+                continue;
+            }
+            let mut queue = VecDeque::from([root]);
+            while let Some(node) = queue.pop_front() {
+                for link in undirected.get(&node).into_iter().flatten() {
+                    if visited.insert(link.dst.dpid) {
+                        tree.insert(link.src);
+                        tree.insert(link.dst);
+                        queue.push_back(link.dst.dpid);
+                    }
+                }
+            }
+        }
+        Index {
+            endpoints,
+            out,
+            tree,
+        }
+    }
+}
+
 /// The link table.
 #[derive(Clone, Debug, Default)]
 pub struct Topology {
     links: BTreeMap<DirectedLink, LinkState>,
+    /// Derived from `links` on first use; reset whenever a link is added,
+    /// removed or expired.
+    index: OnceCell<Index>,
 }
 
 impl Topology {
     /// Creates an empty topology.
     pub fn new() -> Self {
         Topology::default()
+    }
+
+    fn index(&self) -> &Index {
+        self.index.get_or_init(|| Index::build(&self.links))
     }
 
     /// Records (or refreshes) a link observation. Returns `true` if the
@@ -74,6 +143,7 @@ impl Topology {
                         last_latency_ms: latency_ms,
                     },
                 );
+                self.index.take();
                 true
             }
         }
@@ -81,7 +151,11 @@ impl Topology {
 
     /// Removes a link explicitly. Returns `true` if it existed.
     pub fn remove(&mut self, link: &DirectedLink) -> bool {
-        self.links.remove(link).is_some()
+        let existed = self.links.remove(link).is_some();
+        if existed {
+            self.index.take();
+        }
+        existed
     }
 
     /// Expires links not re-verified within `timeout`, returning them.
@@ -94,6 +168,9 @@ impl Topology {
             .collect();
         for l in &expired {
             self.links.remove(l);
+        }
+        if !expired.is_empty() {
+            self.index.take();
         }
         expired
     }
@@ -115,7 +192,7 @@ impl Topology {
 
     /// Returns `true` if the link is currently known.
     pub fn contains(&self, link: &DirectedLink) -> bool {
-        self.links.contains_key(&link.clone())
+        self.links.contains_key(link)
     }
 
     /// Iterates all links.
@@ -126,7 +203,7 @@ impl Topology {
     /// Returns `true` if `port` is an endpoint of any known link — an
     /// "infrastructure port" from which host learning is suppressed.
     pub fn is_infrastructure_port(&self, port: SwitchPort) -> bool {
-        self.links.keys().any(|l| l.src == port || l.dst == port)
+        self.index().endpoints.contains(&port)
     }
 
     /// Shortest path (by hop count, BFS) from switch `from` to switch `to`.
@@ -137,11 +214,7 @@ impl Topology {
         if from == to {
             return Some(Vec::new());
         }
-        // Adjacency: dpid -> outgoing links.
-        let mut adj: BTreeMap<DatapathId, Vec<DirectedLink>> = BTreeMap::new();
-        for link in self.links.keys() {
-            adj.entry(link.src.dpid).or_default().push(*link);
-        }
+        let adj = &self.index().out;
         let mut prev: BTreeMap<DatapathId, DirectedLink> = BTreeMap::new();
         let mut visited: BTreeSet<DatapathId> = BTreeSet::new();
         let mut queue = VecDeque::new();
@@ -182,36 +255,8 @@ impl Topology {
     /// link — delivers a broadcast to every switch exactly once even when
     /// the physical fabric has cycles (fat-tree, ring), which is how real
     /// controllers avoid broadcast storms without STP on the switches.
-    pub fn spanning_tree(&self) -> BTreeSet<SwitchPort> {
-        // Undirected adjacency: dpid -> links out of it (either direction).
-        let mut adj: BTreeMap<DatapathId, Vec<DirectedLink>> = BTreeMap::new();
-        for link in self.links.keys() {
-            adj.entry(link.src.dpid).or_default().push(*link);
-            adj.entry(link.dst.dpid).or_default().push(link.reversed());
-        }
-        let mut tree: BTreeSet<SwitchPort> = BTreeSet::new();
-        let mut visited: BTreeSet<DatapathId> = BTreeSet::new();
-        let roots: Vec<DatapathId> = adj.keys().copied().collect();
-        for root in roots {
-            if visited.contains(&root) {
-                continue;
-            }
-            visited.insert(root);
-            let mut queue = VecDeque::new();
-            queue.push_back(root);
-            while let Some(node) = queue.pop_front() {
-                if let Some(out) = adj.get(&node) {
-                    for link in out {
-                        if visited.insert(link.dst.dpid) {
-                            tree.insert(link.src);
-                            tree.insert(link.dst);
-                            queue.push_back(link.dst.dpid);
-                        }
-                    }
-                }
-            }
-        }
-        tree
+    pub fn spanning_tree(&self) -> &BTreeSet<SwitchPort> {
+        &self.index().tree
     }
 }
 
@@ -347,8 +392,13 @@ mod tests {
         // Every switch is on the tree.
         let dpids: BTreeSet<u64> = tree.iter().map(|p| p.dpid.raw()).collect();
         assert_eq!(dpids, BTreeSet::from([1, 2, 3, 4]));
-        // Deterministic: recomputing yields the same tree.
-        assert_eq!(t.spanning_tree(), tree);
+        // Deterministic: the same links observed in another order yield
+        // the same tree.
+        let mut again = Topology::new();
+        for (l, _) in t.links().collect::<Vec<_>>().into_iter().rev() {
+            again.observe(*l, now, None);
+        }
+        assert_eq!(again.spanning_tree(), tree);
     }
 
     #[test]
@@ -357,7 +407,7 @@ mod tests {
         let tree = t.spanning_tree();
         assert_eq!(
             tree,
-            BTreeSet::from([sp(1, 2), sp(2, 1), sp(2, 2), sp(3, 1)])
+            &BTreeSet::from([sp(1, 2), sp(2, 1), sp(2, 2), sp(3, 1)])
         );
     }
 }

@@ -1,6 +1,9 @@
 //! Property tests for controller data structures: host tracking under
-//! arbitrary observation sequences, topology expiry invariants, and
-//! shortest-path sanity.
+//! arbitrary observation sequences, topology expiry invariants,
+//! shortest-path sanity, and the topology's derived index against
+//! from-scratch computations.
+
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use tm_prop::prelude::*;
 
@@ -12,6 +15,82 @@ fn sp(d: u8, p: u8) -> SwitchPort {
         DatapathId::new(u64::from(d) % 4 + 1),
         PortNo::new(u16::from(p) % 8 + 1),
     )
+}
+
+/// Every port of the 4 switches x 8 ports the generators draw from.
+fn all_ports() -> impl Iterator<Item = SwitchPort> {
+    (0u8..4).flat_map(|d| (0u8..8).map(move |p| sp(d, p)))
+}
+
+/// `port` is an endpoint of some link, by scanning every link.
+fn scan_is_infrastructure_port(topo: &Topology, port: SwitchPort) -> bool {
+    topo.links().any(|(l, _)| l.src == port || l.dst == port)
+}
+
+/// BFS shortest path over an adjacency map rebuilt from the links.
+fn bfs_shortest_path(
+    topo: &Topology,
+    from: DatapathId,
+    to: DatapathId,
+) -> Option<Vec<DirectedLink>> {
+    if from == to {
+        return Some(Vec::new());
+    }
+    let mut adj: BTreeMap<DatapathId, Vec<DirectedLink>> = BTreeMap::new();
+    for (link, _) in topo.links() {
+        adj.entry(link.src.dpid).or_default().push(*link);
+    }
+    let mut prev: BTreeMap<DatapathId, DirectedLink> = BTreeMap::new();
+    let mut visited: BTreeSet<DatapathId> = BTreeSet::from([from]);
+    let mut queue = VecDeque::from([from]);
+    while let Some(node) = queue.pop_front() {
+        if node == to {
+            let mut path = Vec::new();
+            let mut cur = to;
+            while cur != from {
+                let link = prev[&cur];
+                path.push(link);
+                cur = link.src.dpid;
+            }
+            path.reverse();
+            return Some(path);
+        }
+        for link in adj.get(&node).into_iter().flatten() {
+            if visited.insert(link.dst.dpid) {
+                prev.insert(link.dst.dpid, *link);
+                queue.push_back(link.dst.dpid);
+            }
+        }
+    }
+    None
+}
+
+/// BFS spanning tree over an undirected adjacency rebuilt from the links:
+/// roots in dpid order, neighbors in link order.
+fn bfs_spanning_tree(topo: &Topology) -> BTreeSet<SwitchPort> {
+    let mut adj: BTreeMap<DatapathId, Vec<DirectedLink>> = BTreeMap::new();
+    for (link, _) in topo.links() {
+        adj.entry(link.src.dpid).or_default().push(*link);
+        adj.entry(link.dst.dpid).or_default().push(link.reversed());
+    }
+    let mut tree = BTreeSet::new();
+    let mut visited: BTreeSet<DatapathId> = BTreeSet::new();
+    for &root in adj.keys() {
+        if !visited.insert(root) {
+            continue;
+        }
+        let mut queue = VecDeque::from([root]);
+        while let Some(node) = queue.pop_front() {
+            for link in &adj[&node] {
+                if visited.insert(link.dst.dpid) {
+                    tree.insert(link.src);
+                    tree.insert(link.dst);
+                    queue.push_back(link.dst.dpid);
+                }
+            }
+        }
+    }
+    tree
 }
 
 tm_prop! {
@@ -126,6 +205,55 @@ tm_prop! {
                 seen.insert(from);
                 for hop in &path {
                     prop_assert!(seen.insert(hop.dst.dpid), "loop in path");
+                }
+            }
+        }
+    }
+
+    /// The cached index answers like a from-scratch computation after
+    /// every step of any sequence of new links, refreshes, removals and
+    /// expiries: infrastructure ports, the spanning tree, and the
+    /// shortest path between every pair of switches.
+    #[test]
+    fn topology_index_matches_recomputation(
+        steps in collection::vec((0u8..4, (0u8..4, 0u8..8), (0u8..4, 0u8..8), 0u64..8), 1..60)
+    ) {
+        let mut topo = Topology::new();
+        for (i, (op, (sd, spp), (dd, dp), arg)) in steps.iter().enumerate() {
+            let now = SimTime::from_secs(i as u64);
+            let known: Vec<DirectedLink> = topo.links().map(|(l, _)| *l).collect();
+            let pick = known.get((usize::from(*sd) * 8 + usize::from(*spp)) % known.len().max(1));
+            match (op, pick) {
+                (0, _) => {
+                    topo.observe(DirectedLink::new(sp(*sd, *spp), sp(*dd, *dp)), now, None);
+                }
+                (1, Some(link)) => {
+                    prop_assert!(!topo.observe(*link, now, None), "a refresh is not new");
+                }
+                (2, Some(link)) => {
+                    prop_assert!(topo.remove(link));
+                }
+                (3, _) => {
+                    topo.expire(now, Duration::from_secs(*arg));
+                }
+                _ => {}
+            }
+            for port in all_ports() {
+                prop_assert_eq!(
+                    topo.is_infrastructure_port(port),
+                    scan_is_infrastructure_port(&topo, port),
+                    "step {i}: port {port}"
+                );
+            }
+            prop_assert_eq!(topo.spanning_tree(), &bfs_spanning_tree(&topo), "step {i}");
+            for from in 1..=4 {
+                for to in 1..=4 {
+                    let (from, to) = (DatapathId::new(from), DatapathId::new(to));
+                    prop_assert_eq!(
+                        topo.shortest_path(from, to),
+                        bfs_shortest_path(&topo, from, to),
+                        "step {i}: {from} -> {to}"
+                    );
                 }
             }
         }

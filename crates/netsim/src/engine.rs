@@ -5,6 +5,8 @@ use std::collections::BinaryHeap;
 use tm_rand::StdRng;
 use tm_telemetry::Telemetry;
 
+use crate::metrics::HotMetrics;
+
 use openflow::OfMessage;
 use sdn_types::packet::EthernetFrame;
 use sdn_types::{DatapathId, Duration, HostId, IpAddr, MacAddr, PortNo, SimTime};
@@ -182,33 +184,6 @@ pub(crate) enum Event {
     },
 }
 
-impl Event {
-    /// A stable `&'static str` name for per-kind telemetry counters.
-    pub(crate) fn kind(&self) -> &'static str {
-        match self {
-            Event::DeliverToSwitch(_) => "netsim.event.deliver_to_switch",
-            Event::DeliverToHost(_) => "netsim.event.deliver_to_host",
-            Event::DeliverOob(_) => "netsim.event.deliver_oob",
-            Event::CtrlToSwitch(_) => "netsim.event.ctrl_to_switch",
-            Event::CtrlToController(_) => "netsim.event.ctrl_to_controller",
-            Event::ControllerTimer { .. } => "netsim.event.controller_timer",
-            Event::HostTimer { .. } => "netsim.event.host_timer",
-            Event::SwitchExpiryTick { .. } => "netsim.event.switch_expiry_tick",
-            Event::PulseCheck(_) => "netsim.event.pulse_check",
-            Event::PulseCheckUp { .. } => "netsim.event.pulse_check_up",
-            Event::HostIfaceUp(_) => "netsim.event.host_iface_up",
-            Event::FaultWindowStart { .. } => "netsim.event.fault_window_start",
-            Event::FaultWindowEnd { .. } => "netsim.event.fault_window_end",
-            Event::FaultLinkDown { .. } => "netsim.event.fault_link_down",
-            Event::FaultLinkUp { .. } => "netsim.event.fault_link_up",
-            Event::TrafficArrival { .. } => "netsim.event.traffic_arrival",
-            Event::TrafficPhase { .. } => "netsim.event.traffic_phase",
-            Event::FaultSwitchRestart { .. } => "netsim.event.fault_switch_restart",
-            Event::FaultSwitchReconnect { .. } => "netsim.event.fault_switch_reconnect",
-        }
-    }
-}
-
 /// Size in bytes of one queued entry — what every heap sift moves per
 /// swap. Kept ≤ 32 by boxing fat event payloads (see `Event`); exposed so
 /// benches can record the footprint next to their throughput numbers.
@@ -287,6 +262,8 @@ pub(crate) struct SimCore {
     pub(crate) rng: StdRng,
     /// Shared metrics handle (disabled by default: every publish is a no-op).
     pub(crate) telemetry: Telemetry,
+    /// The hot-path metrics, resolved from `telemetry`.
+    pub(crate) metrics: HotMetrics,
     // Engine totals kept as plain scalars on the hot path and flushed into
     // the registry only when a snapshot is taken.
     events_scheduled: u64,
@@ -303,6 +280,7 @@ impl SimCore {
             seq: 0,
             queue: BinaryHeap::new(),
             rng: StdRng::seed_from_u64(seed),
+            metrics: HotMetrics::resolve(&telemetry),
             telemetry,
             events_scheduled: 0,
             events_processed: 0,

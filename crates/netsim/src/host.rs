@@ -210,7 +210,7 @@ impl HostCtx<'_> {
         if at > sampled_at {
             self.core.telemetry.counter_inc("netsim.link.fifo_clamped");
         }
-        self.core.telemetry.counter_inc("netsim.host.tx_frames");
+        self.core.metrics.host_tx_frames.inc();
         self.core.schedule_at(
             at,
             Event::DeliverToSwitch(Box::new(SwitchDelivery { dpid, port, frame })),

@@ -60,6 +60,7 @@ mod controller_api;
 mod engine;
 mod host;
 mod link;
+mod metrics;
 mod sim;
 mod switch;
 mod trace;

@@ -577,7 +577,7 @@ impl Simulator {
     }
 
     fn dispatch(&mut self, event: Event) {
-        self.core.telemetry.counter_inc(event.kind());
+        self.core.metrics.events.of(&event).inc();
         match event {
             Event::DeliverToSwitch(d) => {
                 switch::handle_frame(&mut self.core, &mut self.net, d.dpid, d.port, d.frame);

@@ -291,9 +291,8 @@ pub(crate) fn emit_on_port(
     if at > sampled_at {
         core.telemetry.counter_inc("netsim.link.fifo_clamped");
     }
-    core.telemetry.counter_inc("netsim.switch.tx_frames");
-    core.telemetry
-        .observe_duration("netsim.link.transit_ns", at.since(core.now()));
+    core.metrics.switch_tx_frames.inc();
+    core.metrics.link_transit_ns.observe(at.since(core.now()));
     match peer {
         Peer::Switch {
             dpid: peer_dpid,
@@ -423,7 +422,7 @@ pub(crate) fn handle_frame(
             emit_outputs(core, net, dpid, in_port, &ports, &frame);
         }
         MatchOutcome::Miss => {
-            core.telemetry.counter_inc("netsim.switch.table_miss");
+            core.metrics.switch_table_miss.inc();
             net.trace.push(TraceEvent::PacketIn {
                 at: now,
                 dpid,

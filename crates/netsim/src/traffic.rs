@@ -330,19 +330,19 @@ pub(crate) fn on_arrival(core: &mut SimCore, net: &mut NetState, group: u32, epo
         p.tx_bytes += bytes;
     }
 
-    let t = &core.telemetry;
-    t.counter_inc("traffic.flows_offered");
-    t.counter_add("traffic.bytes_offered", bytes);
-    t.counter_add("traffic.packets_aggregated", packets);
+    let t = &core.metrics.traffic;
+    t.flows_offered.inc();
+    t.bytes_offered.add(bytes);
+    t.packets_aggregated.add(packets);
     if arp_expansions > 0 {
-        t.counter_add("traffic.expansions_arp", arp_expansions);
-        t.counter_add("traffic.hosts_announced", arp_expansions);
+        t.expansions_arp.add(arp_expansions);
+        t.hosts_announced.add(arp_expansions);
     }
     if first_packet {
-        t.counter_inc("traffic.expansions_first_packet");
+        t.expansions_first_packet.inc();
     }
     if !inject.is_empty() {
-        t.counter_add("traffic.packets_expanded", inject.len() as u64);
+        t.packets_expanded.add(inject.len() as u64);
     }
 
     for (dpid, port, frame) in inject {

@@ -49,7 +49,7 @@ pub struct ArpPacket {
     pub target_ip: IpAddr,
 }
 
-const ARP_LEN: usize = 28;
+pub(crate) const ARP_LEN: usize = 28;
 
 impl ArpPacket {
     /// Builds a who-has request for `target_ip` from `sender`.

@@ -4,6 +4,7 @@ use crate::buf::BytesMut;
 
 use crate::{MacAddr, ParseError};
 
+use super::arp::ARP_LEN;
 use super::{ArpPacket, Ipv4Packet, LldpPacket};
 
 /// An EtherType value identifying the payload protocol.
@@ -124,10 +125,17 @@ impl EthernetFrame {
         buf.into_vec()
     }
 
-    /// The encoded length in bytes, used by the simulator's serialization
-    /// delay model.
+    /// The encoded length in bytes — `encode().len()`, summed from header
+    /// and payload sizes without encoding. The simulated switches' port and
+    /// flow-entry byte counters read it.
     pub fn wire_len(&self) -> usize {
-        self.encode().len()
+        ETH_HEADER_LEN
+            + match &self.payload {
+                Payload::Arp(_) => ARP_LEN,
+                Payload::Ipv4(ip) => ip.wire_len(),
+                Payload::Lldp(lldp) => lldp.wire_len(),
+                Payload::Opaque { data, .. } => data.len(),
+            }
     }
 
     /// Parses a frame from wire bytes.

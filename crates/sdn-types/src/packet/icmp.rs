@@ -49,7 +49,7 @@ pub struct IcmpPacket {
     pub data: Vec<u8>,
 }
 
-const ICMP_HEADER_LEN: usize = 8;
+pub(crate) const ICMP_HEADER_LEN: usize = 8;
 
 impl IcmpPacket {
     /// Builds an echo request.

@@ -4,6 +4,9 @@ use crate::buf::BytesMut;
 
 use crate::{IpAddr, ParseError};
 
+use super::icmp::ICMP_HEADER_LEN;
+use super::tcp::TCP_HEADER_LEN;
+use super::udp::UDP_HEADER_LEN;
 use super::{internet_checksum, IcmpPacket, TcpSegment, UdpDatagram};
 
 /// An IP protocol number.
@@ -77,6 +80,17 @@ impl Ipv4Packet {
             ident: 0,
             transport,
         }
+    }
+
+    /// The encoded length in bytes (header + transport), without encoding.
+    pub(crate) fn wire_len(&self) -> usize {
+        IPV4_HEADER_LEN
+            + match &self.transport {
+                Transport::Icmp(icmp) => ICMP_HEADER_LEN + icmp.data.len(),
+                Transport::Tcp(tcp) => TCP_HEADER_LEN + tcp.data.len(),
+                Transport::Udp(udp) => UDP_HEADER_LEN + udp.data.len(),
+                Transport::Raw { data, .. } => data.len(),
+            }
     }
 
     /// Appends the wire encoding (header + payload) to `buf`.

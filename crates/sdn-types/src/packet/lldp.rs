@@ -182,6 +182,26 @@ impl LldpPacket {
         data
     }
 
+    /// The encoded length in bytes, without encoding. Each TLV is a 2-byte
+    /// header plus its value; the fixed four are Chassis ID (subtype + 16
+    /// hex digits), Port ID (subtype + port), TTL and the DPID org TLV
+    /// (OUI + subtype + 8 bytes).
+    pub(crate) fn wire_len(&self) -> usize {
+        const CHASSIS_PORT_TTL_DPID: usize = (2 + 17) + (2 + 3) + (2 + 2) + (2 + 12);
+        const TIMESTAMP: usize = 2 + 4 + 16;
+        const AUTH: usize = 2 + 4 + 8;
+        const END: usize = 2;
+        CHASSIS_PORT_TTL_DPID
+            + self.timestamp.map_or(0, |_| TIMESTAMP)
+            + self.auth_tag.map_or(0, |_| AUTH)
+            + self
+                .extra_tlvs
+                .iter()
+                .map(|tlv| 2 + tlv.value.len())
+                .sum::<usize>()
+            + END
+    }
+
     /// Appends the wire encoding to `buf`.
     pub fn encode_into(&self, buf: &mut BytesMut) {
         // Chassis ID, subtype 7 (locally assigned): ASCII hex of the DPID.

@@ -109,7 +109,7 @@ pub struct TcpSegment {
     pub data: Vec<u8>,
 }
 
-const TCP_HEADER_LEN: usize = 20;
+pub(crate) const TCP_HEADER_LEN: usize = 20;
 
 impl TcpSegment {
     /// Builds a SYN probe to `dst_port` from `src_port` with initial

@@ -15,7 +15,7 @@ pub struct UdpDatagram {
     pub data: Vec<u8>,
 }
 
-const UDP_HEADER_LEN: usize = 8;
+pub(crate) const UDP_HEADER_LEN: usize = 8;
 
 impl UdpDatagram {
     /// Creates a datagram.

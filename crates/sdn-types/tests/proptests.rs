@@ -107,10 +107,14 @@ fn arb_lldp() -> impl Strategy<Value = LldpPacket> {
         any::<u16>(),
         1u16..=30000,
         option::of(any::<u64>()),
+        option::of((any::<u64>(), any::<u64>())),
         collection::vec((4u8..120, collection::vec(any::<u8>(), 0..32)), 0..3),
     )
-        .prop_map(|(dpid, port, ttl_secs, auth_tag, extras)| {
+        .prop_map(|(dpid, port, ttl_secs, auth_tag, sealed, extras)| {
             let mut pkt = LldpPacket::new(DatapathId::new(dpid), PortNo::new(port));
+            if let Some((seed, ns)) = sealed {
+                pkt = pkt.with_timestamp(Key::from_seed(seed), SimTime::from_nanos(ns));
+            }
             pkt.ttl_secs = ttl_secs;
             pkt.auth_tag = auth_tag;
             pkt.extra_tlvs = extras
@@ -148,6 +152,7 @@ tm_prop! {
     fn ethernet_frame_round_trips(src in arb_mac(), dst in arb_mac(), payload in arb_payload()) {
         let frame = EthernetFrame::new(src, dst, payload);
         let wire = frame.encode();
+        prop_assert_eq!(frame.wire_len(), wire.len());
         let parsed = EthernetFrame::parse(&wire).expect("encoded frame must parse");
         prop_assert_eq!(parsed, frame);
     }

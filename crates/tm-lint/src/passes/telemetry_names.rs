@@ -4,9 +4,13 @@
 //! `tm-telemetry` registers metrics lazily by name, so a typo'd name
 //! (`netsmi.switch.tx_frames`) is not an error — it just creates a fresh
 //! metric nobody reads, and the real one silently stays at zero. This
-//! pass checks every literal name handed to a telemetry write call
-//! against the registered namespaces and a strict lexical shape:
-//! `namespace.component.metric` in `[a-z0-9_]` segments.
+//! pass checks every literal name handed to a telemetry write call or
+//! handle constructor against the registered namespaces and a strict
+//! lexical shape: `namespace.component.metric` in `[a-z0-9_]` segments.
+//! Hot paths therefore resolve each handle from a literal (one
+//! `counter_handle("netsim.event.<kind>")` per event kind, not a name
+//! computed from the event), so every name the simulator writes is
+//! checked here.
 //!
 //! The namespace registry mirrors the crates that own sim-visible
 //! metrics: `netsim.*` (engine/links/switches/hosts/faults),
@@ -20,15 +24,16 @@ use crate::rules::Diagnostic;
 use super::tokens::test_code_ranges;
 use super::{AnalyzedFile, Pass, Workspace};
 
-/// The tm-telemetry write API: first argument is the metric name.
+/// The tm-telemetry write API and the handle constructors hot paths
+/// resolve their metrics through: first argument is the metric name.
 const METHODS: &[&str] = &[
     "counter_inc",
     "counter_add",
     "counter_set",
     "gauge_set",
-    "gauge_max",
     "observe_ns",
-    "observe_duration",
+    "counter_handle",
+    "histogram_handle",
 ];
 
 /// Registered metric namespaces.

@@ -9,5 +9,6 @@ pub fn emit(t: &mut Telemetry, n: u64, dynamic_name: &str) {
     t.counter_inc("bogus.frames", 1); //~ ERROR telemetry-names
     t.observe_ns("netsim.BadSegment.latency", n); //~ ERROR telemetry-names
     t.counter_add("netsim..double_dot", 1); //~ ERROR telemetry-names
+    let _hot = t.counter_handle("netsim.event.Deliver-To-Switch"); //~ ERROR telemetry-names
     t.counter_inc(dynamic_name, 1);
 }

@@ -7,7 +7,7 @@
 //! registry is deliberately boring:
 //!
 //! * **Counters** — monotonically increasing `u64` event counts.
-//! * **Gauges** — last-write-wins or high-water `i64` levels (queue depth).
+//! * **Gauges** — last-write-wins `i64` levels (queue depth).
 //! * **Histograms** — fixed-bucket latency/size distributions. Buckets are
 //!   fixed at first observation, so two runs that observe the same values
 //!   produce byte-identical snapshots.
@@ -32,6 +32,17 @@
 //! single-threaded by design, and every subsystem (controller logic, host
 //! apps, defense modules) can hold its own cheap clone of the same
 //! registry.
+//!
+//! # Hot paths
+//!
+//! The by-name calls search a map on every write. A site that fires once
+//! per simulated event or frame resolves its metric once per run instead
+//! ([`Telemetry::counter_handle`], [`Telemetry::histogram_handle`]) and
+//! writes through the returned handle, which reaches its slot without a
+//! name lookup. A snapshot merges the slots into the by-name metrics, so
+//! which API wrote a name never shows in [`MetricsSnapshot::render`]: a
+//! resolved name stays absent until its first write, exactly like a name
+//! nobody wrote.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -48,7 +59,7 @@ use sdn_types::Duration;
 /// milliseconds, control round trips are low milliseconds, discovery
 /// cadences are seconds). Values above the last bound land in the implicit
 /// overflow bucket.
-pub const DEFAULT_BUCKET_BOUNDS_NS: [u64; 12] = [
+const DEFAULT_BUCKET_BOUNDS_NS: [u64; 12] = [
     1_000,          // 1 µs
     10_000,         // 10 µs
     100_000,        // 100 µs
@@ -101,6 +112,17 @@ impl Histogram {
         self.max = self.max.max(value);
     }
 
+    /// Folds `other` (same bucket ladder) into `self`.
+    fn merge(&mut self, other: &Histogram) {
+        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
+            *mine += theirs;
+        }
+        self.count += other.count;
+        self.sum = self.sum.saturating_add(other.sum);
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
+    }
+
     fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
             bounds: self.bounds.to_vec(),
@@ -135,6 +157,57 @@ struct Registry {
     counters: BTreeMap<&'static str, u64>,
     gauges: BTreeMap<&'static str, i64>,
     histograms: BTreeMap<&'static str, Histogram>,
+    /// One slot per [`CounterHandle`], in resolution order; `None` until
+    /// the first write.
+    counter_slots: Vec<(&'static str, Option<u64>)>,
+    /// One slot per [`HistogramHandle`]; `None` until the first
+    /// observation.
+    histogram_slots: Vec<(&'static str, Option<Histogram>)>,
+}
+
+/// A counter resolved once by name ([`Telemetry::counter_handle`]); writes
+/// go straight to its slot. The default handle is disabled.
+#[derive(Clone, Debug, Default)]
+pub struct CounterHandle {
+    registry: Option<Rc<RefCell<Registry>>>,
+    slot: usize,
+}
+
+impl CounterHandle {
+    /// Increments the counter by one.
+    pub fn inc(&self) {
+        self.add(1);
+    }
+
+    /// Increments the counter by `n`. Adding 0 still makes the name appear
+    /// in snapshots, as [`Telemetry::counter_add`] does.
+    pub fn add(&self, n: u64) {
+        if let Some(registry) = &self.registry {
+            if let Some((_, value)) = registry.borrow_mut().counter_slots.get_mut(self.slot) {
+                *value.get_or_insert(0) += n;
+            }
+        }
+    }
+}
+
+/// A histogram resolved once by name ([`Telemetry::histogram_handle`]),
+/// on the default bucket ladder. The default handle is disabled.
+#[derive(Clone, Debug, Default)]
+pub struct HistogramHandle {
+    registry: Option<Rc<RefCell<Registry>>>,
+    slot: usize,
+}
+
+impl HistogramHandle {
+    /// Records a virtual-time duration.
+    pub fn observe(&self, d: Duration) {
+        if let Some(registry) = &self.registry {
+            if let Some((_, hist)) = registry.borrow_mut().histogram_slots.get_mut(self.slot) {
+                hist.get_or_insert_with(|| Histogram::new(&DEFAULT_BUCKET_BOUNDS_NS))
+                    .observe(d.as_nanos());
+            }
+        }
+    }
 }
 
 /// A cheaply cloneable handle onto a shared metrics registry (or onto
@@ -185,18 +258,6 @@ impl Telemetry {
         }
     }
 
-    /// Raises gauge `name` to `value` if `value` is higher (high-water
-    /// mark).
-    pub fn gauge_max(&self, name: &'static str, value: i64) {
-        if let Some(inner) = &self.inner {
-            let mut reg = inner.borrow_mut();
-            let g = reg.gauges.entry(name).or_insert(i64::MIN);
-            if value > *g {
-                *g = value;
-            }
-        }
-    }
-
     /// Records `ns` into histogram `name` (default bucket ladder).
     pub fn observe_ns(&self, name: &'static str, ns: u64) {
         if let Some(inner) = &self.inner {
@@ -209,36 +270,72 @@ impl Telemetry {
         }
     }
 
-    /// Records a virtual-time duration into histogram `name`.
-    pub fn observe_duration(&self, name: &'static str, d: Duration) {
-        self.observe_ns(name, d.as_nanos());
+    /// Resolves counter `name` to a handle for a hot path. Resolve once per
+    /// run, not per component: each call takes a new slot. Slots that share
+    /// a name, and a by-name counter of that name, sum in snapshots.
+    pub fn counter_handle(&self, name: &'static str) -> CounterHandle {
+        let Some(inner) = &self.inner else {
+            return CounterHandle::default();
+        };
+        let mut reg = inner.borrow_mut();
+        reg.counter_slots.push((name, None));
+        CounterHandle {
+            registry: Some(Rc::clone(inner)),
+            slot: reg.counter_slots.len() - 1,
+        }
+    }
+
+    /// Resolves histogram `name` to a handle for a hot path, under the same
+    /// rules as [`Telemetry::counter_handle`]: histograms that share a name
+    /// merge in snapshots.
+    pub fn histogram_handle(&self, name: &'static str) -> HistogramHandle {
+        let Some(inner) = &self.inner else {
+            return HistogramHandle::default();
+        };
+        let mut reg = inner.borrow_mut();
+        reg.histogram_slots.push((name, None));
+        HistogramHandle {
+            registry: Some(Rc::clone(inner)),
+            slot: reg.histogram_slots.len() - 1,
+        }
     }
 
     /// Takes a deterministic snapshot of all counters, gauges and
-    /// histograms.
+    /// histograms, handle slots included.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        match &self.inner {
-            None => MetricsSnapshot::default(),
-            Some(inner) => {
-                let reg = inner.borrow();
-                MetricsSnapshot {
-                    counters: reg
-                        .counters
-                        .iter()
-                        .map(|(k, v)| (k.to_string(), *v))
-                        .collect(),
-                    gauges: reg
-                        .gauges
-                        .iter()
-                        .map(|(k, v)| (k.to_string(), *v))
-                        .collect(),
-                    histograms: reg
-                        .histograms
-                        .iter()
-                        .map(|(k, h)| (k.to_string(), h.snapshot()))
-                        .collect(),
-                }
+        let Some(inner) = &self.inner else {
+            return MetricsSnapshot::default();
+        };
+        let reg = inner.borrow();
+        let mut counters = reg.counters.clone();
+        for (name, value) in &reg.counter_slots {
+            if let Some(value) = value {
+                *counters.entry(name).or_insert(0) += value;
             }
+        }
+        let mut histograms = reg.histograms.clone();
+        for (name, hist) in &reg.histogram_slots {
+            if let Some(hist) = hist {
+                histograms
+                    .entry(name)
+                    .or_insert_with(|| Histogram::new(hist.bounds))
+                    .merge(hist);
+            }
+        }
+        MetricsSnapshot {
+            counters: counters
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+            gauges: reg
+                .gauges
+                .iter()
+                .map(|(k, v)| (k.to_string(), *v))
+                .collect(),
+            histograms: histograms
+                .into_iter()
+                .map(|(k, h)| (k.to_string(), h.snapshot()))
+                .collect(),
         }
     }
 }
@@ -275,14 +372,6 @@ impl MetricsSnapshot {
     /// Looks up a gauge by name.
     pub fn gauge(&self, name: &str) -> Option<i64> {
         self.gauges.iter().find(|(k, _)| k == name).map(|(_, v)| *v)
-    }
-
-    /// Looks up a histogram by name.
-    pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
-        self.histograms
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, h)| h)
     }
 
     /// Renders the snapshot into its canonical text form: one metric per
@@ -359,15 +448,11 @@ mod tests {
     }
 
     #[test]
-    fn gauge_set_and_high_water() {
+    fn gauge_set_last_write_wins() {
         let t = Telemetry::new();
         t.gauge_set("level", 3);
         t.gauge_set("level", 1);
-        t.gauge_max("hw", 4);
-        t.gauge_max("hw", 2);
-        let s = t.snapshot();
-        assert_eq!(s.gauge("level"), Some(1));
-        assert_eq!(s.gauge("hw"), Some(4));
+        assert_eq!(t.snapshot().gauge("level"), Some(1));
     }
 
     #[test]
@@ -377,7 +462,10 @@ mod tests {
         t.observe_ns("lat", 4_000_000); // <= 5 ms bucket
         t.observe_ns("lat", 99_000_000_000); // overflow
         let s = t.snapshot();
-        let h = s.histogram("lat").expect("recorded");
+        let [(name, h)] = &s.histograms[..] else {
+            panic!("one histogram recorded: {:?}", s.histograms);
+        };
+        assert_eq!(name, "lat");
         assert_eq!(h.count, 3);
         assert_eq!(h.min, 500);
         assert_eq!(h.max, 99_000_000_000);
@@ -409,12 +497,67 @@ mod tests {
                 t.counter_inc("events");
                 t.observe_ns("delay", i * 1_000);
             }
-            t.gauge_max("depth", 42);
+            t.gauge_set("depth", 42);
         };
         let (a, b) = (Telemetry::new(), Telemetry::new());
         publish(&a);
         publish(&b);
         assert_eq!(a.snapshot().render(), b.snapshot().render());
         assert_eq!(a.snapshot(), b.snapshot());
+    }
+
+    #[test]
+    fn handles_render_like_by_name_writes() {
+        // The same writes, once by name and once through handles, render
+        // byte-identically: names never written stay absent, a name
+        // written with 0 appears.
+        let by_name = Telemetry::new();
+        by_name.counter_inc("a.hot");
+        by_name.counter_add("a.hot", 2);
+        by_name.counter_add("a.zero", 0);
+        by_name.observe_ns("a.lat", 1_500);
+        by_name.observe_ns("a.lat", 7);
+        let handles = Telemetry::new();
+        let hot = handles.counter_handle("a.hot");
+        let zero = handles.counter_handle("a.zero");
+        let _never = handles.counter_handle("a.never");
+        let lat = handles.histogram_handle("a.lat");
+        let _never_observed = handles.histogram_handle("a.quiet");
+        hot.inc();
+        hot.add(2);
+        zero.add(0);
+        lat.observe(Duration::from_nanos(1_500));
+        lat.observe(Duration::from_nanos(7));
+        assert_eq!(handles.snapshot().render(), by_name.snapshot().render());
+        assert_eq!(handles.snapshot().counter("a.never"), None);
+        assert_eq!(handles.snapshot().counter("a.zero"), Some(0));
+    }
+
+    #[test]
+    fn slots_sharing_a_name_merge_with_by_name_writes() {
+        let t = Telemetry::new();
+        let (c1, c2) = (t.counter_handle("c"), t.counter_handle("c"));
+        let (h1, h2) = (t.histogram_handle("h"), t.histogram_handle("h"));
+        c1.add(3);
+        c2.inc();
+        t.counter_inc("c");
+        h1.observe(Duration::from_nanos(5));
+        h2.observe(Duration::from_nanos(2_000_000));
+        t.observe_ns("h", 40);
+        let merged = Telemetry::new();
+        merged.counter_add("c", 5);
+        for ns in [5, 2_000_000, 40] {
+            merged.observe_ns("h", ns);
+        }
+        assert_eq!(t.snapshot(), merged.snapshot());
+    }
+
+    #[test]
+    fn disabled_handles_are_no_ops() {
+        let t = Telemetry::disabled();
+        t.counter_handle("x").inc();
+        t.histogram_handle("y").observe(Duration::from_nanos(1));
+        CounterHandle::default().add(4);
+        assert!(t.snapshot().is_empty());
     }
 }
