@@ -47,12 +47,14 @@ fn matrix_to_json(entries: &[tm_core::MatrixEntry]) -> JsonValue {
     )
 }
 
-fn write_json(path: &Option<String>, entries: &[tm_core::MatrixEntry]) {
-    if let Some(path) = path {
-        let json = matrix_to_json(entries).to_pretty();
-        std::fs::write(path, json).expect("write json");
-        eprintln!("wrote {path}");
+/// Writes `json` to subcommand `cmd`'s `--json` file, if one was given;
+/// a path that cannot be written exits 2 like any other bad flag.
+fn write_json(cmd: &str, path: Option<&str>, json: JsonValue) {
+    let Some(path) = path else { return };
+    if let Err(e) = std::fs::write(path, json.to_pretty()) {
+        fail(cmd, format!("--json {path}: {e}"));
     }
+    eprintln!("wrote {path}");
 }
 
 fn usage() -> ! {
@@ -262,15 +264,12 @@ fn run_campaigns(cmd: &str, registry: &Registry, names: &[&str], args: &Campaign
         summaries.push(campaign::summary_json(&report));
     }
 
-    if let Some(path) = &args.common.json {
-        let json = if summaries.len() == 1 {
-            summaries.remove(0).to_pretty()
-        } else {
-            JsonValue::Array(summaries).to_pretty()
-        };
-        std::fs::write(path, json).expect("write json");
-        eprintln!("wrote {path}");
-    }
+    let json = if summaries.len() == 1 {
+        summaries.remove(0)
+    } else {
+        JsonValue::Array(summaries)
+    };
+    write_json(cmd, args.common.json.as_deref(), json);
 }
 
 /// `campaign replay <LOG...>`: merge shard run-logs and re-aggregate the
@@ -328,11 +327,11 @@ fn replay_cmd(args: &[String]) {
         report.total_runs,
         logs.len()
     );
-    if let Some(path) = &common.json {
-        let json = campaign::summary_json(&report).to_pretty();
-        std::fs::write(path, json).expect("write json");
-        eprintln!("wrote {path}");
-    }
+    write_json(
+        "campaign replay",
+        common.json.as_deref(),
+        campaign::summary_json(&report),
+    );
 }
 
 /// Expands a `--topo` grid spec: topology labels (`fat-tree-8`,
@@ -545,7 +544,7 @@ fn main() {
             };
             let entries = matrix::run_matrix(stacks, FaultProfile::Clean, seed);
             println!("{}", matrix::render(&entries));
-            write_json(&json_path, &entries);
+            write_json(id, json_path.as_deref(), matrix_to_json(&entries));
         }
         "fault_matrix" => {
             // The detection matrix re-run under each degraded-network
@@ -561,7 +560,7 @@ fn main() {
                 println!("{}", matrix::render(&entries));
                 all.extend(entries);
             }
-            write_json(&json_path, &all);
+            write_json(id, json_path.as_deref(), matrix_to_json(&all));
         }
         "scan_detection" => println!("{}", sweeps::scan_detection()),
         "alert_flood" => println!("{}", sweeps::alert_flood(seed)),

@@ -2,7 +2,8 @@
 //! `criterion`).
 //!
 //! Each `[[bench]]` target is a plain `main()` binary (`harness = false`)
-//! that drives a [`Bench`]. The measurement protocol is deliberately
+//! that drives a [`Bench`], and so does Table II
+//! ([`crate::tables::table2`]). The measurement protocol is deliberately
 //! simple and fully described here so numbers are interpretable:
 //!
 //! 1. **Warm up** the closure for ~20 ms so caches, branch predictors and
@@ -10,14 +11,14 @@
 //! 2. **Calibrate** an iteration count so each timed sample spans at
 //!    least ~2 ms, amortising clock-read overhead for nanosecond-scale
 //!    bodies.
-//! 3. Record N samples (default 25) and report the **median**
-//!    per-iteration time — robust against scheduler noise in a way a
-//!    mean is not — alongside min/max for spread.
+//! 3. Record 25 samples and report the **median** per-iteration time —
+//!    robust against scheduler noise in a way a mean is not — alongside
+//!    min/max for spread.
 //!
-//! Every result is printed twice: a human-readable line and a
-//! machine-readable JSON line (prefixed `BENCH_JSON`) for scripted
-//! collection. `TM_BENCH_SAMPLES` overrides the sample count for quick
-//! smoke runs (`TM_BENCH_SAMPLES=3`).
+//! Every result is printed to **stderr** twice: a human-readable line and
+//! a machine-readable JSON line (prefixed `BENCH_JSON`) for scripted
+//! collection. Wall-clock records stay off stdout, so a command that
+//! times something still prints a deterministic stdout.
 
 use std::hint::black_box as std_black_box;
 // tm-lint: allow-file(wall-clock) -- measuring wall time is this harness's entire purpose; results feed BENCH_JSON, never sim state
@@ -33,13 +34,11 @@ pub fn black_box<T>(x: T) -> T {
 
 const WARMUP: Duration = Duration::from_millis(20);
 const MIN_SAMPLE_TIME: Duration = Duration::from_millis(2);
-const DEFAULT_SAMPLES: u32 = 25;
+const SAMPLES: u32 = 25;
 
-/// A benchmark suite: groups related measurements under one name and
-/// carries the sampling configuration.
+/// A benchmark suite: groups related measurements under one name.
 pub struct Bench {
     suite: String,
-    samples: u32,
 }
 
 /// The summary statistics of one measurement.
@@ -58,25 +57,11 @@ pub struct Summary {
 }
 
 impl Bench {
-    /// Creates a suite. `TM_BENCH_SAMPLES` overrides the default sample
-    /// count (25) process-wide.
+    /// Creates a suite.
     pub fn new(suite: &str) -> Self {
-        let samples = std::env::var("TM_BENCH_SAMPLES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(DEFAULT_SAMPLES)
-            .max(1);
         Bench {
             suite: suite.to_string(),
-            samples,
         }
-    }
-
-    /// Overrides the sample count for this suite (expensive end-to-end
-    /// benches use fewer samples).
-    pub fn samples(mut self, n: u32) -> Self {
-        self.samples = n.max(1);
-        self
     }
 
     /// Measures `f` called back-to-back (the criterion `iter` shape).
@@ -91,8 +76,8 @@ impl Bench {
         let est_ns = (warm_start.elapsed().as_nanos() as u64 / warm_iters.max(1)).max(1);
         let iters = (MIN_SAMPLE_TIME.as_nanos() as u64 / est_ns).clamp(1, 10_000_000);
 
-        let mut per_iter_ns = Vec::with_capacity(self.samples as usize);
-        for _ in 0..self.samples {
+        let mut per_iter_ns = Vec::with_capacity(SAMPLES as usize);
+        for _ in 0..SAMPLES {
             let start = Instant::now();
             for _ in 0..iters {
                 black_box(f());
@@ -111,13 +96,13 @@ impl Bench {
         mut setup: impl FnMut() -> S,
         mut f: impl FnMut(S) -> T,
     ) -> Summary {
-        // Two warmup runs are enough for the coarse bodies this shape is
-        // used for (whole-simulation and clone-heavy benches).
+        // Two warmup runs are enough for the coarse, clone-heavy bodies
+        // this shape is used for.
         for _ in 0..2 {
             black_box(f(setup()));
         }
-        let mut per_iter_ns = Vec::with_capacity(self.samples as usize);
-        for _ in 0..self.samples {
+        let mut per_iter_ns = Vec::with_capacity(SAMPLES as usize);
+        for _ in 0..SAMPLES {
             let input = setup();
             let start = Instant::now();
             black_box(f(input));
@@ -127,7 +112,7 @@ impl Bench {
     }
 
     fn report(&self, name: &str, summary: Summary) -> Summary {
-        println!(
+        eprintln!(
             "{suite}/{name}: median {med} (min {min}, max {max}; {n} samples x {iters} iters)",
             suite = self.suite,
             med = format_ns(summary.median_ns),
@@ -145,7 +130,7 @@ impl Bench {
             ("samples", u64::from(summary.samples).into()),
             ("iters_per_sample", summary.iters_per_sample.into()),
         ]);
-        println!("BENCH_JSON {}", record.to_compact());
+        eprintln!("BENCH_JSON {}", record.to_compact());
         summary
     }
 }
@@ -200,7 +185,7 @@ mod tests {
 
     #[test]
     fn bench_measures_a_real_closure() {
-        let bench = Bench::new("harness_test").samples(3);
+        let bench = Bench::new("harness_test");
         let mut acc = 0u64;
         let s = bench.bench("accumulate", || {
             for i in 0..100u64 {
@@ -214,9 +199,9 @@ mod tests {
 
     #[test]
     fn bench_with_setup_excludes_setup() {
-        let bench = Bench::new("harness_test").samples(3);
+        let bench = Bench::new("harness_test");
         let s = bench.bench_with_setup("sum_vec", || vec![1u64; 4096], |v| v.iter().sum::<u64>());
         assert_eq!(s.iters_per_sample, 1);
-        assert_eq!(s.samples, 3);
+        assert_eq!(s.samples, SAMPLES);
     }
 }

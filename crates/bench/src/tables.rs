@@ -1,8 +1,5 @@
 //! Table reproductions.
 
-// tm-lint: allow-file(wall-clock) -- table timings report real elapsed wall time (TopoGuard+ overhead column); never sim-visible
-use std::time::Instant;
-
 use attacks::ProbeKind;
 use controller::{ControllerConfig, ControllerProfile, SdnController};
 use netsim::{LinkProfile, NetworkSpec, Simulator};
@@ -11,6 +8,8 @@ use sdn_types::packet::{EthernetFrame, LldpPacket, Payload};
 use sdn_types::{DatapathId, Duration, HostId, IpAddr, MacAddr, PortNo, SimTime};
 use tm_rand::StdRng;
 use tm_stats::Summary;
+
+use crate::harness::{self, black_box, Bench};
 
 /// Table I's liveness probes, in table order, by campaign label.
 pub(crate) const PROBES: [(&str, ProbeKind); 4] = [
@@ -63,72 +62,54 @@ pub fn table1(seed: u64) -> String {
 }
 
 /// Table II: TOPOGUARD+'s implementation overhead on the LLDP path,
-/// measured as wall-clock time of this reproduction's code (Criterion
-/// benches in `benches/lldp.rs` give the rigorous version).
+/// measured as the wall-clock time of this reproduction's code. Each of
+/// the four paths runs through [`Bench`], whose records (median, min,
+/// max over 25 samples) go to stderr; the rows print the medians.
 ///
 /// The paper reports +0.134 ms (construction) and +0.299 ms (processing)
 /// for its Java/Floodlight prototype; the comparison point is the *shape* —
 /// sub-millisecond, negligible, and confined to the control plane.
 pub fn table2() -> String {
-    const N: u32 = 20_000;
     let key = Key::from_seed(42);
     let dpid = DatapathId::new(7);
     let port = PortNo::new(3);
+    let encode = |lldp| {
+        EthernetFrame::new(
+            MacAddr::from_index(1),
+            MacAddr::LLDP_MULTICAST,
+            Payload::Lldp(lldp),
+        )
+        .encode()
+    };
 
     // Construction: plain vs signed + timestamped.
-    let plain_construct = time_per_iter(N, || {
-        let lldp = LldpPacket::new(dpid, port);
-        EthernetFrame::new(
-            MacAddr::from_index(1),
-            MacAddr::LLDP_MULTICAST,
-            Payload::Lldp(lldp),
+    let construct_plain = || encode(LldpPacket::new(dpid, port));
+    let construct_tgp = || {
+        encode(
+            LldpPacket::new(dpid, port)
+                .with_timestamp(key, SimTime::from_millis(123))
+                .signed(key),
         )
-        .encode()
-    });
-    let tgp_construct = time_per_iter(N, || {
-        let lldp = LldpPacket::new(dpid, port)
-            .with_timestamp(key, SimTime::from_millis(123))
-            .signed(key);
-        EthernetFrame::new(
-            MacAddr::from_index(1),
-            MacAddr::LLDP_MULTICAST,
-            Payload::Lldp(lldp),
-        )
-        .encode()
-    });
+    };
+    let construction = Bench::new("lldp_construction");
+    let plain_construct = construction.bench("baseline", construct_plain);
+    let tgp_construct = construction.bench("topoguard_plus", construct_tgp);
 
     // Processing: parse only vs parse + verify + open timestamp + IQR
     // inspection.
-    let wire_plain = {
-        let lldp = LldpPacket::new(dpid, port);
-        EthernetFrame::new(
-            MacAddr::from_index(1),
-            MacAddr::LLDP_MULTICAST,
-            Payload::Lldp(lldp),
-        )
-        .encode()
-    };
-    let wire_tgp = {
-        let lldp = LldpPacket::new(dpid, port)
-            .with_timestamp(key, SimTime::from_millis(123))
-            .signed(key);
-        EthernetFrame::new(
-            MacAddr::from_index(1),
-            MacAddr::LLDP_MULTICAST,
-            Payload::Lldp(lldp),
-        )
-        .encode()
-    };
-    let plain_process = time_per_iter(N, || {
-        let frame = EthernetFrame::parse(&wire_plain).expect("parses");
-        frame.lldp().map(|l| l.dpid)
-    });
+    let wire_plain = construct_plain();
+    let wire_tgp = construct_tgp();
     let mut detector = tm_stats::IqrOutlierDetector::paper_default();
     for i in 0..50 {
         detector.inspect(5.0 + (i % 5) as f64 * 0.1);
     }
-    let tgp_process = time_per_iter(N, || {
-        let frame = EthernetFrame::parse(&wire_tgp).expect("parses");
+    let processing = Bench::new("lldp_processing");
+    let plain_process = processing.bench("baseline", || {
+        let frame = EthernetFrame::parse(black_box(&wire_plain)).expect("parses");
+        frame.lldp().map(|l| l.dpid)
+    });
+    let tgp_process = processing.bench("topoguard_plus", || {
+        let frame = EthernetFrame::parse(black_box(&wire_tgp)).expect("parses");
         let lldp = frame.lldp().expect("lldp");
         let ok = lldp.verify(key);
         let ts = lldp.open_timestamp(key);
@@ -137,6 +118,7 @@ pub fn table2() -> String {
         (ok, ts, v)
     });
 
+    let ms = |s: harness::Summary| s.median_ns as f64 / 1e6;
     let mut out = String::from("TABLE II: TOPOGUARD+ overhead on the LLDP path\n\n");
     out.push_str(&format!(
         "{:<22} {:<14} {:<14} {:<14} {}\n",
@@ -145,29 +127,21 @@ pub fn table2() -> String {
     out.push_str(&format!(
         "{:<22} {:<14} {:<14} {:<14} {}\n",
         "LLDP Construction",
-        format!("{:.4} ms", plain_construct),
-        format!("{:.4} ms", tgp_construct),
-        format!("{:+.4} ms", tgp_construct - plain_construct),
+        format!("{:.4} ms", ms(plain_construct)),
+        format!("{:.4} ms", ms(tgp_construct)),
+        format!("{:+.4} ms", ms(tgp_construct) - ms(plain_construct)),
         "0.134 ms",
     ));
     out.push_str(&format!(
         "{:<22} {:<14} {:<14} {:<14} {}\n",
         "LLDP Processing",
-        format!("{:.4} ms", plain_process),
-        format!("{:.4} ms", tgp_process),
-        format!("{:+.4} ms", tgp_process - plain_process),
+        format!("{:.4} ms", ms(plain_process)),
+        format!("{:.4} ms", ms(tgp_process)),
+        format!("{:+.4} ms", ms(tgp_process) - ms(plain_process)),
         "0.299 ms",
     ));
     out.push_str("\n(sub-millisecond control-plane-only cost: negligible, matching the paper's conclusion)\n");
     out
-}
-
-fn time_per_iter<T>(n: u32, mut f: impl FnMut() -> T) -> f64 {
-    let start = Instant::now();
-    for _ in 0..n {
-        std::hint::black_box(f());
-    }
-    start.elapsed().as_secs_f64() * 1e3 / f64::from(n)
 }
 
 /// Table III: link discovery interval and link timeout per controller

@@ -15,8 +15,9 @@
 //!
 //! The headline metric is deterministic: `events_processed` divided by
 //! simulated seconds, a pure function of `(topology, stack, seed)`.
-//! Wall-clock events/sec — the engine-throughput claim — lives in the
-//! `engine_throughput` bench, where wall clocks are allowed.
+//! Wall-clock throughput — the engine-throughput claim — is measured
+//! from outside the simulator by the `fabric-soak` workload of
+//! `benches/topobench`.
 
 use controller::{ControllerConfig, ControllerProfile, SdnController};
 use netsim::{LinkProfile, Simulator};

@@ -184,13 +184,6 @@ pub(crate) enum Event {
     },
 }
 
-/// Size in bytes of one queued entry — what every heap sift moves per
-/// swap. Kept ≤ 32 by boxing fat event payloads (see `Event`); exposed so
-/// benches can record the footprint next to their throughput numbers.
-pub fn sched_entry_bytes() -> usize {
-    std::mem::size_of::<Scheduled>()
-}
-
 /// A queued event with its firing time and tie-break sequence number.
 #[derive(Debug)]
 struct Scheduled {

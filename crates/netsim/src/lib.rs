@@ -71,7 +71,7 @@ pub mod pcap;
 pub mod traffic;
 
 pub use controller_api::{ControllerCtx, ControllerLogic, NullController, TimerId};
-pub use engine::{sched_entry_bytes, PULSE_WINDOW};
+pub use engine::PULSE_WINDOW;
 pub use faults::{FaultPlan, FaultWindow, LossModel};
 pub use host::{FrameDisposition, HostApp, HostCtx, HostInfo, NullHostApp};
 pub use link::{BurstModel, LinkProfile};
