@@ -20,6 +20,11 @@ lint_ms=$(sed -n 's/^TM_LINT_JSON .*"wall_ms":\([0-9]*\).*/\1/p' "$tmp/tm_lint.o
 test "$lint_ms" -lt 2000
 
 cargo build --release --offline
+# Each example asserts the claims it prints: run them all, not only
+# compile them (clippy --all-targets does that).
+for example in examples/*.rs; do
+    cargo run -q --release --offline --example "$(basename "$example" .rs)" >/dev/null
+done
 # The repo benchmark is a package of its own that uses the workspace's
 # public API; build and test it against this tree. --locked fails on a
 # stale benches/topobench/Cargo.lock instead of rewriting it, and the
@@ -126,7 +131,9 @@ cargo run -q --release --offline -p bench --bin experiments -- \
     matrix --topo fat-tree-4 --attacks port-probing-hijack --stacks none \
     --seeds 1 --workers 1 >"$tmp/tm_topo_matrix.out" 2>/dev/null
 grep -q 'failed=0' "$tmp/tm_topo_matrix.out"
-! grep -q 'failed=[1-9]' "$tmp/tm_topo_matrix.out"
+# `set -e` ignores a command negated with `!`, so absence checks exit
+# explicitly.
+if grep -q 'failed=[1-9]' "$tmp/tm_topo_matrix.out"; then exit 1; fi
 # The attack and defense-stack label tables guard the command line too:
 # an unknown label is a usage error (exit 2), never a default run.
 status=0
@@ -139,19 +146,24 @@ cargo run -q --release --offline -p bench --bin experiments -- \
     matrix --topo ring-4x2 --stacks kitchen-sink >/dev/null 2>"$tmp/tm_bad_stack.err" || status=$?
 test "$status" -eq 2
 grep -q 'unknown defense stack' "$tmp/tm_bad_stack.err"
-# So does an unwritable --json path: exit 2 naming the flag, not a panic.
+# So does an unwritable --json path: exit 2 naming the flag, not a panic,
+# and before any work — the matrix prints nothing, the campaign writes no
+# campaign-wall record.
 rm -rf "$tmp/tm_missing_dir"
 status=0
 cargo run -q --release --offline -p bench --bin experiments -- \
-    matrix --json "$tmp/tm_missing_dir/m.json" >/dev/null 2>"$tmp/tm_bad_json.err" || status=$?
+    matrix --json "$tmp/tm_missing_dir/m.json" \
+    >"$tmp/tm_bad_json.out" 2>"$tmp/tm_bad_json.err" || status=$?
 test "$status" -eq 2
 grep -q -- '--json' "$tmp/tm_bad_json.err"
+test ! -s "$tmp/tm_bad_json.out"
 status=0
 cargo run -q --release --offline -p bench --bin experiments -- \
     campaign smoke --seeds 1 --json "$tmp/tm_missing_dir/c.json" \
     >/dev/null 2>"$tmp/tm_bad_json.err" || status=$?
 test "$status" -eq 2
 grep -q -- '--json' "$tmp/tm_bad_json.err"
+if grep -q 'campaign-wall' "$tmp/tm_bad_json.err"; then exit 1; fi
 
 # High-load smoke cell: the 102,400-host flow-level throughput probe
 # (fat-tree-4, steady-2 demand, TOPOGUARD+). Guards the traffic engine

@@ -75,11 +75,15 @@ pub struct RelayConfig {
 }
 
 impl RelayConfig {
+    /// The default amnesia hold, just past the simulator's 24 ms pulse
+    /// window (see [`RelayConfig::hold_down`]).
+    pub const DEFAULT_HOLD_DOWN: Duration = Duration::from_millis(25);
+
     /// Defaults for an out-of-band relay toward `peer`.
     pub fn oob(peer: HostId) -> Self {
         RelayConfig {
             peer,
-            hold_down: Duration::from_millis(25),
+            hold_down: RelayConfig::DEFAULT_HOLD_DOWN,
             warmup_traffic: true,
             use_amnesia: true,
             bridge_dataplane: true,
@@ -105,16 +109,10 @@ impl RelayConfig {
     /// peer_ip)`.
     pub fn in_band(peer: HostId, peer_mac: MacAddr, peer_ip: IpAddr) -> Self {
         RelayConfig {
-            peer,
-            hold_down: Duration::from_millis(25),
-            warmup_traffic: true,
-            use_amnesia: true,
             bridge_dataplane: false,
             peer_ip,
             peer_mac,
-            warmup_delay: Duration::from_secs(1),
-            start_after: Duration::ZERO,
-            drop_fraction: 0.0,
+            ..RelayConfig::oob(peer)
         }
     }
 }

@@ -41,13 +41,16 @@ pub struct ProbingConfig {
 }
 
 impl ProbingConfig {
+    /// The paper's 35 ms probe timeout (see [`ProbingConfig::probe_timeout`]).
+    pub const PAPER_TIMEOUT: Duration = Duration::from_millis(35);
+
     /// The paper's parameters against `victim_ip`.
     pub fn paper_default(victim_ip: IpAddr, originate_target: IpAddr) -> Self {
         ProbingConfig {
             victim_ip,
             probe: ProbeKind::ArpPing,
             probe_interval: Duration::from_millis(50),
-            probe_timeout: Duration::from_millis(35),
+            probe_timeout: ProbingConfig::PAPER_TIMEOUT,
             start_delay: Duration::from_millis(500),
             ident_model: IdentChangeModel::paper_default(),
             originate_target,

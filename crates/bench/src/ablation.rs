@@ -8,10 +8,11 @@
 //!   holds below the pulse window minimum never reset the profile and the
 //!   attack reverts to the naive relay TopoGuard catches.
 
-use attacks::{OobRelayAttacker, RelayConfig};
 use controller::{AlertKind, ControllerConfig, SdnController};
 use netsim::Simulator;
 use sdn_types::Duration;
+use tm_core::hijack::{self, HijackScenario};
+use tm_core::linkfab::{self, LinkFabScenario, RelayMode};
 use tm_core::testbed;
 use tm_core::DefenseStack;
 use topoguard::{Cmm, CmmConfig, Lli, LliConfig, TopoGuard, TopoGuardConfig};
@@ -42,15 +43,16 @@ pub fn lli_fence_sweep(seed: u64) -> String {
 }
 
 fn run_lli(seed: u64, k: f64, with_attack: bool) -> u64 {
-    let (mut spec, ids) = testbed::fig9_spec(
-        DefenseStack::None,
-        ControllerConfig {
-            sign_lldp: true,
-            timestamp_lldp: true,
-            echo_interval: Some(Duration::from_secs(1)),
-            ..ControllerConfig::default()
-        },
-    );
+    let scenario = LinkFabScenario {
+        run_for: Duration::from_secs(180),
+        benign_traffic: false,
+        ..LinkFabScenario::paper_eval(RelayMode::OutOfBandStealthy, DefenseStack::None, seed)
+    };
+    let (mut spec, ep, _) = if with_attack {
+        linkfab::setup(&scenario)
+    } else {
+        testbed::fig9_spec(DefenseStack::None, ControllerConfig::default())
+    };
     // Hand-built stack so we control the LLI's k.
     let controller = SdnController::new(ControllerConfig {
         sign_lldp: true,
@@ -65,29 +67,15 @@ fn run_lli(seed: u64, k: f64, with_attack: bool) -> u64 {
         ..LliConfig::default()
     })));
     spec.set_controller(Box::new(controller));
-    if with_attack {
-        let mk = |peer| RelayConfig {
-            start_after: Duration::from_secs(60),
-            ..RelayConfig::oob_stealthy(peer)
-        };
-        spec.set_host_app(
-            ids.attacker_a,
-            Box::new(OobRelayAttacker::new(mk(ids.attacker_b))),
-        );
-        spec.set_host_app(
-            ids.attacker_b,
-            Box::new(OobRelayAttacker::new(mk(ids.attacker_a))),
-        );
-    }
     let mut sim = Simulator::new(spec, seed);
-    sim.run_for(Duration::from_secs(180));
+    sim.run_for(scenario.run_for);
     let ctrl: &SdnController = sim.controller_as().expect("controller");
     let lli: &Lli = ctrl.module_as().expect("lli");
     if with_attack {
         // Count only flags on the fake link.
         lli.observations
             .iter()
-            .filter(|o| o.flagged && (o.link.src == ids.port_a || o.link.src == ids.port_b))
+            .filter(|o| o.flagged && (o.link.src == ep.port_a || o.link.src == ep.port_b))
             .count() as u64
     } else {
         lli.detections
@@ -123,31 +111,23 @@ pub fn amnesia_hold_sweep(seed: u64) -> String {
 }
 
 fn run_amnesia_hold(seed: u64, hold_ms: u64) -> (bool, usize) {
-    let (mut spec, ids) = testbed::fig1_spec(DefenseStack::TopoGuard, ControllerConfig::default());
     // Relay from 5 s, as Fig. 1 does: the warmup ARP at 1 s must profile
     // the ports HOST first, or the bounce has no profile to reset.
-    let mk = |peer| RelayConfig {
+    let scenario = LinkFabScenario {
         hold_down: Duration::from_millis(hold_ms),
-        start_after: Duration::from_secs(5),
-        ..RelayConfig::oob(peer)
+        benign_traffic: false,
+        ..LinkFabScenario::new(RelayMode::OutOfBand, DefenseStack::TopoGuard, seed)
     };
-    spec.set_host_app(
-        ids.attacker_a,
-        Box::new(OobRelayAttacker::new(mk(ids.attacker_b))),
-    );
-    spec.set_host_app(
-        ids.attacker_b,
-        Box::new(OobRelayAttacker::new(mk(ids.attacker_a))),
-    );
+    let (spec, ep, _) = linkfab::setup(&scenario);
     let mut sim = Simulator::new(spec, seed);
-    sim.run_for(Duration::from_secs(40));
+    sim.run_for(scenario.run_for);
     let ctrl: &SdnController = sim.controller_as().expect("controller");
     let forged = ctrl
         .topology()
-        .contains(&controller::DirectedLink::new(ids.port_a, ids.port_b))
+        .contains(&controller::DirectedLink::new(ep.port_a, ep.port_b))
         || ctrl
             .topology()
-            .contains(&controller::DirectedLink::new(ids.port_b, ids.port_a));
+            .contains(&controller::DirectedLink::new(ep.port_b, ep.port_a));
     let alerts = ctrl.alerts().count(AlertKind::LinkFabrication);
     (forged, alerts)
 }
@@ -155,11 +135,6 @@ fn run_amnesia_hold(seed: u64, hold_ms: u64) -> (bool, usize) {
 /// Probe-timeout sweep: hijack reaction time and false-start rate as the
 /// timeout shrinks below / grows above the RTT quantile (§V-B1).
 pub fn probe_timeout_sweep(base_seed: u64) -> String {
-    use attacks::{PortProbingAttacker, ProbingConfig};
-    use netsim::apps::PeriodicPinger;
-    use sdn_types::SimTime;
-    use tm_core::testbed::hijack_spec;
-
     let mut out = String::from(
         "ABLATION: probe timeout vs reaction time and false starts (RTT ~ 22 +/- 2 ms)\n\n",
     );
@@ -173,40 +148,22 @@ pub fn probe_timeout_sweep(base_seed: u64) -> String {
             let mut false_starts = 0;
             let mut reactions = Vec::new();
             for i in 0..trials {
-                let (mut spec, ids) = hijack_spec(DefenseStack::None, ControllerConfig::default());
-                let config = ProbingConfig {
+                let out = hijack::run(&HijackScenario {
                     probe_timeout: Duration::from_millis(timeout_ms),
-                    ..ProbingConfig::paper_default(ids.victim_ip, ids.client_ip)
-                };
-                spec.set_host_app(ids.attacker, Box::new(PortProbingAttacker::new(config)));
-                spec.set_host_app(
-                    ids.client,
-                    Box::new(PeriodicPinger::new(
-                        ids.victim_ip,
-                        Duration::from_millis(250),
-                    )),
-                );
-                let mut sim = Simulator::new(spec, base_seed.wrapping_add(timeout_ms * 1000 + i));
-                sim.host_iface_down(ids.victim_new);
-                let down_at = SimTime::from_secs(3);
-                sim.run_until(down_at);
-                // Did the attacker already (falsely) fire before the victim
-                // went down?
-                let premature = sim
-                    .host_app_as::<PortProbingAttacker>(ids.attacker)
-                    .and_then(|a| a.timeline.believed_down_at)
-                    .is_some();
-                if premature {
-                    false_starts += 1;
-                    continue;
-                }
-                sim.host_iface_down(ids.victim);
-                sim.run_for(Duration::from_secs(1));
-                if let Some(at) = sim
-                    .host_app_as::<PortProbingAttacker>(ids.attacker)
-                    .and_then(|a| a.timeline.believed_down_at)
-                {
-                    reactions.push(at.since(down_at).as_millis_f64());
+                    downtime: Duration::from_secs(1),
+                    tail: Duration::ZERO,
+                    victim_rejoins: false,
+                    ..HijackScenario::new(
+                        DefenseStack::None,
+                        base_seed.wrapping_add(timeout_ms * 1000 + i),
+                    )
+                });
+                // A false start: the attacker believed the victim gone
+                // before it went.
+                match out.timeline.believed_down_at {
+                    Some(at) if at <= out.victim_down_at => false_starts += 1,
+                    Some(_) => reactions.extend(out.detect_delay_ms()),
+                    None => {}
                 }
             }
             // `-` when every trial false-started: no reaction to average.

@@ -8,6 +8,8 @@
 //! cargo run --release -p bench --bin experiments -- campaign hijack --seeds 10 --workers 4
 //! ```
 
+use std::fs::File;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use bench::cli::CommonArgs;
@@ -47,11 +49,21 @@ fn matrix_to_json(entries: &[tm_core::MatrixEntry]) -> JsonValue {
     )
 }
 
-/// Writes `json` to subcommand `cmd`'s `--json` file, if one was given;
-/// a path that cannot be written exits 2 like any other bad flag.
-fn write_json(cmd: &str, path: Option<&str>, json: JsonValue) {
-    let Some(path) = path else { return };
-    if let Err(e) = std::fs::write(path, json.to_pretty()) {
+/// Creates subcommand `cmd`'s `--json` file, if one was given. Called
+/// before the run, so a path that cannot be written exits 2 like any other
+/// bad flag instead of throwing the run's work away.
+fn create_json(cmd: &str, path: Option<&str>) -> Option<(String, File)> {
+    let path = path?;
+    match File::create(path) {
+        Ok(file) => Some((path.to_string(), file)),
+        Err(e) => fail(cmd, format!("--json {path}: {e}")),
+    }
+}
+
+/// Writes `json` into the file [`create_json`] created.
+fn write_json(cmd: &str, out: Option<(String, File)>, json: JsonValue) {
+    let Some((path, mut file)) = out else { return };
+    if let Err(e) = file.write_all(json.to_pretty().as_bytes()) {
         fail(cmd, format!("--json {path}: {e}"));
     }
     eprintln!("wrote {path}");
@@ -227,6 +239,7 @@ fn campaign_wall_record(
 /// wall-clock record, which legitimately varies, goes to **stderr**.
 /// `--json` gets the one summary, or an array of them.
 fn run_campaigns(cmd: &str, registry: &Registry, names: &[&str], args: &CampaignArgs) {
+    let json = create_json(cmd, args.common.json.as_deref());
     let mut summaries = Vec::new();
     for &name in names {
         let spec = CampaignSpec {
@@ -264,12 +277,12 @@ fn run_campaigns(cmd: &str, registry: &Registry, names: &[&str], args: &Campaign
         summaries.push(campaign::summary_json(&report));
     }
 
-    let json = if summaries.len() == 1 {
+    let summary = if summaries.len() == 1 {
         summaries.remove(0)
     } else {
         JsonValue::Array(summaries)
     };
-    write_json(cmd, args.common.json.as_deref(), json);
+    write_json(cmd, json, summary);
 }
 
 /// `campaign replay <LOG...>`: merge shard run-logs and re-aggregate the
@@ -299,6 +312,7 @@ fn replay_cmd(args: &[String]) {
         eprintln!("campaign replay: needs at least one run-log file");
         usage()
     }
+    let json = create_json("campaign replay", common.json.as_deref());
     let fail = |e: String| -> ! {
         eprintln!("campaign replay: {e}");
         std::process::exit(2)
@@ -327,11 +341,7 @@ fn replay_cmd(args: &[String]) {
         report.total_runs,
         logs.len()
     );
-    write_json(
-        "campaign replay",
-        common.json.as_deref(),
-        campaign::summary_json(&report),
-    );
+    write_json("campaign replay", json, campaign::summary_json(&report));
 }
 
 /// Expands a `--topo` grid spec: topology labels (`fat-tree-8`,
@@ -542,14 +552,16 @@ fn main() {
             } else {
                 &DefenseStack::ALL_EXTENDED
             };
+            let json = create_json(id, json_path.as_deref());
             let entries = matrix::run_matrix(stacks, FaultProfile::Clean, seed);
             println!("{}", matrix::render(&entries));
-            write_json(id, json_path.as_deref(), matrix_to_json(&entries));
+            write_json(id, json, matrix_to_json(&entries));
         }
         "fault_matrix" => {
             // The detection matrix re-run under each degraded-network
             // profile: does detection survive loss, jitter, congestion,
             // and switch restarts?
+            let json = create_json(id, json_path.as_deref());
             let mut all = Vec::new();
             for profile in FaultProfile::MATRIX_SWEEP {
                 println!(
@@ -560,7 +572,7 @@ fn main() {
                 println!("{}", matrix::render(&entries));
                 all.extend(entries);
             }
-            write_json(id, json_path.as_deref(), matrix_to_json(&all));
+            write_json(id, json, matrix_to_json(&all));
         }
         "scan_detection" => println!("{}", sweeps::scan_detection()),
         "alert_flood" => println!("{}", sweeps::alert_flood(seed)),

@@ -153,7 +153,7 @@ pub fn figs5_to_8(base_seed: u64, trials: usize) -> String {
 /// Fig. 10: switch-link latencies measured by the LLI on the Fig. 9
 /// testbed (paper: ~5 ms averages with micro-bursts toward 12 ms).
 pub fn fig10(seed: u64, samples: usize) -> String {
-    let (spec, _ids) = testbed::fig9_spec(DefenseStack::TopoGuardPlus, ControllerConfig::default());
+    let (spec, ..) = testbed::fig9_spec(DefenseStack::TopoGuardPlus, ControllerConfig::default());
     let mut sim = Simulator::new(spec, seed);
     // 6 directed trunk observations per 15 s round.
     let rounds_needed = samples.div_ceil(6) + 2;
@@ -180,26 +180,19 @@ pub fn fig10(seed: u64, samples: usize) -> String {
 /// out-of-band fabricated link appears at t = 60 s, with the resulting
 /// alerts.
 pub fn fig11(seed: u64) -> String {
-    // Reuse the linkfab scenario machinery but keep the simulator so we can
-    // extract the LLI series: run a stealthy OOB attack on Fig. 9.
-    use attacks::{OobRelayAttacker, RelayConfig};
-
-    let (mut spec, ids) =
-        testbed::fig9_spec(DefenseStack::TopoGuardPlus, ControllerConfig::default());
-    let mk = |peer| RelayConfig {
-        start_after: Duration::from_secs(60),
-        ..RelayConfig::oob_stealthy(peer)
+    let scenario = LinkFabScenario {
+        run_for: Duration::from_secs(300),
+        benign_traffic: false,
+        ..LinkFabScenario::paper_eval(
+            RelayMode::OutOfBandStealthy,
+            DefenseStack::TopoGuardPlus,
+            seed,
+        )
     };
-    spec.set_host_app(
-        ids.attacker_a,
-        Box::new(OobRelayAttacker::new(mk(ids.attacker_b))),
-    );
-    spec.set_host_app(
-        ids.attacker_b,
-        Box::new(OobRelayAttacker::new(mk(ids.attacker_a))),
-    );
+    // Keep the simulator, not the outcome: the LLI's series is the figure.
+    let (spec, ep, _) = linkfab::setup(&scenario);
     let mut sim = Simulator::new(spec, seed);
-    sim.run_for(Duration::from_secs(300));
+    sim.run_for(scenario.run_for);
 
     let ctrl: &SdnController = sim.controller_as().expect("controller");
     let lli: &Lli = ctrl.module_as().expect("LLI installed");
@@ -232,10 +225,10 @@ pub fn fig11(seed: u64) -> String {
         "\nLLI detections: {}   fake link in topology at end: {}\n",
         lli.detections,
         ctrl.topology()
-            .contains(&controller::DirectedLink::new(ids.port_a, ids.port_b))
+            .contains(&controller::DirectedLink::new(ep.port_a, ep.port_b))
             || ctrl
                 .topology()
-                .contains(&controller::DirectedLink::new(ids.port_b, ids.port_a)),
+                .contains(&controller::DirectedLink::new(ep.port_b, ep.port_a)),
     ));
     out.push_str("\nFIG 13: alerts raised for the anomalous link latency:\n");
     for alert in ctrl
@@ -271,21 +264,14 @@ pub fn fig12(seed: u64) -> String {
 /// Returns the raw CMM alert lines for an in-band attack (the Fig. 12 log
 /// excerpt itself).
 pub fn fig12_alerts(seed: u64) -> Vec<String> {
-    use attacks::{InBandRelayAttacker, RelayConfig};
-    let (mut spec, ids) =
-        testbed::fig9_spec(DefenseStack::TopoGuardPlus, ControllerConfig::default());
-    let cfg_a = RelayConfig {
-        start_after: Duration::from_secs(60),
-        ..RelayConfig::in_band(ids.attacker_b, ids.attacker_b_mac, ids.attacker_b_ip)
+    let scenario = LinkFabScenario {
+        run_for: Duration::from_secs(120),
+        benign_traffic: false,
+        ..LinkFabScenario::paper_eval(RelayMode::InBand, DefenseStack::TopoGuardPlus, seed)
     };
-    let cfg_b = RelayConfig {
-        start_after: Duration::from_secs(60),
-        ..RelayConfig::in_band(ids.attacker_a, ids.attacker_a_mac, ids.attacker_a_ip)
-    };
-    spec.set_host_app(ids.attacker_a, Box::new(InBandRelayAttacker::new(cfg_a)));
-    spec.set_host_app(ids.attacker_b, Box::new(InBandRelayAttacker::new(cfg_b)));
+    let (spec, ..) = linkfab::setup(&scenario);
     let mut sim = Simulator::new(spec, seed);
-    sim.run_for(Duration::from_secs(120));
+    sim.run_for(scenario.run_for);
     let ctrl: &SdnController = sim.controller_as().expect("controller");
     ctrl.alerts()
         .of_kind(AlertKind::AnomalousControlMessage)

@@ -47,7 +47,7 @@ use tm_topo::{HostPlacement, TopoKind, TopologySpec};
 
 use crate::defense::DefenseStack;
 use crate::robustness::ProfileTargets;
-use crate::testbed::HijackTestbed;
+use crate::testbed::{self, HijackTestbed};
 
 /// Synthesizes an extra host on `dpid` with the fabric's own identity
 /// scheme (sequential id, id-derived MAC/IP) at the next free port —
@@ -225,17 +225,15 @@ pub struct RelayEndpoints {
     pub port_a: SwitchPort,
     /// B's switch port (the other end).
     pub port_b: SwitchPort,
-    /// A's identity, for the in-band tunnel. `None` on testbeds that
-    /// never run in-band (Fig. 1).
-    pub identity_a: Option<(MacAddr, IpAddr)>,
+    /// A's identity, for the in-band tunnel.
+    pub identity_a: (MacAddr, IpAddr),
     /// B's identity, for the in-band tunnel.
-    pub identity_b: Option<(MacAddr, IpAddr)>,
-    /// The benign pinger: `(host, target ip)`, when the testbed has a
-    /// benign pair to exercise the network (or the MITM bridge).
-    pub pinger: Option<(HostId, IpAddr)>,
+    pub identity_b: (MacAddr, IpAddr),
+    /// The benign ping pair: `(pinger, target, target ip)`, when the
+    /// network has one to exercise it (or the MITM bridge).
+    pub pinger: Option<(HostId, HostId, IpAddr)>,
     /// Whether the relay may bridge dataplane frames. Only safe when the
-    /// fabricated link closes no loop (Fig. 1, where it is the sole
-    /// inter-switch path).
+    /// fabricated link closes no loop.
     pub bridge_dataplane: bool,
     /// Hold benign traffic until this long after start (fabric broadcast
     /// safety; zero on the loop-free testbeds).
@@ -243,8 +241,8 @@ pub struct RelayEndpoints {
 }
 
 /// Elaborates `kind` into the link-fabrication setting: two colluders on
-/// distinct switches joined by the paper's 10 ms out-of-band channel, and
-/// a benign ping pair crossing the fabric.
+/// distinct switches joined by the testbeds' out-of-band channel
+/// ([`testbed::OOB_CHANNEL`]), and a benign ping pair crossing the fabric.
 pub fn relay_setup(
     kind: TopoKind,
     stack: DefenseStack,
@@ -292,7 +290,7 @@ pub fn relay_setup(
             .find(|h| not_colluder(h) && h.id != p.id && h.dpid != p.dpid)
     });
     let pinger = match (p1, p2) {
-        (Some(src), Some(dst)) => Some((src.id, dst.ip)),
+        (Some(src), Some(dst)) => Some((src.id, dst.id, dst.ip)),
         _ => None,
     };
 
@@ -302,12 +300,7 @@ pub fn relay_setup(
         spec.add_host(b.id, b.mac, b.ip);
         spec.attach_host(b.id, b.dpid, b.port, link);
     }
-    spec.add_oob_channel(
-        a.id,
-        b.id,
-        Duration::from_millis(10),
-        Duration::from_millis(1),
-    );
+    spec.add_oob_channel(a.id, b.id, testbed::OOB_CHANNEL.0, testbed::OOB_CHANNEL.1);
     spec.set_controller(Box::new(stack.build_controller(fabric_config(config))));
 
     let endpoints = RelayEndpoints {
@@ -315,8 +308,8 @@ pub fn relay_setup(
         attacker_b: b.id,
         port_a: SwitchPort::new(a.dpid, a.port),
         port_b: SwitchPort::new(b.dpid, b.port),
-        identity_a: Some((a.mac, a.ip)),
-        identity_b: Some((b.mac, b.ip)),
+        identity_a: (a.mac, a.ip),
+        identity_b: (b.mac, b.ip),
         pinger,
         // The fabric's real trunks already connect the colluders' switches:
         // bridging broadcasts across the fabricated link would close a loop.
@@ -431,7 +424,6 @@ mod tests {
         );
         assert_ne!(ep.port_a.dpid, ep.port_b.dpid);
         assert_ne!(ep.attacker_a, ep.attacker_b);
-        assert!(ep.identity_b.is_some());
     }
 
     #[test]
@@ -463,7 +455,7 @@ mod tests {
             );
             assert_ne!(ep.port_a.dpid, ep.port_b.dpid, "seed {seed}");
             assert!(!ep.bridge_dataplane);
-            let (src, _) = ep.pinger.expect("ring-4x2 has benign hosts left over");
+            let (src, ..) = ep.pinger.expect("ring-4x2 has benign hosts left over");
             assert_ne!(src, ep.attacker_a);
             assert_ne!(src, ep.attacker_b);
         }

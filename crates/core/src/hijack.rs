@@ -23,7 +23,7 @@ use sdn_types::{Duration, SimTime};
 
 use crate::defense::DefenseStack;
 use crate::fabric;
-use crate::robustness::{FaultProfile, ProfileTargets};
+use crate::robustness::FaultProfile;
 use crate::testbed;
 
 /// Scenario parameters.
@@ -36,6 +36,9 @@ pub struct HijackScenario {
     /// When the victim goes down (must leave time for the network to
     /// settle and the attacker to acquire the victim's MAC).
     pub victim_down_at: SimTime,
+    /// How long the attacker waits for a probe reply before it believes
+    /// the victim gone (see [`ProbingConfig::probe_timeout`]).
+    pub probe_timeout: Duration,
     /// The victim's migration downtime window (VM live migration: order of
     /// seconds, §IV-B2).
     pub downtime: Duration,
@@ -51,8 +54,9 @@ pub struct HijackScenario {
     /// stream (see [`fabric::hijack_setup`]).
     pub fabric: Option<tm_topo::TopoKind>,
     /// Flow-level background load riding the fabric for the whole run
-    /// (see [`crate::load`]). Ignored on the hand-built testbed; `None`
-    /// leaves the trace byte-identical to an unloaded run.
+    /// (see [`crate::load`]). Only a `fabric` carries it: `Some` on the
+    /// hand-built testbed is rejected. `None` leaves the trace
+    /// byte-identical to an unloaded run.
     pub traffic: Option<crate::load::TrafficLoad>,
 }
 
@@ -63,6 +67,7 @@ impl HijackScenario {
             stack,
             seed,
             victim_down_at: SimTime::from_secs(3),
+            probe_timeout: ProbingConfig::PAPER_TIMEOUT,
             downtime: Duration::from_secs(2),
             victim_rejoins: true,
             tail: Duration::from_secs(5),
@@ -172,24 +177,32 @@ impl HijackOutcome {
 }
 
 /// Runs the scenario.
+///
+/// # Panics
+/// On `traffic` without a `fabric`.
 pub fn run(scenario: &HijackScenario) -> HijackOutcome {
-    let (mut spec, ids, targets, traffic_start) = match scenario.fabric {
-        None => {
-            let (spec, ids) = testbed::hijack_spec(scenario.stack, ControllerConfig::default());
-            (spec, ids, ProfileTargets::hijack(), Duration::ZERO)
-        }
-        Some(kind) => {
-            let (spec, ids, targets) = fabric::hijack_setup(
-                kind,
-                scenario.stack,
-                scenario.seed,
-                ControllerConfig::default(),
-            );
-            (spec, ids, targets, fabric::TRAFFIC_START)
-        }
+    assert!(
+        scenario.traffic.is_none() || scenario.fabric.is_some(),
+        "background traffic needs a generated fabric: set `fabric`, or set \
+         `traffic: None` on the hand-built testbed"
+    );
+    let (mut spec, ids, targets) = match scenario.fabric {
+        None => testbed::hijack_spec(scenario.stack, ControllerConfig::default()),
+        Some(kind) => fabric::hijack_setup(
+            kind,
+            scenario.stack,
+            scenario.seed,
+            ControllerConfig::default(),
+        ),
     };
+    // Fabrics hold host traffic for broadcast safety; the loop-free
+    // testbed starts at once.
+    let traffic_start = scenario
+        .fabric
+        .map_or(Duration::ZERO, |_| fabric::TRAFFIC_START);
     let base_probing = ProbingConfig::paper_default(ids.victim_ip, ids.client_ip);
     let probing = ProbingConfig {
+        probe_timeout: scenario.probe_timeout,
         start_delay: base_probing.start_delay.max(traffic_start),
         ..base_probing
     };
@@ -210,8 +223,8 @@ pub fn run(scenario: &HijackScenario) -> HijackOutcome {
 
     let run_end = scenario.victim_down_at + scenario.downtime + scenario.tail;
     let plan = scenario.faults.plan(&targets, SimTime::ZERO, run_end);
-    // Flow-level background load: only meaningful on a generated fabric,
-    // and opens with the broadcast-safety hold like all fabric traffic.
+    // Flow-level background load opens with the broadcast-safety hold
+    // like all fabric traffic.
     let traffic = match (scenario.fabric, scenario.traffic) {
         (Some(kind), Some(load)) => load.plan_for(
             kind,

@@ -17,15 +17,10 @@
 //! *when* the migration will fire — its probes discover the window, which
 //! is the whole point.
 
-use attacks::{PortProbingAttacker, ProbingConfig};
-use controller::{ControllerConfig, SdnController};
-use netsim::apps::PeriodicPinger;
-use netsim::Simulator;
 use sdn_types::{Duration, SimTime};
 
 use crate::defense::DefenseStack;
-use crate::hijack::HijackOutcome;
-use crate::testbed;
+use crate::hijack::{self, HijackOutcome, HijackScenario};
 
 /// The modeled hypervisor's auto-migration policy.
 #[derive(Clone, Copy, Debug)]
@@ -81,92 +76,24 @@ pub struct InducedOutcome {
     pub hijack: HijackOutcome,
 }
 
-/// Runs the scenario.
+/// Runs the scenario: to the network, the induced migration is a
+/// natural one that fires when the hypervisor's patience runs out, so
+/// this is [`hijack::run`] with the victim dropping then and rejoining
+/// after the policy's downtime.
 pub fn run(scenario: &InducedMigrationScenario) -> InducedOutcome {
-    let (mut spec, ids) = testbed::hijack_spec(scenario.stack, ControllerConfig::default());
-    let probing = ProbingConfig::paper_default(ids.victim_ip, ids.client_ip);
-    spec.set_host_app(ids.attacker, Box::new(PortProbingAttacker::new(probing)));
-    spec.set_host_app(
-        ids.client,
-        Box::new(PeriodicPinger::new(
-            ids.victim_ip,
-            Duration::from_millis(250),
-        )),
-    );
-    spec.set_host_app(ids.victim_new, Box::new(netsim::NullHostApp));
-    spec.set_telemetry(tm_telemetry::Telemetry::new());
-
-    let mut sim = Simulator::new(spec, scenario.seed);
-    sim.host_iface_down(ids.victim_new);
-
     // The co-located resource exhaustion runs from `exhaustion_start`; the
     // hypervisor observes sustained saturation and, after its patience
     // window, live-migrates the victim.
     let migration_triggered_at = scenario.exhaustion_start + scenario.policy.saturation_patience;
-    sim.run_until(migration_triggered_at);
-    sim.host_iface_down(ids.victim);
-    let victim_down_at = sim.now();
-
-    // Race window: the attacker's probes detect the departure.
-    let mut controller_ack_at = None;
-    let rejoin_at = victim_down_at + scenario.policy.downtime;
-    while sim.now() < rejoin_at {
-        sim.run_for(Duration::from_millis(1));
-        // tm-lint: allow(unwrap-in-lib) -- this scenario installed SdnController itself during setup; a missing controller is a bug in this file, not scenario input
-        let ctrl: &SdnController = sim.controller_as().expect("controller");
-        if ctrl.devices().location_of(&ids.victim_mac) == Some(ids.attacker_port) {
-            controller_ack_at = Some(sim.now());
-            break;
-        }
-    }
-    let client_pings_at_hijack = sim
-        .host_app_as::<PeriodicPinger>(ids.client)
-        .map(|p| p.received)
-        .unwrap_or(0);
-    sim.run_until(rejoin_at);
-    let alerts_before_rejoin = sim
-        .controller_as::<SdnController>()
-        // tm-lint: allow(unwrap-in-lib) -- this scenario installed SdnController itself during setup; a missing controller is a bug in this file, not scenario input
-        .expect("controller")
-        .alerts()
-        .len();
-    let client_pings_at_rejoin = sim
-        .host_app_as::<PeriodicPinger>(ids.client)
-        .map(|p| p.received)
-        .unwrap_or(0);
-
-    // The hypervisor completes the migration at the destination.
-    sim.host_schedule_iface_up(ids.victim_new, Duration::from_millis(1), None);
-    sim.run_for(Duration::from_secs(3));
-
-    // tm-lint: allow(unwrap-in-lib) -- this scenario installed SdnController itself during setup; a missing controller is a bug in this file, not scenario input
-    let ctrl: &SdnController = sim.controller_as().expect("controller");
-    let timeline = sim
-        .host_app_as::<PortProbingAttacker>(ids.attacker)
-        .map(|a| a.timeline)
-        .unwrap_or_default();
+    let hijack = hijack::run(&HijackScenario {
+        victim_down_at: migration_triggered_at,
+        downtime: scenario.policy.downtime,
+        tail: Duration::from_secs(3),
+        ..HijackScenario::new(scenario.stack, scenario.seed)
+    });
     InducedOutcome {
         migration_triggered_at,
-        hijack: HijackOutcome {
-            victim_down_at,
-            timeline,
-            controller_ack_at,
-            alerts_before_rejoin,
-            alerts_total: ctrl.alerts().len(),
-            conflict_alerts: ctrl
-                .alerts()
-                .count(controller::AlertKind::IdentifierConflict),
-            migration_alerts: ctrl
-                .alerts()
-                .count(controller::AlertKind::HostMigrationPrecondition)
-                + ctrl
-                    .alerts()
-                    .count(controller::AlertKind::HostMigrationPostcondition),
-            client_pings_during_hijack: client_pings_at_rejoin
-                .saturating_sub(client_pings_at_hijack),
-            trace: sim.trace().records().to_vec(),
-            metrics: sim.metrics_snapshot(),
-        },
+        hijack,
     }
 }
 

@@ -8,11 +8,14 @@
 //! * [`testbed`] — topology builders: Fig. 1's two-switch colluding-host
 //!   network, Fig. 9's four-switch evaluation testbed (5 ms dataplane
 //!   links, 10 ms out-of-band side channel), and the host-location-hijack
-//!   testbed.
+//!   testbed. Each returns the same cast and fault targets as [`fabric`].
 //! * [`linkfab`] — link-fabrication scenarios (out-of-band, stealthy
 //!   out-of-band, in-band, and a naive no-amnesia baseline).
+//!   [`linkfab::setup`] is the one relay wiring, which the figures,
+//!   ablations and examples build on.
 //! * [`hijack`] — the Port Probing / host-location-hijacking scenario with
-//!   the full Fig. 3 timeline instrumentation.
+//!   the full Fig. 3 timeline instrumentation; [`hijack::run`] is the one
+//!   hijack driver, [`induced`] included.
 //! * [`fabric`] — topology-parameterized elaboration: runs the same
 //!   scenarios on generated fat-tree / core–edge / linear / ring fabrics
 //!   (`tm-topo`), with attacker placement drawn from the spec's forked

@@ -15,8 +15,8 @@
 use attacks::{InBandRelayAttacker, OobRelayAttacker, RelayConfig, RelayStats};
 use controller::{AlertKind, ControllerConfig, ControllerProfile, DirectedLink, SdnController};
 use netsim::apps::PeriodicPinger;
-use netsim::{NetworkSpec, Simulator};
-use sdn_types::{Duration, SimTime};
+use netsim::{HostApp, NetworkSpec, Simulator};
+use sdn_types::{Duration, HostId, IpAddr, MacAddr, SimTime};
 use tm_topo::TopoKind;
 
 use crate::defense::DefenseStack;
@@ -33,8 +33,8 @@ pub enum RelayMode {
     /// only latency gives it away.
     OutOfBandStealthy,
     /// In-band relay with per-round context switching (§IV-A's weaker
-    /// variant). Requires real dataplane connectivity, so always runs on
-    /// the Fig. 9 topology.
+    /// variant). Requires real dataplane connectivity, so it runs on the
+    /// Fig. 9 topology or a fabric, never on Fig. 1.
     InBand,
     /// Out-of-band relay *without* amnesia despite HOST-profiled ports —
     /// the baseline TopoGuard was designed to stop.
@@ -73,10 +73,14 @@ pub struct LinkFabScenario {
     pub stack: DefenseStack,
     /// RNG seed.
     pub seed: u64,
-    /// The testbed. In-band always runs on Fig. 9.
+    /// The testbed. An in-band relay on [`FabTopology::Fig1`] is
+    /// rejected: it needs a dataplane path between the colluders.
     pub topology: FabTopology,
     /// When the attackers begin relaying (baselines form before this).
     pub attack_start: Duration,
+    /// How long each colluder holds its interface down for Port Amnesia
+    /// (see [`RelayConfig::hold_down`]).
+    pub hold_down: Duration,
     /// How long to run in total.
     pub run_for: Duration,
     /// Start benign cross-network traffic (exercises the MITM bridge in
@@ -89,9 +93,9 @@ pub struct LinkFabScenario {
     /// leaves the trace byte-identical to the pre-fault-layer simulator).
     pub faults: FaultProfile,
     /// Flow-level background load riding the fabric for the whole run
-    /// (see [`crate::load`]). Only meaningful on
-    /// [`FabTopology::Fabric`] — ignored on the hand-built testbeds;
-    /// `None` leaves the trace byte-identical to an unloaded run.
+    /// (see [`crate::load`]). Only a [`FabTopology::Fabric`] carries it:
+    /// `Some` on a hand-built testbed is rejected. `None` leaves the trace
+    /// byte-identical to an unloaded run.
     pub traffic: Option<crate::load::TrafficLoad>,
 }
 
@@ -105,6 +109,7 @@ impl LinkFabScenario {
             seed,
             topology: FabTopology::Fig1,
             attack_start: Duration::from_secs(5),
+            hold_down: RelayConfig::DEFAULT_HOLD_DOWN,
             run_for: Duration::from_secs(40),
             benign_traffic: true,
             profile: ControllerProfile::FLOODLIGHT,
@@ -118,16 +123,10 @@ impl LinkFabScenario {
     /// blocked link to also age out of the topology).
     pub fn paper_eval(mode: RelayMode, stack: DefenseStack, seed: u64) -> Self {
         LinkFabScenario {
-            mode,
-            stack,
-            seed,
             topology: FabTopology::Fig9,
             attack_start: Duration::from_secs(60),
             run_for: Duration::from_secs(150),
-            benign_traffic: true,
-            profile: ControllerProfile::FLOODLIGHT,
-            faults: FaultProfile::Clean,
-            traffic: None,
+            ..LinkFabScenario::new(mode, stack, seed)
         }
     }
 
@@ -189,222 +188,117 @@ impl LinkFabOutcome {
     }
 }
 
-/// Runs the scenario.
-pub fn run(scenario: &LinkFabScenario) -> LinkFabOutcome {
-    // The in-band relay needs real dataplane connectivity between the
-    // colluders, which Fig. 1 lacks by construction: coerce it to Fig. 9.
-    // Generated fabrics have real trunks, so they run in-band as-is.
-    let topology = match (scenario.mode, scenario.topology) {
-        (RelayMode::InBand, FabTopology::Fig1 | FabTopology::Fig9) => FabTopology::Fig9,
-        (_, t) => t,
-    };
-    match topology {
-        FabTopology::Fig1 => {
-            let (spec, ids) = testbed::fig1_spec(scenario.stack, scenario_config(scenario));
-            let endpoints = RelayEndpoints {
-                attacker_a: ids.attacker_a,
-                attacker_b: ids.attacker_b,
-                port_a: ids.port_a,
-                port_b: ids.port_b,
-                identity_a: None,
-                identity_b: None,
-                pinger: Some((ids.h1, ids.h2_ip)),
-                // The fabricated link is the sole inter-switch path:
-                // bridging dataplane frames across it is loop-free (and is
-                // the MITM demonstration itself).
-                bridge_dataplane: true,
-                traffic_start: Duration::ZERO,
-            };
-            run_relay(scenario, spec, endpoints, &ProfileTargets::fig1())
-        }
-        FabTopology::Fig9 => {
-            let (spec, ids) = testbed::fig9_spec(scenario.stack, scenario_config(scenario));
-            let endpoints = RelayEndpoints {
-                attacker_a: ids.attacker_a,
-                attacker_b: ids.attacker_b,
-                port_a: ids.port_a,
-                port_b: ids.port_b,
-                identity_a: Some((ids.attacker_a_mac, ids.attacker_a_ip)),
-                identity_b: Some((ids.attacker_b_mac, ids.attacker_b_ip)),
-                pinger: Some((ids.h1, ids.h2_ip)),
-                // On the Fig. 9 testbed the fabricated link closes a loop
-                // with the real trunk links; bridging broadcasts across it
-                // would start a classic broadcast storm (there is no
-                // spanning tree). The paper's evaluation relays LLDP only
-                // here — the MITM bridge demo lives on Fig. 1, where the
-                // fabricated link is the sole path.
-                bridge_dataplane: false,
-                traffic_start: Duration::ZERO,
-            };
-            run_relay(scenario, spec, endpoints, &ProfileTargets::fig9())
-        }
-        FabTopology::Fabric(kind) => {
-            let (spec, endpoints, targets) = fabric::relay_setup(
-                kind,
-                scenario.stack,
-                scenario.seed,
-                scenario_config(scenario),
-            );
-            run_relay(scenario, spec, endpoints, &targets)
-        }
-    }
-}
-
-/// The single relay driver: installs the relay apps described by
-/// `endpoints`, runs the scenario, and collects the outcome. All three
-/// topology families funnel through here, so scenario mechanics can never
-/// drift between the hand-built testbeds and generated fabrics.
-fn run_relay(
-    scenario: &LinkFabScenario,
-    mut spec: NetworkSpec,
-    endpoints: RelayEndpoints,
-    targets: &ProfileTargets,
-) -> LinkFabOutcome {
+/// Builds the scenario's network with both relays and the benign pinger
+/// installed: the one relay wiring. [`run`] simulates it; a caller that
+/// reads the finished simulator itself passes the spec to
+/// [`Simulator::new`].
+///
+/// # Panics
+/// On an in-band relay on [`FabTopology::Fig1`], and on `traffic` on a
+/// hand-built testbed.
+pub fn setup(scenario: &LinkFabScenario) -> (NetworkSpec, RelayEndpoints, ProfileTargets) {
     let in_band = scenario.mode == RelayMode::InBand;
-    if in_band {
-        // tm-lint: allow(unwrap-in-lib) -- every topology that reaches the in-band path (Fig. 9, fabrics) publishes colluder identities; Fig. 1 is coerced away in run()
-        let (a_mac, a_ip) = endpoints.identity_a.expect("in-band needs A's identity");
-        // tm-lint: allow(unwrap-in-lib) -- same contract as identity_a
-        let (b_mac, b_ip) = endpoints.identity_b.expect("in-band needs B's identity");
-        let cfg_a = RelayConfig {
-            start_after: scenario.attack_start,
-            ..RelayConfig::in_band(endpoints.attacker_b, b_mac, b_ip)
-        };
-        let cfg_b = RelayConfig {
-            start_after: scenario.attack_start,
-            ..RelayConfig::in_band(endpoints.attacker_a, a_mac, a_ip)
-        };
-        spec.set_host_app(
-            endpoints.attacker_a,
-            Box::new(InBandRelayAttacker::new(cfg_a)),
-        );
-        spec.set_host_app(
-            endpoints.attacker_b,
-            Box::new(InBandRelayAttacker::new(cfg_b)),
-        );
-    } else {
-        let mk = |peer| {
-            let base = oob_relay_config(scenario, peer);
-            if endpoints.bridge_dataplane {
-                base
-            } else {
-                RelayConfig {
-                    bridge_dataplane: false,
-                    ..base
-                }
-            }
-        };
-        spec.set_host_app(
-            endpoints.attacker_a,
-            Box::new(OobRelayAttacker::new(mk(endpoints.attacker_b))),
-        );
-        spec.set_host_app(
-            endpoints.attacker_b,
-            Box::new(OobRelayAttacker::new(mk(endpoints.attacker_a))),
-        );
-    }
-    if scenario.benign_traffic {
-        if let Some((host, target_ip)) = endpoints.pinger {
-            spec.set_host_app(
-                host,
-                Box::new(PeriodicPinger::starting_at(
-                    target_ip,
-                    Duration::from_millis(500),
-                    endpoints.traffic_start,
-                )),
-            );
-        }
-    }
-    spec.set_telemetry(tm_telemetry::Telemetry::new());
-    let mut sim = build_sim(spec, scenario, targets);
-    sim.run_for(scenario.run_for);
-    let (stats_a, stats_b) = if in_band {
-        (
-            sim.host_app_as::<InBandRelayAttacker>(endpoints.attacker_a)
-                .map(|a| a.stats)
-                .unwrap_or_default(),
-            sim.host_app_as::<InBandRelayAttacker>(endpoints.attacker_b)
-                .map(|a| a.stats)
-                .unwrap_or_default(),
-        )
-    } else {
-        (
-            sim.host_app_as::<OobRelayAttacker>(endpoints.attacker_a)
-                .map(|a| a.stats)
-                .unwrap_or_default(),
-            sim.host_app_as::<OobRelayAttacker>(endpoints.attacker_b)
-                .map(|a| a.stats)
-                .unwrap_or_default(),
-        )
+    assert!(
+        !(in_band && scenario.topology == FabTopology::Fig1),
+        "an in-band relay needs a dataplane path between the colluders, which Fig. 1 \
+         lacks: run it on FabTopology::Fig9 or a fabric"
+    );
+    assert!(
+        scenario.traffic.is_none() || matches!(scenario.topology, FabTopology::Fabric(_)),
+        "background traffic needs a generated fabric: run on FabTopology::Fabric, or set \
+         `traffic: None` on the hand-built testbeds"
+    );
+    let config = ControllerConfig {
+        profile: scenario.profile,
+        ..ControllerConfig::default()
     };
-    collect_outcome(
-        &sim,
-        endpoints.port_a,
-        endpoints.port_b,
-        endpoints
-            .pinger
-            .filter(|_| scenario.benign_traffic)
-            .map(|(host, _)| host),
-        stats_a,
-        stats_b,
-    )
+    let (mut spec, endpoints, targets) = match scenario.topology {
+        FabTopology::Fig1 => testbed::fig1_spec(scenario.stack, config),
+        FabTopology::Fig9 => testbed::fig9_spec(scenario.stack, config),
+        FabTopology::Fabric(kind) => {
+            fabric::relay_setup(kind, scenario.stack, scenario.seed, config)
+        }
+    };
+    let relay = |peer: HostId, (peer_mac, peer_ip): (MacAddr, IpAddr)| -> Box<dyn HostApp> {
+        let base = match scenario.mode {
+            RelayMode::OutOfBand => RelayConfig::oob(peer),
+            RelayMode::OutOfBandStealthy => RelayConfig::oob_stealthy(peer),
+            RelayMode::NaiveNoAmnesia => RelayConfig {
+                use_amnesia: false,
+                ..RelayConfig::oob(peer)
+            },
+            RelayMode::InBand => RelayConfig::in_band(peer, peer_mac, peer_ip),
+        };
+        let config = RelayConfig {
+            hold_down: scenario.hold_down,
+            start_after: scenario.attack_start,
+            bridge_dataplane: base.bridge_dataplane && endpoints.bridge_dataplane,
+            ..base
+        };
+        if in_band {
+            Box::new(InBandRelayAttacker::new(config))
+        } else {
+            Box::new(OobRelayAttacker::new(config))
+        }
+    };
+    spec.set_host_app(
+        endpoints.attacker_a,
+        relay(endpoints.attacker_b, endpoints.identity_b),
+    );
+    spec.set_host_app(
+        endpoints.attacker_b,
+        relay(endpoints.attacker_a, endpoints.identity_a),
+    );
+    if let Some((host, _, target_ip)) = endpoints.pinger.filter(|_| scenario.benign_traffic) {
+        spec.set_host_app(
+            host,
+            Box::new(PeriodicPinger::starting_at(
+                target_ip,
+                Duration::from_millis(500),
+                endpoints.traffic_start,
+            )),
+        );
+    }
+    (spec, endpoints, targets)
 }
 
-fn build_sim(
-    spec: netsim::NetworkSpec,
-    scenario: &LinkFabScenario,
-    targets: &ProfileTargets,
-) -> Simulator {
-    let plan = scenario
-        .faults
-        .plan(targets, SimTime::ZERO, SimTime::ZERO + scenario.run_for);
-    // Flow-level background load: only meaningful on a generated fabric,
-    // and opens with the broadcast-safety hold like all fabric traffic.
+/// Runs the scenario: [`setup`], the simulation under the scenario's
+/// faults and background load, and the outcome.
+pub fn run(scenario: &LinkFabScenario) -> LinkFabOutcome {
+    let (mut spec, endpoints, targets) = setup(scenario);
+    spec.set_telemetry(tm_telemetry::Telemetry::new());
+    let run_end = SimTime::ZERO + scenario.run_for;
+    let plan = scenario.faults.plan(&targets, SimTime::ZERO, run_end);
+    // Flow-level background load opens with the broadcast-safety hold
+    // like all fabric traffic.
     let traffic = match (scenario.topology, scenario.traffic) {
         (FabTopology::Fabric(kind), Some(load)) => load.plan_for(
             kind,
-            netsim::TrafficWindow::new(
-                SimTime::ZERO + fabric::TRAFFIC_START,
-                SimTime::ZERO + scenario.run_for,
-            ),
+            netsim::TrafficWindow::new(SimTime::ZERO + fabric::TRAFFIC_START, run_end),
         ),
         _ => netsim::TrafficPlan::new(),
     };
-    Simulator::with_plans(spec, scenario.seed, plan, traffic)
-}
-
-fn scenario_config(scenario: &LinkFabScenario) -> ControllerConfig {
-    ControllerConfig {
-        profile: scenario.profile,
-        ..ControllerConfig::default()
-    }
-}
-
-fn oob_relay_config(scenario: &LinkFabScenario, peer: sdn_types::HostId) -> RelayConfig {
-    let base = match scenario.mode {
-        RelayMode::OutOfBand => RelayConfig::oob(peer),
-        RelayMode::OutOfBandStealthy => RelayConfig::oob_stealthy(peer),
-        RelayMode::NaiveNoAmnesia => RelayConfig {
-            use_amnesia: false,
-            ..RelayConfig::oob(peer)
-        },
-        RelayMode::InBand => unreachable!("handled by run_in_band"),
-    };
-    RelayConfig {
-        start_after: scenario.attack_start,
-        ..base
-    }
+    let mut sim = Simulator::with_plans(spec, scenario.seed, plan, traffic);
+    sim.run_for(scenario.run_for);
+    collect_outcome(&sim, scenario, &endpoints)
 }
 
 fn collect_outcome(
     sim: &Simulator,
-    fake_a: sdn_types::SwitchPort,
-    fake_b: sdn_types::SwitchPort,
-    pinger_host: Option<sdn_types::HostId>,
-    stats_a: RelayStats,
-    stats_b: RelayStats,
+    scenario: &LinkFabScenario,
+    endpoints: &RelayEndpoints,
 ) -> LinkFabOutcome {
-    let fake_link = DirectedLink::new(fake_a, fake_b);
+    let stats = |host| {
+        if scenario.mode == RelayMode::InBand {
+            sim.host_app_as::<InBandRelayAttacker>(host)
+                .map(|a| a.stats)
+        } else {
+            sim.host_app_as::<OobRelayAttacker>(host).map(|a| a.stats)
+        }
+        .unwrap_or_default()
+    };
+    let (stats_a, stats_b) = (stats(endpoints.attacker_a), stats(endpoints.attacker_b));
+    let fake_link = DirectedLink::new(endpoints.port_a, endpoints.port_b);
     // tm-lint: allow(unwrap-in-lib) -- this scenario installed SdnController itself during setup; a missing controller is a bug in this file, not scenario input
     let ctrl: &SdnController = sim.controller_as().expect("controller");
     let link_established =
@@ -419,8 +313,10 @@ fn collect_outcome(
         cmm_alerts: alerts.count(AlertKind::AnomalousControlMessage),
         lli_alerts: alerts.count(AlertKind::AbnormalLinkLatency),
         bridged_frames: stats_a.bridged_to_peer + stats_b.bridged_to_peer,
-        benign_pings_ok: pinger_host
-            .and_then(|h| sim.host_app_as::<PeriodicPinger>(h))
+        benign_pings_ok: endpoints
+            .pinger
+            .filter(|_| scenario.benign_traffic)
+            .and_then(|(host, ..)| sim.host_app_as::<PeriodicPinger>(host))
             .map(|p| p.received)
             .unwrap_or(0),
         stats_a,

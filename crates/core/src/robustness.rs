@@ -27,7 +27,8 @@ use crate::defense::DefenseStack;
 use crate::testbed;
 
 /// The fault targets of one testbed topology: which egress directions are
-/// trunk links, which host port to flap, which switches exist.
+/// trunk links, which host port to flap, which switches exist. Every
+/// testbed builder and fabric elaborator returns its own.
 #[derive(Clone, Debug)]
 pub struct ProfileTargets {
     /// Egress directions of every inter-switch trunk (both ends).
@@ -36,61 +37,6 @@ pub struct ProfileTargets {
     pub flap_port: (DatapathId, PortNo),
     /// Every switch (congestion and restart targets).
     pub dpids: Vec<DatapathId>,
-}
-
-impl ProfileTargets {
-    /// The Fig. 9 evaluation testbed: s1—s2—s3—s4 in a line, trunks on
-    /// ports 1/2, benign host h1 on `(s2, 10)`.
-    pub fn fig9() -> Self {
-        let s = [
-            DatapathId::new(0x1),
-            DatapathId::new(0x2),
-            DatapathId::new(0x3),
-            DatapathId::new(0x4),
-        ];
-        ProfileTargets {
-            trunk_egresses: vec![
-                (s[0], PortNo::new(1)),
-                (s[1], PortNo::new(1)),
-                (s[1], PortNo::new(2)),
-                (s[2], PortNo::new(1)),
-                (s[2], PortNo::new(2)),
-                (s[3], PortNo::new(1)),
-            ],
-            flap_port: (s[1], PortNo::new(10)),
-            dpids: s.to_vec(),
-        }
-    }
-
-    /// The Fig. 1 demonstration testbed: no real trunk exists (the only
-    /// inter-switch path is the fabricated link), so link-directed faults
-    /// target the switches' host-facing egresses instead.
-    pub fn fig1() -> Self {
-        let s1 = DatapathId::new(0x1);
-        let s2 = DatapathId::new(0x2);
-        ProfileTargets {
-            trunk_egresses: vec![
-                (s1, PortNo::new(1)),
-                (s1, PortNo::new(2)),
-                (s2, PortNo::new(1)),
-                (s2, PortNo::new(2)),
-            ],
-            flap_port: (s1, PortNo::new(2)),
-            dpids: vec![s1, s2],
-        }
-    }
-
-    /// The host-location-hijack testbed: one trunk s1:1 ↔ s2:1, benign
-    /// client on `(s2, 2)`.
-    pub fn hijack() -> Self {
-        let s1 = DatapathId::new(0x1);
-        let s2 = DatapathId::new(0x2);
-        ProfileTargets {
-            trunk_egresses: vec![(s1, PortNo::new(1)), (s2, PortNo::new(1))],
-            flap_port: (s2, PortNo::new(2)),
-            dpids: vec![s1, s2],
-        }
-    }
 }
 
 /// A named degraded-network condition, expandable into a [`FaultPlan`] for
@@ -269,21 +215,24 @@ pub struct RobustnessOutcome {
 
 /// Runs the benign robustness scenario.
 pub fn run(scenario: &RobustnessScenario) -> RobustnessOutcome {
-    let (mut spec, ids) = testbed::fig9_spec(
+    let (mut spec, endpoints, targets) = testbed::fig9_spec(
         scenario.stack,
         ControllerConfig {
             profile: ControllerProfile::FLOODLIGHT,
             ..ControllerConfig::default()
         },
     );
-    spec.set_host_app(
-        ids.h1,
-        Box::new(PeriodicPinger::new(ids.h2_ip, Duration::from_millis(500))),
-    );
+    let pinger = endpoints.pinger.map(|(host, _, target_ip)| {
+        spec.set_host_app(
+            host,
+            Box::new(PeriodicPinger::new(target_ip, Duration::from_millis(500))),
+        );
+        host
+    });
     spec.set_telemetry(tm_telemetry::Telemetry::new());
 
     let plan = scenario.profile.plan(
-        &ProfileTargets::fig9(),
+        &targets,
         SimTime::ZERO + scenario.fault_from,
         SimTime::ZERO + scenario.fault_until,
     );
@@ -301,8 +250,8 @@ pub fn run(scenario: &RobustnessScenario) -> RobustnessOutcome {
             + alerts.count(AlertKind::LinkChanged)
             + alerts.count(AlertKind::TrafficFromSwitchPort),
         links_discovered: ctrl.topology().len(),
-        benign_pings_ok: sim
-            .host_app_as::<PeriodicPinger>(ids.h1)
+        benign_pings_ok: pinger
+            .and_then(|host| sim.host_app_as::<PeriodicPinger>(host))
             .map(|p| p.received)
             .unwrap_or(0),
         port_downs: sim.trace().count("PortDown"),
@@ -327,10 +276,11 @@ mod tests {
         // model with p = 0 would never drop, but would still consume RNG
         // draws and diverge the trace).
         let (from, until) = window();
+        let config = ControllerConfig::default();
         for targets in [
-            ProfileTargets::fig9(),
-            ProfileTargets::fig1(),
-            ProfileTargets::hijack(),
+            testbed::fig9_spec(DefenseStack::None, config).2,
+            testbed::fig1_spec(DefenseStack::None, config).2,
+            testbed::hijack_spec(DefenseStack::None, config).2,
         ] {
             for profile in [
                 FaultProfile::Clean,
@@ -354,7 +304,7 @@ mod tests {
     #[test]
     fn nonzero_profiles_cover_their_targets() {
         let (from, until) = window();
-        let targets = ProfileTargets::fig9();
+        let (_, _, targets) = testbed::fig9_spec(DefenseStack::None, ControllerConfig::default());
         let loss = FaultProfile::TrunkLoss { pct: 30 }.plan(&targets, from, until);
         assert_eq!(loss.loss().len(), targets.trunk_egresses.len());
         let jitter = FaultProfile::TrunkJitter { spike_ms: 5 }.plan(&targets, from, until);

@@ -8,11 +8,20 @@
 //!   appear once the real victim rejoins.
 
 use tm_core::hijack::{self, HijackScenario};
-use tm_core::linkfab::{self, LinkFabScenario, RelayMode};
-use tm_core::DefenseStack;
+use tm_core::linkfab::{self, FabTopology, LinkFabScenario, RelayMode};
+use tm_core::{DefenseStack, TrafficLoad};
 
 fn fab(mode: RelayMode, stack: DefenseStack, seed: u64) -> tm_core::LinkFabOutcome {
     linkfab::run(&LinkFabScenario::new(mode, stack, seed))
+}
+
+/// The in-band relay needs a dataplane path between the colluders, so it
+/// runs on Fig. 9 with the Fig. 1 demonstration's timing.
+fn in_band(stack: DefenseStack, seed: u64) -> tm_core::LinkFabOutcome {
+    linkfab::run(&LinkFabScenario {
+        topology: FabTopology::Fig9,
+        ..LinkFabScenario::new(RelayMode::InBand, stack, seed)
+    })
 }
 
 #[test]
@@ -106,7 +115,7 @@ fn stealthy_oob_relay_beats_topoguard_without_lli() {
 
 #[test]
 fn in_band_amnesia_bypasses_topoguard() {
-    let out = fab(RelayMode::InBand, DefenseStack::TopoGuard, 10);
+    let out = in_band(DefenseStack::TopoGuard, 10);
     assert!(out.link_established, "{out:?}");
     assert!(!out.detected(), "{out:?}");
     assert!(
@@ -119,9 +128,33 @@ fn in_band_amnesia_bypasses_topoguard() {
 fn topoguard_plus_cmm_detects_in_band_amnesia() {
     // Fig. 12: the context switch generates Port-Down/Up during LLDP
     // propagation.
-    let out = fab(RelayMode::InBand, DefenseStack::TopoGuardPlus, 11);
+    let out = in_band(DefenseStack::TopoGuardPlus, 11);
     assert!(out.cmm_alerts > 0, "CMM must fire: {out:?}");
     assert!(!out.link_established, "{out:?}");
+}
+
+#[test]
+#[should_panic(expected = "run it on FabTopology::Fig9 or a fabric")]
+fn in_band_relay_on_fig1_is_rejected() {
+    fab(RelayMode::InBand, DefenseStack::TopoGuard, 10);
+}
+
+#[test]
+#[should_panic(expected = "`traffic: None` on the hand-built testbeds")]
+fn background_traffic_on_a_relay_testbed_is_rejected() {
+    linkfab::run(&LinkFabScenario {
+        traffic: Some(TrafficLoad::steady(8, 1.0)),
+        ..LinkFabScenario::new(RelayMode::OutOfBand, DefenseStack::None, 1)
+    });
+}
+
+#[test]
+#[should_panic(expected = "`traffic: None` on the hand-built testbed")]
+fn background_traffic_on_the_hijack_testbed_is_rejected() {
+    hijack::run(&HijackScenario {
+        traffic: Some(TrafficLoad::steady(8, 1.0)),
+        ..HijackScenario::new(DefenseStack::None, 1)
+    });
 }
 
 #[test]
@@ -213,23 +246,24 @@ fn sphinx_catches_a_lossy_mitm_bridge() {
     use sdn_types::Duration;
     use tm_core::testbed;
 
-    let (mut spec, ids) = testbed::fig1_spec(DefenseStack::Sphinx, ControllerConfig::default());
+    let (mut spec, ep, _) = testbed::fig1_spec(DefenseStack::Sphinx, ControllerConfig::default());
     let lossy = |peer| RelayConfig {
         start_after: Duration::from_secs(5),
         drop_fraction: 0.7,
         ..RelayConfig::oob(peer)
     };
     spec.set_host_app(
-        ids.attacker_a,
-        Box::new(OobRelayAttacker::new(lossy(ids.attacker_b))),
+        ep.attacker_a,
+        Box::new(OobRelayAttacker::new(lossy(ep.attacker_b))),
     );
     spec.set_host_app(
-        ids.attacker_b,
-        Box::new(OobRelayAttacker::new(lossy(ids.attacker_a))),
+        ep.attacker_b,
+        Box::new(OobRelayAttacker::new(lossy(ep.attacker_a))),
     );
+    let (h1, _, h2_ip) = ep.pinger.expect("Fig. 1 has a benign ping pair");
     spec.set_host_app(
-        ids.h1,
-        Box::new(PeriodicPinger::new(ids.h2_ip, Duration::from_millis(250))),
+        h1,
+        Box::new(PeriodicPinger::new(h2_ip, Duration::from_millis(250))),
     );
     let mut sim = Simulator::new(spec, 99);
     sim.run_for(Duration::from_secs(60));
@@ -311,33 +345,34 @@ fn forged_lldp_without_relay_is_stopped_by_authentication() {
         }
     }
 
-    let forged_link = |ids: &tm_core::testbed::Fig1Testbed| {
+    let forged_link = |ep: &tm_core::RelayEndpoints| {
         DirectedLink::new(
-            sdn_types::SwitchPort::new(ids.s1, PortNo::new(2)),
-            ids.port_b,
+            sdn_types::SwitchPort::new(ep.port_a.dpid, PortNo::new(2)),
+            ep.port_b,
         )
     };
 
     // Without authentication (plain Floodlight): the forgery lands.
-    let (mut spec, ids) = testbed::fig1_spec(DefenseStack::None, ControllerConfig::default());
-    spec.set_host_app(ids.attacker_b, Box::new(Forger));
+    let (mut spec, ep, _) = testbed::fig1_spec(DefenseStack::None, ControllerConfig::default());
+    spec.set_host_app(ep.attacker_b, Box::new(Forger));
     let mut sim = Simulator::new(spec, 71);
     sim.run_for(Duration::from_secs(10));
     let ctrl: &SdnController = sim.controller_as().unwrap();
     assert!(
-        ctrl.topology().contains(&forged_link(&ids)),
+        ctrl.topology().contains(&forged_link(&ep)),
         "unsigned controllers accept forged LLDP"
     );
 
     // With TopoGuard's authenticated LLDP: rejected (and the alert names
     // the receiving port).
-    let (mut spec, ids) = testbed::fig1_spec(DefenseStack::TopoGuard, ControllerConfig::default());
-    spec.set_host_app(ids.attacker_b, Box::new(Forger));
+    let (mut spec, ep, _) =
+        testbed::fig1_spec(DefenseStack::TopoGuard, ControllerConfig::default());
+    spec.set_host_app(ep.attacker_b, Box::new(Forger));
     let mut sim = Simulator::new(spec, 71);
     sim.run_for(Duration::from_secs(10));
     let ctrl: &SdnController = sim.controller_as().unwrap();
     assert!(
-        !ctrl.topology().contains(&forged_link(&ids)),
+        !ctrl.topology().contains(&forged_link(&ep)),
         "authenticated LLDP must reject forgeries"
     );
     assert!(ctrl.alerts().count(controller::AlertKind::LinkFabrication) > 0);

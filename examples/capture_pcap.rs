@@ -11,40 +11,23 @@
 //! wireshark target/port_amnesia.pcap
 //! ```
 
-use topomirage::attacks::{OobRelayAttacker, RelayConfig};
-use topomirage::controller::ControllerConfig;
-use topomirage::netsim::apps::{FrameRecorder, PeriodicPinger};
+use topomirage::netsim::apps::FrameRecorder;
 use topomirage::netsim::pcap::PcapWriter;
 use topomirage::netsim::Simulator;
-use topomirage::scenarios::testbed;
+use topomirage::scenarios::linkfab::{self, LinkFabScenario, RelayMode};
 use topomirage::scenarios::DefenseStack;
-use topomirage::types::Duration;
 
 fn main() {
-    let (mut spec, ids) = testbed::fig1_spec(DefenseStack::TopoGuard, ControllerConfig::default());
-    let relay = |peer| RelayConfig {
-        start_after: Duration::from_secs(5),
-        ..RelayConfig::oob(peer)
-    };
-    spec.set_host_app(
-        ids.attacker_a,
-        Box::new(OobRelayAttacker::new(relay(ids.attacker_b))),
-    );
-    spec.set_host_app(
-        ids.attacker_b,
-        Box::new(OobRelayAttacker::new(relay(ids.attacker_a))),
-    );
-    spec.set_host_app(
-        ids.h1,
-        Box::new(PeriodicPinger::new(ids.h2_ip, Duration::from_millis(500))),
-    );
-    // The tap: record everything h2 receives.
-    spec.set_host_app(ids.h2, Box::new(FrameRecorder::new()));
+    let scenario = LinkFabScenario::new(RelayMode::OutOfBand, DefenseStack::TopoGuard, 2026);
+    let (mut spec, endpoints, _) = linkfab::setup(&scenario);
+    // The tap: record everything h2, the benign pinger's target, receives.
+    let (_, h2, _) = endpoints.pinger.expect("Fig. 1 has a benign ping pair");
+    spec.set_host_app(h2, Box::new(FrameRecorder::new()));
 
-    let mut sim = Simulator::new(spec, 2026);
-    sim.run_for(Duration::from_secs(40));
+    let mut sim = Simulator::new(spec, scenario.seed);
+    sim.run_for(scenario.run_for);
 
-    let recorder: &FrameRecorder = sim.host_app_as(ids.h2).expect("tap installed");
+    let recorder: &FrameRecorder = sim.host_app_as(h2).expect("tap installed");
     let path = "target/port_amnesia.pcap";
     let mut writer = PcapWriter::create(path).expect("create pcap");
     writer
