@@ -164,6 +164,16 @@ cargo run -q --release --offline -p bench --bin experiments -- \
 test "$status" -eq 2
 grep -q -- '--json' "$tmp/tm_bad_json.err"
 if grep -q 'campaign-wall' "$tmp/tm_bad_json.err"; then exit 1; fi
+# --json on a command that writes no JSON file is rejected the same way:
+# exit 2 before any work, nothing on stdout, no file left behind.
+rm -f "$tmp/tm_unwritten.json"
+status=0
+cargo run -q --release --offline -p bench --bin experiments -- \
+    table3 --json "$tmp/tm_unwritten.json" \
+    >"$tmp/tm_unwritten.out" 2>"$tmp/tm_unwritten.err" || status=$?
+test "$status" -eq 2
+test ! -s "$tmp/tm_unwritten.out"
+if test -e "$tmp/tm_unwritten.json"; then exit 1; fi
 
 # High-load smoke cell: the 102,400-host flow-level throughput probe
 # (fat-tree-4, steady-2 demand, TOPOGUARD+). Guards the traffic engine

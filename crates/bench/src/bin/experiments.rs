@@ -72,6 +72,9 @@ fn write_json(cmd: &str, out: Option<(String, File)>, json: JsonValue) {
 fn usage() -> ! {
     eprintln!(
         "usage: experiments <id> [--trials N] [--seed HEX] [--json FILE]\n\
+         (--json FILE is written by matrix, matrix_extended, fault_matrix,\n\
+          matrix --topo, scale, campaign <scenario|smoke|faults>, campaign\n\
+          replay and load without --probe-only; every other id rejects it)\n\
          ids: table1 table2 table3 fig4 fig5 fig6 fig7 fig8 fig10 fig11 fig12 fig13\n\
               matrix matrix_extended fault_matrix scan_detection alert_flood downtime\n\
               ablations ablation_lli ablation_amnesia ablation_timeout metrics all\n\
@@ -411,6 +414,9 @@ fn campaign_cmd(args: &[String]) {
     let registry = campaign::registry();
 
     if target == "list" {
+        if let Some(flag) = args.get(1) {
+            fail("campaign list", format!("takes no flags, got {flag}"));
+        }
         for s in registry.scenarios() {
             let cells = s.cells().len();
             println!("{:<18} {:>3} cells  {}", s.name, cells, s.description);
@@ -441,6 +447,12 @@ fn load_cmd(args: &[String]) {
         .cloned()
         .collect();
     let parsed = CampaignArgs::parse("load", &filtered, &[]);
+    if probe_only && parsed.common.json.is_some() {
+        fail(
+            "load",
+            "--json is written by the campaign, which --probe-only skips".into(),
+        );
+    }
     if !probe_only {
         run_campaigns("load", &campaign::registry(), &["load"], &parsed);
     }
@@ -529,6 +541,10 @@ fn main() {
     let trials = common.trials;
     let seed = common.seed;
     let json_path = common.json;
+    if json_path.is_some() && !matches!(id.as_str(), "matrix" | "matrix_extended" | "fault_matrix")
+    {
+        fail(id, "--json is not written by this command".into());
+    }
 
     match id.as_str() {
         "table1" => println!("{}", tables::table1(seed)),

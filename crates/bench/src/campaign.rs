@@ -9,7 +9,7 @@
 
 use attacks::IdentChangeModel;
 use sdn_types::Duration;
-use tm_campaign::{Axis, CampaignReport, GridPoint, Metrics, Registry, Scenario};
+use tm_campaign::{Axis, CampaignReport, GridPoint, MetricAggregate, Metrics, Registry, Scenario};
 use tm_core::floodsc::{self, FloodScenario};
 use tm_core::hijack::{self, HijackScenario};
 use tm_core::linkfab::{self, LinkFabScenario, RelayMode};
@@ -507,6 +507,21 @@ pub fn registry() -> Registry {
     r
 }
 
+/// `head`'s fields followed by the seven statistics of `m`, in the one
+/// order both the `BENCH_JSON` lines and the `--json` summary use.
+fn metric_json(mut head: Vec<(&str, JsonValue)>, m: &MetricAggregate) -> JsonValue {
+    head.extend([
+        ("n", m.n.into()),
+        ("mean", m.mean.into()),
+        ("sd", m.sd.into()),
+        ("ci_half", m.ci_half.into()),
+        ("q50", m.q50.into()),
+        ("min", m.min.into()),
+        ("max", m.max.into()),
+    ]);
+    JsonValue::object(head)
+}
+
 /// One `BENCH_JSON` line per (cell, metric): the per-cell records the CI
 /// perf-trajectory collector harvests. Deterministic — derived purely
 /// from the merged campaign report.
@@ -514,18 +529,14 @@ pub fn cell_bench_lines(report: &CampaignReport) -> Vec<String> {
     let mut lines = Vec::new();
     for cell in &report.cells {
         for m in &cell.metrics {
-            let record = JsonValue::object(vec![
-                ("suite", format!("campaign/{}", report.scenario).into()),
-                ("cell", cell.point.label().into()),
-                ("metric", m.name.as_str().into()),
-                ("n", m.n.into()),
-                ("mean", m.mean.into()),
-                ("sd", m.sd.into()),
-                ("ci_half", m.ci_half.into()),
-                ("q50", m.q50.into()),
-                ("min", m.min.into()),
-                ("max", m.max.into()),
-            ]);
+            let record = metric_json(
+                vec![
+                    ("suite", format!("campaign/{}", report.scenario).into()),
+                    ("cell", cell.point.label().into()),
+                    ("metric", m.name.as_str().into()),
+                ],
+                m,
+            );
             lines.push(format!("BENCH_JSON {}", record.to_compact()));
         }
     }
@@ -557,16 +568,7 @@ pub fn summary_json(report: &CampaignReport) -> JsonValue {
                                     cell.metrics
                                         .iter()
                                         .map(|m| {
-                                            JsonValue::object(vec![
-                                                ("name", m.name.as_str().into()),
-                                                ("n", m.n.into()),
-                                                ("mean", m.mean.into()),
-                                                ("sd", m.sd.into()),
-                                                ("ci_half", m.ci_half.into()),
-                                                ("q50", m.q50.into()),
-                                                ("min", m.min.into()),
-                                                ("max", m.max.into()),
-                                            ])
+                                            metric_json(vec![("name", m.name.as_str().into())], m)
                                         })
                                         .collect(),
                                 ),

@@ -120,8 +120,6 @@ pub struct SdnController {
     metrics: HotMetrics,
     /// Count of LLDP probes emitted (diagnostics / Table II workload).
     pub lldp_emitted: u64,
-    /// Count of LLDP packets received (diagnostics).
-    pub lldp_received: u64,
     /// Count of dataplane PacketIns processed (diagnostics).
     pub packet_ins: u64,
 }
@@ -141,7 +139,6 @@ impl SdnController {
             telemetry: Telemetry::disabled(),
             metrics: HotMetrics::default(),
             lldp_emitted: 0,
-            lldp_received: 0,
             packet_ins: 0,
         }
     }
@@ -283,7 +280,6 @@ impl SdnController {
         frame: &EthernetFrame,
     ) {
         let Some(lldp) = frame.lldp() else { return };
-        self.lldp_received += 1;
         self.metrics.lldp_received.inc();
         let now = ctx.now();
         let src = SwitchPort::new(lldp.dpid, lldp.port);

@@ -112,9 +112,9 @@ pub struct HijackOutcome {
     /// Pings the benign client completed against "the victim" during the
     /// impersonation window (traffic captured by the attacker).
     pub client_pings_during_hijack: u64,
-    /// The full simulator event trace, for replay/determinism checks:
+    /// The simulator's event digest, for replay/determinism checks:
     /// two runs with the same scenario must produce identical traces.
-    pub trace: Vec<netsim::TraceEvent>,
+    pub trace: netsim::Trace,
     /// Telemetry snapshot taken at the end of the run. Deterministic:
     /// same scenario, same seed → byte-identical [`MetricsSnapshot::render`]
     /// output.
@@ -322,7 +322,7 @@ pub fn run(scenario: &HijackScenario) -> HijackOutcome {
         migration_alerts: alerts.count(AlertKind::HostMigrationPrecondition)
             + alerts.count(AlertKind::HostMigrationPostcondition),
         client_pings_during_hijack: client_pings_at_rejoin.saturating_sub(client_pings_at_hijack),
-        trace: sim.trace().records().to_vec(),
+        trace: *sim.trace(),
         metrics: sim.metrics_snapshot(),
     }
 }

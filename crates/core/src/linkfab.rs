@@ -163,9 +163,9 @@ pub struct LinkFabOutcome {
     pub stats_a: RelayStats,
     /// Relay statistics from attacker B.
     pub stats_b: RelayStats,
-    /// The full simulator event trace, for replay/determinism checks:
+    /// The simulator's event digest, for replay/determinism checks:
     /// two runs with the same scenario must produce identical traces.
-    pub trace: Vec<netsim::TraceEvent>,
+    pub trace: netsim::Trace,
     /// Telemetry snapshot taken at the end of the run. Deterministic:
     /// same scenario, same seed → byte-identical [`MetricsSnapshot::render`]
     /// output.
@@ -321,7 +321,7 @@ fn collect_outcome(
             .unwrap_or(0),
         stats_a,
         stats_b,
-        trace: sim.trace().records().to_vec(),
+        trace: *sim.trace(),
         metrics: sim.metrics_snapshot(),
     }
 }

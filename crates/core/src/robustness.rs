@@ -204,13 +204,11 @@ pub struct RobustnessOutcome {
     pub links_discovered: usize,
     /// Benign pings completed.
     pub benign_pings_ok: u64,
-    /// `PortDown` trace events observed.
-    pub port_downs: usize,
     /// Telemetry snapshot (includes the `netsim.fault.*` injection
     /// counters attributing the degradation).
     pub metrics: tm_telemetry::MetricsSnapshot,
-    /// The full event trace, for determinism checks.
-    pub trace: Vec<netsim::TraceEvent>,
+    /// The simulator's event digest, for determinism checks.
+    pub trace: netsim::Trace,
 }
 
 /// Runs the benign robustness scenario.
@@ -254,9 +252,8 @@ pub fn run(scenario: &RobustnessScenario) -> RobustnessOutcome {
             .and_then(|host| sim.host_app_as::<PeriodicPinger>(host))
             .map(|p| p.received)
             .unwrap_or(0),
-        port_downs: sim.trace().count("PortDown"),
         metrics: sim.metrics_snapshot(),
-        trace: sim.trace().records().to_vec(),
+        trace: *sim.trace(),
     }
 }
 

@@ -141,7 +141,7 @@ fn naive_relay_is_still_caught_under_background_load() {
 
 #[test]
 fn unloaded_scenario_is_byte_identical_to_traffic_none() {
-    // `traffic: None` must leave the whole event trace byte-identical to
+    // `traffic: None` must leave the event trace identical to
     // a scenario built before the traffic field existed (struct-update
     // from the constructors, which default to None).
     let base =

@@ -217,7 +217,7 @@ mod tests {
         sim.run_for(Duration::from_secs(1));
         // Without a forwarding controller the ARP dies at the switch, but
         // the app must have tried (PacketIns observed at the switch).
-        assert!(sim.trace().count("PacketIn") > 0);
+        assert!(sim.trace().count(crate::TraceKind::PacketIn) > 0);
         let pinger: &PeriodicPinger = sim.host_app_as(HostId::new(1)).expect("app installed");
         assert_eq!(pinger.sent, 0, "no ARP reply -> no pings yet");
     }

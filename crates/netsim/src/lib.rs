@@ -76,5 +76,5 @@ pub use faults::{FaultPlan, FaultWindow, LossModel};
 pub use host::{FrameDisposition, HostApp, HostCtx, HostInfo, NullHostApp};
 pub use link::{BurstModel, LinkProfile};
 pub use sim::{NetworkSpec, Simulator};
-pub use trace::{Trace, TraceEvent};
+pub use trace::{Trace, TraceKind};
 pub use traffic::{DemandProfile, TrafficPlan, TrafficWindow};

@@ -400,7 +400,7 @@ impl Simulator {
         self.core.telemetry.snapshot()
     }
 
-    /// The event trace.
+    /// The event trace: counts by kind and a digest of every event so far.
     pub fn trace(&self) -> &Trace {
         &self.net.trace
     }

@@ -7,9 +7,9 @@ use std::any::Any;
 use netsim::apps::FrameRecorder;
 use netsim::{
     ControllerCtx, ControllerLogic, FrameDisposition, HostApp, HostCtx, LinkProfile, NetworkSpec,
-    Simulator, TimerId,
+    Simulator, TimerId, TraceKind,
 };
-use openflow::{Action, FlowMatch, FlowModCommand, OfMessage, Xid};
+use openflow::{Action, FlowMatch, FlowModCommand, OfMessage, PortLinkState, Xid};
 use sdn_types::crypto::Key;
 use sdn_types::packet::{
     EthernetFrame, Ipv4Packet, LldpPacket, Payload, TcpFlags, TcpSegment, Transport,
@@ -115,6 +115,33 @@ impl ControllerLogic for FloodController {
     }
 }
 
+/// Records each `PortStatus` as (port, new state, when the switch
+/// observed it); otherwise inert, like the default controller.
+#[derive(Default)]
+struct PortStatusLog(Vec<(PortNo, PortLinkState, SimTime)>);
+
+impl ControllerLogic for PortStatusLog {
+    fn on_start(&mut self, _ctx: &mut ControllerCtx<'_>) {}
+
+    fn on_message(&mut self, _ctx: &mut ControllerCtx<'_>, _dpid: DatapathId, msg: OfMessage) {
+        if let OfMessage::PortStatus {
+            desc, observed_at, ..
+        } = msg
+        {
+            self.0.push((desc.port_no, desc.state, observed_at));
+        }
+    }
+
+    fn on_timer(&mut self, _ctx: &mut ControllerCtx<'_>, _id: TimerId) {}
+
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
 #[test]
 fn table_miss_reaches_controller_and_flood_reaches_peer() {
     let h1 = MacAddr::from_index(1);
@@ -159,7 +186,7 @@ fn table_miss_reaches_controller_and_flood_reaches_peer() {
     let ctrl: &FloodController = sim.controller_as().expect("controller type");
     assert_eq!(ctrl.packet_ins, vec![(SW1, PortNo::new(1)); sent.len()]);
     // The flood must reach h2 but not loop back to h1 (FLOOD excludes ingress).
-    assert_eq!(sim.trace().count("HostRx"), sent.len());
+    assert_eq!(sim.trace().count(TraceKind::HostRx), sent.len() as u64);
     // Packet-In, the controller and Packet-Out hand each frame on unchanged.
     let recorder: &FrameRecorder = sim.host_app_as(H2).expect("recorder app");
     let received: Vec<EthernetFrame> = recorder.frames.iter().map(|(_, f)| f.clone()).collect();
@@ -188,28 +215,40 @@ fn short_iface_bounce_does_not_trigger_port_down() {
     sim.host_iface_down(H1);
     sim.host_schedule_iface_up(H1, Duration::from_millis(5), None);
     sim.run_for(Duration::from_millis(100));
-    assert_eq!(sim.trace().count("PortDown"), 0);
-    assert_eq!(sim.trace().count("PortUp"), 0);
+    assert_eq!(sim.trace().count(TraceKind::PortDown), 0);
+    assert_eq!(sim.trace().count(TraceKind::PortUp), 0);
 }
 
 #[test]
 fn long_iface_down_triggers_port_down_within_pulse_window() {
-    let mut sim = Simulator::new(two_host_spec(), 3);
+    let mut spec = two_host_spec();
+    spec.set_controller(Box::<PortStatusLog>::default());
+    let mut sim = Simulator::new(spec, 3);
     sim.run_for(Duration::from_millis(10));
     sim.host_iface_down(H1);
     sim.host_schedule_iface_up(H1, Duration::from_millis(100), None);
     sim.run_for(Duration::from_millis(300));
-    assert_eq!(sim.trace().count("PortDown"), 1);
-    assert_eq!(sim.trace().count("PortUp"), 1);
+    assert_eq!(sim.trace().count(TraceKind::PortDown), 1);
+    assert_eq!(sim.trace().count(TraceKind::PortUp), 1);
+    let log: &PortStatusLog = sim.controller_as().expect("controller type");
+    let states: Vec<_> = log
+        .0
+        .iter()
+        .map(|&(port, state, _)| (port, state))
+        .collect();
+    assert_eq!(
+        states,
+        [
+            (PortNo::new(1), PortLinkState::Down),
+            (PortNo::new(1), PortLinkState::Up)
+        ]
+    );
     // Detection must land inside the 8-24 ms pulse window after the down.
-    let down_event = sim.trace().of_kind("PortDown").next().cloned().unwrap();
-    if let netsim::TraceEvent::PortDown { at, .. } = down_event {
-        let detect_ms = at.since(SimTime::from_millis(10)).as_millis_f64();
-        assert!(
-            (8.0..24.0).contains(&detect_ms),
-            "detected after {detect_ms} ms"
-        );
-    }
+    let detect_ms = log.0[0].2.since(SimTime::from_millis(10)).as_millis_f64();
+    assert!(
+        (8.0..24.0).contains(&detect_ms),
+        "detected after {detect_ms} ms"
+    );
 }
 
 #[test]
@@ -239,15 +278,15 @@ fn frames_to_downed_host_are_dropped() {
     sim.run_for(Duration::from_millis(2));
     sim.host_send_frame(H1, opaque(MacAddr::from_index(1), MacAddr::BROADCAST));
     sim.run_for(Duration::from_millis(50));
-    assert_eq!(sim.trace().count("HostRx"), 0);
-    assert!(sim.trace().count("Dropped") >= 1);
+    assert_eq!(sim.trace().count(TraceKind::HostRx), 0);
+    assert!(sim.trace().count(TraceKind::Dropped) >= 1);
 
     // After detection, floods exclude the downed port entirely.
-    let drops_before = sim.trace().count("Dropped");
+    let drops_before = sim.trace().count(TraceKind::Dropped);
     sim.host_send_frame(H1, opaque(MacAddr::from_index(1), MacAddr::BROADCAST));
     sim.run_for(Duration::from_millis(50));
-    assert_eq!(sim.trace().count("HostRx"), 0);
-    assert_eq!(sim.trace().count("Dropped"), drops_before);
+    assert_eq!(sim.trace().count(TraceKind::HostRx), 0);
+    assert_eq!(sim.trace().count(TraceKind::Dropped), drops_before);
 }
 
 #[test]
@@ -309,8 +348,12 @@ fn installed_flow_rules_forward_without_controller() {
     assert_eq!(sim.flow_count(SW1), Some(1));
     sim.host_send_frame(H1, opaque(MacAddr::from_index(1), MacAddr::from_index(2)));
     sim.run_for(Duration::from_millis(10));
-    assert_eq!(sim.trace().count("HostRx"), 1, "rule must forward to h2");
-    assert_eq!(sim.trace().count("PacketIn"), 0, "no table miss");
+    assert_eq!(
+        sim.trace().count(TraceKind::HostRx),
+        1,
+        "rule must forward to h2"
+    );
+    assert_eq!(sim.trace().count(TraceKind::PacketIn), 0, "no table miss");
 }
 
 /// An app that relays every received OOB frame count.
@@ -357,7 +400,7 @@ fn oob_channel_delivers_with_latency_and_codec_cost() {
         assert!(ctx.oob_send(H1, opaque(MacAddr::from_index(2), MacAddr::from_index(1))));
     });
     sim.run_for(Duration::from_millis(50));
-    assert_eq!(sim.trace().count("OobRelay"), 1);
+    assert_eq!(sim.trace().count(TraceKind::OobRelay), 1);
 }
 
 #[test]
@@ -405,7 +448,7 @@ fn default_stack_answers_arp_and_ping_over_flood_controller() {
 
 #[test]
 fn same_seed_same_trace_different_seed_diverges() {
-    fn run(seed: u64) -> (u64, usize) {
+    fn run(seed: u64) -> (u64, u64) {
         let mut spec = two_host_spec();
         spec.set_controller(Box::new(FloodController::new()));
         spec.add_host(
@@ -435,7 +478,7 @@ fn same_seed_same_trace_different_seed_diverges() {
             .iter()
             .map(|r| r.to_bits())
             .fold(0u64, |acc, b| acc.wrapping_mul(31).wrapping_add(b));
-        (rtt_bits, sim.trace().records().len())
+        (rtt_bits, sim.trace().total())
     }
     let a = run(42);
     let b = run(42);
@@ -451,10 +494,14 @@ fn admin_port_down_is_immediate_and_reversible() {
     let mut sim = Simulator::new(spec, 2);
     sim.run_for(Duration::from_millis(5));
     sim.set_switch_port_admin(SW1, PortNo::new(2), false);
-    assert_eq!(sim.trace().count("PortDown"), 1);
+    assert_eq!(sim.trace().count(TraceKind::PortDown), 1);
     sim.host_send_frame(H1, opaque(MacAddr::from_index(1), MacAddr::BROADCAST));
     sim.run_for(Duration::from_millis(20));
-    assert_eq!(sim.trace().count("HostRx"), 0, "flood skips downed port");
+    assert_eq!(
+        sim.trace().count(TraceKind::HostRx),
+        0,
+        "flood skips downed port"
+    );
     sim.set_switch_port_admin(SW1, PortNo::new(2), true);
-    assert_eq!(sim.trace().count("PortUp"), 1);
+    assert_eq!(sim.trace().count(TraceKind::PortUp), 1);
 }

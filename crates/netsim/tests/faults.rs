@@ -15,9 +15,9 @@ use std::any::Any;
 
 use netsim::{
     ControllerCtx, ControllerLogic, FaultPlan, FaultWindow, FrameDisposition, HostApp, HostCtx,
-    LinkProfile, LossModel, NetworkSpec, Simulator, TimerId, TraceEvent,
+    LinkProfile, LossModel, NetworkSpec, Simulator, TimerId, Trace, TraceKind,
 };
-use openflow::{Action, FlowMatch, FlowModCommand, OfMessage};
+use openflow::{Action, FlowMatch, FlowModCommand, OfMessage, PortLinkState};
 use sdn_types::packet::{EthernetFrame, Payload};
 use sdn_types::{DatapathId, Duration, HostId, IpAddr, MacAddr, PortNo, SimTime};
 use tm_telemetry::Telemetry;
@@ -29,8 +29,12 @@ const H2: HostId = HostId::new(2);
 const TRUNK: PortNo = PortNo::new(2);
 
 /// Installs "everything out port 2" on both switches at start: frames from
-/// H1 cross the trunk to SW2 and land on H2.
-struct StaticForwarder;
+/// H1 cross the trunk to SW2 and land on H2. Records each `PortStatus` as
+/// (switch, port, new state, when the switch observed it).
+#[derive(Default)]
+struct StaticForwarder {
+    port_status: Vec<(DatapathId, PortNo, PortLinkState, SimTime)>,
+}
 
 impl ControllerLogic for StaticForwarder {
     fn on_start(&mut self, ctx: &mut ControllerCtx<'_>) {
@@ -49,7 +53,15 @@ impl ControllerLogic for StaticForwarder {
             );
         }
     }
-    fn on_message(&mut self, _ctx: &mut ControllerCtx<'_>, _dpid: DatapathId, _msg: OfMessage) {}
+    fn on_message(&mut self, _ctx: &mut ControllerCtx<'_>, dpid: DatapathId, msg: OfMessage) {
+        if let OfMessage::PortStatus {
+            desc, observed_at, ..
+        } = msg
+        {
+            self.port_status
+                .push((dpid, desc.port_no, desc.state, observed_at));
+        }
+    }
     fn on_timer(&mut self, _ctx: &mut ControllerCtx<'_>, _id: TimerId) {}
     fn as_any(&self) -> &dyn Any {
         self
@@ -108,7 +120,7 @@ fn two_switch_spec() -> NetworkSpec {
     spec.attach_host(H1, SW1, PortNo::new(1), edge);
     spec.attach_host(H2, SW2, PortNo::new(2), edge);
     spec.set_host_app(H2, Box::<Recorder>::default());
-    spec.set_controller(Box::new(StaticForwarder));
+    spec.set_controller(Box::<StaticForwarder>::default());
     spec.set_telemetry(Telemetry::new());
     spec
 }
@@ -125,11 +137,8 @@ fn drive(sim: &mut Simulator, secs: u16) {
     }
 }
 
-fn fingerprint(sim: &Simulator) -> (Vec<TraceEvent>, String) {
-    (
-        sim.trace().records().to_vec(),
-        sim.metrics_snapshot().render(),
-    )
+fn fingerprint(sim: &Simulator) -> (Trace, String) {
+    (*sim.trace(), sim.metrics_snapshot().render())
 }
 
 #[test]
@@ -267,7 +276,7 @@ fn total_loss_window_blackholes_the_trunk() {
 
     let metrics = sim.metrics_snapshot();
     assert_eq!(metrics.counter("netsim.fault.loss_drops"), Some(5));
-    assert_eq!(sim.trace().count("Dropped"), 5);
+    assert_eq!(sim.trace().count(TraceKind::Dropped), 5);
 }
 
 #[test]
@@ -281,26 +290,23 @@ fn link_flap_emits_port_down_then_port_up() {
     );
     let mut sim = Simulator::with_fault_plan(two_switch_spec(), 21, plan);
     sim.run_for(Duration::from_secs(5));
-    let downs: Vec<_> = sim
-        .trace()
-        .records()
-        .iter()
-        .filter(|e| {
-            matches!(e, TraceEvent::PortDown { dpid, port, at }
-                if *dpid == SW2 && *port == PortNo::new(2) && *at == SimTime::from_secs(2))
-        })
-        .collect();
-    let ups: Vec<_> = sim
-        .trace()
-        .records()
-        .iter()
-        .filter(|e| {
-            matches!(e, TraceEvent::PortUp { dpid, port, at }
-                if *dpid == SW2 && *port == PortNo::new(2) && *at == SimTime::from_secs(3))
-        })
-        .collect();
-    assert_eq!(downs.len(), 1, "one PortDown at the flap edge");
-    assert_eq!(ups.len(), 1, "one PortUp at the flap edge");
+    let ctrl: &StaticForwarder = sim.controller_as().expect("controller type");
+    let flapped = |state, at| {
+        ctrl.port_status
+            .iter()
+            .filter(|&&e| e == (SW2, PortNo::new(2), state, at))
+            .count()
+    };
+    assert_eq!(
+        flapped(PortLinkState::Down, SimTime::from_secs(2)),
+        1,
+        "one PortDown at the flap edge"
+    );
+    assert_eq!(
+        flapped(PortLinkState::Up, SimTime::from_secs(3)),
+        1,
+        "one PortUp at the flap edge"
+    );
     assert_eq!(
         sim.metrics_snapshot().counter("netsim.fault.link_flaps"),
         Some(1)

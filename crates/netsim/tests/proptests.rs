@@ -1,9 +1,12 @@
 //! Property tests for the simulator: determinism and port state machine
 //! invariants under arbitrary interface bounce schedules.
 
+use std::any::Any;
+
 use tm_prop::prelude::*;
 
-use netsim::{LinkProfile, NetworkSpec, Simulator, TraceEvent};
+use netsim::{ControllerCtx, ControllerLogic, LinkProfile, NetworkSpec, Simulator, TimerId, Trace};
+use openflow::{OfMessage, PortLinkState};
 use sdn_types::{DatapathId, Duration, HostId, IpAddr, MacAddr, PortNo, SimTime};
 
 const SW: DatapathId = DatapathId::new(1);
@@ -22,9 +25,36 @@ fn spec() -> NetworkSpec {
     spec
 }
 
-/// Replays a bounce schedule: (down_at_ms, hold_ms) pairs.
-fn run_schedule(seed: u64, schedule: &[(u64, u64)]) -> Vec<(String, u64)> {
-    let mut sim = Simulator::new(spec(), seed);
+/// Records each `PortStatus` as (new state, when the switch observed
+/// it); otherwise inert, like the default controller.
+#[derive(Default)]
+struct PortStatusLog(Vec<(PortLinkState, u64)>);
+
+impl ControllerLogic for PortStatusLog {
+    fn on_start(&mut self, _ctx: &mut ControllerCtx<'_>) {}
+    fn on_message(&mut self, _ctx: &mut ControllerCtx<'_>, _dpid: DatapathId, msg: OfMessage) {
+        if let OfMessage::PortStatus {
+            desc, observed_at, ..
+        } = msg
+        {
+            self.0.push((desc.state, observed_at.as_nanos()));
+        }
+    }
+    fn on_timer(&mut self, _ctx: &mut ControllerCtx<'_>, _id: TimerId) {}
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+/// Replays a bounce schedule of (down_at_ms, hold_ms) pairs. Returns the
+/// port events the controller was told of, and the whole run's trace.
+fn run_schedule(seed: u64, schedule: &[(u64, u64)]) -> (Vec<(PortLinkState, u64)>, Trace) {
+    let mut spec = spec();
+    spec.set_controller(Box::<PortStatusLog>::default());
+    let mut sim = Simulator::new(spec, seed);
     let mut t = 0u64;
     for (gap, hold) in schedule {
         t += gap + 1;
@@ -33,21 +63,14 @@ fn run_schedule(seed: u64, schedule: &[(u64, u64)]) -> Vec<(String, u64)> {
         sim.host_schedule_iface_up(H, Duration::from_millis(*hold), None);
     }
     sim.run_until(SimTime::from_millis(t + 200));
-    sim.trace()
-        .records()
-        .iter()
-        .map(|r| match r {
-            TraceEvent::PortDown { at, .. } => ("down".to_string(), at.as_nanos()),
-            TraceEvent::PortUp { at, .. } => ("up".to_string(), at.as_nanos()),
-            other => (other.kind().to_string(), 0),
-        })
-        .collect()
+    let log: &PortStatusLog = sim.controller_as().expect("controller type");
+    (log.0.clone(), *sim.trace())
 }
 
 tm_prop! {
     #![tm_config(cases = 32)]
 
-    /// Same seed + same schedule => byte-identical event traces.
+    /// Same seed + same schedule => the same port events and trace.
     #[test]
     fn simulation_is_deterministic(
         seed in any::<u64>(),
@@ -66,15 +89,14 @@ tm_prop! {
         seed in any::<u64>(),
         schedule in collection::vec((100u64..400, 1u64..100), 1..6),
     ) {
-        let events = run_schedule(seed, &schedule);
-        let port_events: Vec<&(String, u64)> = events
-            .iter()
-            .filter(|(k, _)| k == "down" || k == "up")
-            .collect();
-        let mut expect = "down";
-        for (kind, _) in &port_events {
-            prop_assert_eq!(kind.as_str(), expect, "events must alternate");
-            expect = if expect == "down" { "up" } else { "down" };
+        let (port_events, _) = run_schedule(seed, &schedule);
+        let mut expect = PortLinkState::Down;
+        for (state, _) in &port_events {
+            prop_assert_eq!(*state, expect, "events must alternate");
+            expect = match expect {
+                PortLinkState::Down => PortLinkState::Up,
+                PortLinkState::Up => PortLinkState::Down,
+            };
         }
         // Bounces held under the minimum pulse window can never fire.
         if schedule.iter().all(|(_, hold)| *hold < 8) {
@@ -85,7 +107,10 @@ tm_prop! {
         // the switch has re-detected the link, the switch legitimately sees
         // one continuous outage.)
         let long_bounces = schedule.iter().filter(|(_, hold)| *hold >= 24).count();
-        let downs = port_events.iter().filter(|(k, _)| k == "down").count();
+        let downs = port_events
+            .iter()
+            .filter(|(state, _)| *state == PortLinkState::Down)
+            .count();
         if long_bounces > 0 {
             prop_assert!(downs >= 1, "a >=24 ms bounce must be detected");
         }

@@ -14,7 +14,7 @@
 
 use netsim::traffic::{ArrivalProcess, SizeMix};
 use netsim::{
-    DemandProfile, LinkProfile, NetworkSpec, Simulator, TraceEvent, TrafficPlan, TrafficWindow,
+    DemandProfile, LinkProfile, NetworkSpec, Simulator, Trace, TrafficPlan, TrafficWindow,
 };
 use sdn_types::{DatapathId, Duration, HostId, IpAddr, MacAddr, PortNo, SimTime};
 use tm_telemetry::Telemetry;
@@ -56,11 +56,8 @@ fn two_group_plan() -> TrafficPlan {
     plan
 }
 
-fn fingerprint(sim: &Simulator) -> (Vec<TraceEvent>, String) {
-    (
-        sim.trace().records().to_vec(),
-        sim.metrics_snapshot().render(),
-    )
+fn fingerprint(sim: &Simulator) -> (Trace, String) {
+    (*sim.trace(), sim.metrics_snapshot().render())
 }
 
 #[test]

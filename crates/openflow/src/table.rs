@@ -228,22 +228,6 @@ impl FlowTable {
         removed
     }
 
-    /// Deletes every rule, returning them (used on switch restart).
-    pub fn clear(&mut self) -> Vec<RemovedFlow> {
-        let removed = self
-            .bands
-            .values_mut()
-            .flat_map(|b| b.entries.drain(..))
-            .map(|entry| RemovedFlow {
-                entry,
-                reason: FlowRemovedReason::Delete,
-            })
-            .collect();
-        self.bands.clear();
-        self.len = 0;
-        removed
-    }
-
     /// Offers `frame` (arriving on `in_port` at `now`) to the table.
     ///
     /// On a hit the matched rule's counters and idle timer are updated and
@@ -553,17 +537,5 @@ mod tests {
         table.insert(FlowEntry::new(m, out(3)).with_priority(50), SimTime::ZERO);
         assert_eq!(table.len(), 2);
         assert_eq!(table.entries().count(), 2);
-    }
-
-    #[test]
-    fn clear_returns_all() {
-        let mut table = FlowTable::new();
-        table.insert(FlowEntry::new(FlowMatch::new(), out(1)), SimTime::ZERO);
-        table.insert(
-            FlowEntry::new(FlowMatch::new().with_in_port(PortNo::new(2)), out(2)),
-            SimTime::ZERO,
-        );
-        assert_eq!(table.clear().len(), 2);
-        assert!(table.is_empty());
     }
 }

@@ -92,8 +92,6 @@ pub struct Sphinx {
     recent_moves: BTreeMap<MacAddr, Vec<SimTime>>,
     /// Which link each switch port was last an endpoint of.
     port_links: BTreeMap<SwitchPort, DirectedLink>,
-    /// Alerts raised (diagnostics).
-    pub detections: u64,
 }
 
 impl Sphinx {
@@ -104,12 +102,10 @@ impl Sphinx {
             flows: BTreeMap::new(),
             recent_moves: BTreeMap::new(),
             port_links: BTreeMap::new(),
-            detections: 0,
         }
     }
 
     fn alert(&mut self, cx: &mut ModuleCtx<'_>, kind: AlertKind, detail: String) {
-        self.detections += 1;
         cx.telemetry.counter_inc("sphinx.detections");
         cx.alerts.raise(Alert {
             at: cx.now,

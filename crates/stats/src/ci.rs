@@ -2,21 +2,13 @@
 //!
 //! Every number in the paper's evaluation is a distribution
 //! ("0.91 ± 0.04 ms"), so the campaign runner reports each per-cell metric
-//! as `mean ± half-width` at a stated confidence level. Two routines:
-//!
-//! * [`t_interval`] — the classic Student-t interval on the mean, the
-//!   default for campaign tables. The t quantile is computed in-house
-//!   (exact closed forms for ν = 1, 2; the Cornish–Fisher expansion of
-//!   the normal quantile for ν ≥ 3) so the workspace's dependency set
-//!   stays empty.
-//! * [`bootstrap_mean_ci`] — a seeded percentile bootstrap for metrics
-//!   whose distribution is too skewed for the t assumption (hijack timing
-//!   tails). Deterministic under a `tm_rand` generator, like everything
-//!   else in the workspace.
+//! as `mean ± half-width` at a stated confidence level, from the classic
+//! Student-t interval on the mean ([`t_interval`]). The t quantile is
+//! computed in-house (exact closed forms for ν = 1, 2; the Cornish–Fisher
+//! expansion of the normal quantile for ν ≥ 3) so the workspace's
+//! dependency set stays empty.
 
-use tm_rand::Rng;
-
-use crate::quantile::{normal_inverse_cdf, quantile};
+use crate::quantile::normal_inverse_cdf;
 use crate::summary::Summary;
 
 /// A two-sided confidence interval on a mean.
@@ -124,54 +116,9 @@ pub fn t_interval_of(s: &Summary, confidence: f64) -> Option<ConfidenceInterval>
     })
 }
 
-/// A seeded percentile-bootstrap confidence interval on the mean.
-///
-/// Draws `resamples` bootstrap resamples (with replacement) from
-/// `samples`, computes each resample's mean, and reports the empirical
-/// `(1 − confidence)/2` and `(1 + confidence)/2` quantiles of those means.
-/// The reported `half_width` is half the interval span (the interval
-/// itself need not be symmetric around the sample mean for skewed data).
-///
-/// Fully deterministic under the supplied generator: same samples, same
-/// seed, same interval.
-///
-/// Returns `None` for an empty slice, a confidence outside `(0, 1)`, or
-/// `resamples == 0`.
-pub fn bootstrap_mean_ci<R: Rng>(
-    samples: &[f64],
-    confidence: f64,
-    resamples: usize,
-    rng: &mut R,
-) -> Option<ConfidenceInterval> {
-    if samples.is_empty() || !(confidence > 0.0 && confidence < 1.0) || resamples == 0 {
-        return None;
-    }
-    let mean = Summary::of(samples).mean;
-    let mut means = Vec::with_capacity(resamples);
-    for _ in 0..resamples {
-        let mut sum = 0.0;
-        for _ in 0..samples.len() {
-            sum += samples[rng.gen_range(0..samples.len())];
-        }
-        means.push(sum / samples.len() as f64);
-    }
-    let alpha = (1.0 - confidence) / 2.0;
-    let lo = quantile(&means, alpha)?;
-    let hi = quantile(&means, 1.0 - alpha)?;
-    Some(ConfidenceInterval {
-        mean,
-        half_width: (hi - lo) / 2.0,
-        lo,
-        hi,
-        n: samples.len(),
-        confidence,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tm_rand::StdRng;
 
     // Hand-checked critical values (R: qt(0.975, df) / qt(0.995, df)).
     #[test]
@@ -260,28 +207,5 @@ mod tests {
         assert!(t_interval_of(&Summary::of(&[1.0]), 1.0).is_none());
         let one = t_interval_of(&Summary::of(&[3.0]), 0.95).expect("single sample");
         assert_eq!(one.half_width, 0.0);
-    }
-
-    #[test]
-    fn bootstrap_is_deterministic_and_brackets_the_mean() {
-        let samples: Vec<f64> = (0..40).map(|i| (i % 7) as f64).collect();
-        let a = bootstrap_mean_ci(&samples, 0.95, 500, &mut StdRng::seed_from_u64(9)).unwrap();
-        let b = bootstrap_mean_ci(&samples, 0.95, 500, &mut StdRng::seed_from_u64(9)).unwrap();
-        assert_eq!(a, b, "same seed must replay exactly");
-        assert!(a.lo <= a.mean && a.mean <= a.hi);
-        assert!(a.half_width > 0.0);
-        let c = bootstrap_mean_ci(&samples, 0.95, 500, &mut StdRng::seed_from_u64(10)).unwrap();
-        assert_ne!(a, c, "distinct seeds draw distinct resamples");
-    }
-
-    #[test]
-    fn bootstrap_degenerate_inputs() {
-        let mut rng = StdRng::seed_from_u64(1);
-        assert!(bootstrap_mean_ci(&[], 0.95, 100, &mut rng).is_none());
-        assert!(bootstrap_mean_ci(&[1.0], 0.95, 0, &mut rng).is_none());
-        assert!(bootstrap_mean_ci(&[1.0], 1.5, 100, &mut rng).is_none());
-        let one = bootstrap_mean_ci(&[4.0], 0.95, 100, &mut rng).unwrap();
-        assert_eq!(one.half_width, 0.0);
-        assert_eq!(one.mean, 4.0);
     }
 }

@@ -11,9 +11,9 @@
 //! * [`quantile`](mod@quantile) — empirical quantiles and the normal inverse CDF, which is
 //!   how the attacker derives a probe timeout from a target false-positive
 //!   rate ("computing the quantile distribution function", §V-B1).
-//! * [`ci`] — confidence intervals on means (Student-t and seeded
-//!   percentile bootstrap), which is how the campaign runner turns
-//!   multi-seed sweeps into the paper's "value ± spread" table entries.
+//! * [`ci`] — Student-t confidence intervals on means; the campaign
+//!   runner's `t_interval_of` turns multi-seed sweeps into the paper's
+//!   "value ± spread" table entries.
 //! * [`iqr`] — the fixed-size latency store and `Q3 + 3·IQR` outlier rule
 //!   used by TopoGuard+'s Link Latency Inspector (§VI-D).
 //! * [`histogram`] — fixed-bin histograms with a text renderer, used to
@@ -29,9 +29,7 @@ pub mod iqr;
 pub mod quantile;
 pub mod summary;
 
-pub use ci::{
-    bootstrap_mean_ci, student_t_quantile, t_interval, t_interval_of, ConfidenceInterval,
-};
+pub use ci::{student_t_quantile, t_interval, t_interval_of, ConfidenceInterval};
 pub use dist::{Distribution, Exponential, LogNormal, Normal, ShiftedPareto, UniformRange};
 pub use histogram::Histogram;
 pub use iqr::{IqrOutlierDetector, IqrVerdict};

@@ -50,8 +50,6 @@ pub struct Cmm {
     in_flight: BTreeMap<SwitchPort, SimTime>,
     /// Recent Port-Up/Down observations: `(port, at, went_up)`.
     port_events: Vec<(SwitchPort, SimTime, bool)>,
-    /// Alerts raised (diagnostics).
-    pub detections: u64,
 }
 
 impl Cmm {
@@ -61,12 +59,10 @@ impl Cmm {
             config,
             in_flight: BTreeMap::new(),
             port_events: Vec::new(),
-            detections: 0,
         }
     }
 
     fn alert(&mut self, cx: &mut ModuleCtx<'_>, detail: String) {
-        self.detections += 1;
         cx.telemetry.counter_inc("topoguard.cmm.detections");
         cx.alerts.raise(Alert {
             at: cx.now,
