@@ -122,6 +122,25 @@ cargo run -q --release --offline -p bench --bin experiments -- \
 grep -q 'without re-simulating' "$tmp/tm_shard_replay.err"
 diff "$tmp/tm_shard_single.out" "$tmp/tm_shard_replay.out"
 
+# A flag the command does not read is a usage error, never ignored: exit 2
+# before any work, nothing on stdout, and the flag named on stderr. Each
+# line is the flag, then the command line that passes it.
+while read -r flag args; do
+    status=0
+    # $args is split into words on purpose.
+    # shellcheck disable=SC2086
+    cargo run -q --release --offline -p bench --bin experiments -- $args </dev/null \
+        >"$tmp/tm_unread.out" 2>"$tmp/tm_unread.err" || status=$?
+    test "$status" -eq 2
+    if test -s "$tmp/tm_unread.out"; then exit 1; fi
+    grep -q -- "$flag is not read by this command" "$tmp/tm_unread.err"
+done <<CASES
+--trials table3 --trials 7
+--seed table2 --seed 0x1
+--seeds load --probe-only --seeds 3
+--seed campaign replay $state/probe-overhead.shard0of2.runlog --seed 0x5
+CASES
+
 # Topology-parameterized matrix smoke: one fat-tree hijack cell, offline,
 # single seed. Guards the whole fabric-elaboration path (generator → role
 # mapping → tree-scoped flooding → scenario) end to end; isolated-run

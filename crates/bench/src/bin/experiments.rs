@@ -10,23 +10,156 @@
 
 use std::fs::File;
 use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-use bench::cli::CommonArgs;
+use bench::cli::{self, Args, Command};
 use bench::json::JsonValue;
 use bench::{ablation, campaign, figures, metrics, runlog, sweeps, tables};
 use tm_campaign::{
     aggregate_stream, run_campaign, run_campaign_with, CampaignReport, CampaignSpec, Registry,
-    Resume, Shard,
+    Resume,
 };
-use tm_core::{matrix, DefenseStack, FaultProfile};
+use tm_core::{matrix, DefenseStack, FaultProfile, MatrixEntry};
 
-/// The campaign family's value-taking flags (shared by `campaign`,
-/// `matrix --topo`, and `load`). `--resume` is boolean and filtered out
-/// before [`CommonArgs::parse`] sees the argument list.
-const CAMPAIGN_FLAGS: &[&str] = &["--seeds", "--workers", "--confidence", "--shard", "--state"];
+/// Every command, in usage order. `all` runs the entries above it, the
+/// paper's sections, so `experiments <id>` prints exactly its section of
+/// `experiments_output.txt`.
+const COMMANDS: &[Command] = &[
+    Command::new("table1 [--seed]", "Table I: liveness probes", |a| {
+        println!("{}", tables::table1(a.seed))
+    }),
+    Command::new("table2", "Table II: TOPOGUARD+ overhead", |_| {
+        println!("{}", tables::table2())
+    }),
+    Command::new("table3 [--seed]", "Table III: discovery profiles", |a| {
+        println!("{}", tables::table3(a.seed))
+    }),
+    Command::new("fig4 [--seed]", "Fig. 4: ifconfig latency", |a| {
+        println!("{}", figures::fig4(a.seed, 1000))
+    }),
+    Command::new(
+        "fig5|fig6|fig7|fig8 [--seed] [--trials]",
+        "Figs. 5-8: hijack timing, one batch of trials",
+        |a| println!("{}", figures::figs5_to_8(a.seed, a.trials)),
+    ),
+    Command::new("fig10 [--seed]", "Fig. 10: switch-link latencies", |a| {
+        println!("{}", figures::fig10(a.seed, 100))
+    }),
+    Command::new("fig11|fig13 [--seed]", "Figs. 11/13: LLI alerts", |a| {
+        println!("{}", figures::fig11(a.seed))
+    }),
+    Command::new("fig12 [--seed]", "Fig. 12: CMM alerts", |a| {
+        println!("{}", figures::fig12(a.seed));
+        for line in figures::fig12_alerts(a.seed).iter().take(6) {
+            println!("  {line}");
+        }
+        println!();
+    }),
+    Command::new("matrix [--seed] [--json]", "detection matrix", |a| {
+        write_matrix("matrix", a, || {
+            println!("DETECTION MATRIX (headline result)\n");
+            print_matrix(&DefenseStack::ALL, FaultProfile::Clean, a.seed)
+        })
+    }),
+    Command::new("scan_detection", "§V-B2: scan-rate detection", |_| {
+        println!("{}", sweeps::scan_detection())
+    }),
+    Command::new("alert_flood [--seed]", "§IV-B: alert flooding", |a| {
+        println!("{}", sweeps::alert_flood(a.seed))
+    }),
+    Command::new("downtime", "live-migration downtime windows", |_| {
+        println!("{}", sweeps::downtime_windows(80.0))
+    }),
+    Command::new("ablation_lli [--seed]", "LLI fence sweep", |a| {
+        println!("{}", ablation::lli_fence_sweep(a.seed))
+    }),
+    Command::new("ablation_amnesia [--seed]", "amnesia hold sweep", |a| {
+        println!("{}", ablation::amnesia_hold_sweep(a.seed))
+    }),
+    Command::new("ablation_timeout [--seed]", "probe timeout sweep", |a| {
+        println!("{}", ablation::probe_timeout_sweep(a.seed))
+    }),
+    Command::new("metrics [--seed]", "telemetry per scenario", |a| {
+        println!("{}", metrics::metrics_report(a.seed))
+    }),
+    Command::new("all [--seed] [--trials]", "the sections above", |a| {
+        let sections = COMMANDS.iter().take_while(|c| !c.usage.starts_with("all "));
+        sections.for_each(|c| (c.run)(a));
+    }),
+    Command::new("ablations [--seed]", "the three ablations", |a| {
+        let ablations = COMMANDS.iter().filter(|c| c.usage.starts_with("ablation_"));
+        ablations.for_each(|c| (c.run)(a));
+    }),
+    Command::new(
+        "matrix_extended [--seed] [--json]",
+        "detection matrix plus the identifier-binding stack",
+        |a| {
+            let stacks = &DefenseStack::ALL_EXTENDED;
+            write_matrix("matrix_extended", a, || {
+                print_matrix(stacks, FaultProfile::Clean, a.seed)
+            })
+        },
+    ),
+    Command::new("fault_matrix [--seed] [--json]", "per fault profile", |a| {
+        write_matrix("fault_matrix", a, || {
+            let sweep = FaultProfile::MATRIX_SWEEP.into_iter().flat_map(|p| {
+                println!("DETECTION MATRIX under fault profile: {}\n", p.label());
+                print_matrix(&DefenseStack::ALL, p, a.seed)
+            });
+            sweep.collect()
+        })
+    }),
+    Command::new(
+        "campaign <scenario|smoke|faults> [--seed] [--json] [--seeds] [--workers] [--confidence] \
+         [--shard] [--state] [--resume]",
+        "multi-seed campaign over a registered scenario or group",
+        |a| {
+            let names: Vec<&str> = match a.operands[0].as_str() {
+                "smoke" => campaign::SMOKE_SCENARIOS.to_vec(),
+                "faults" => campaign::FAULT_SCENARIOS.to_vec(),
+                name => vec![name],
+            };
+            run_campaigns("campaign", &campaign::registry(), &names, a);
+        },
+    ),
+    Command::new("campaign list", "the registered scenarios", |_| {
+        for s in campaign::registry().scenarios() {
+            let cells = s.cells().len();
+            println!("{:<18} {:>3} cells  {}", s.name, cells, s.description);
+        }
+    }),
+    Command::new(
+        "campaign replay <LOG>... [--json]",
+        "merge shard run-logs and re-aggregate them without re-simulating",
+        replay,
+    ),
+    Command::new(
+        "scale [--seed] [--json] [--seeds] [--workers] [--confidence] [--shard] [--state] \
+         [--resume]",
+        "the datacenter-fabric soak grid (campaign scale)",
+        |a| run_campaigns("scale", &campaign::registry(), &["scale"], a),
+    ),
+    Command::new(
+        "load [--seed] [--json] [--seeds] [--workers] [--confidence] [--shard] [--state] \
+         [--resume]",
+        "flow-level load campaign, then the 102,400-host throughput probe",
+        |a| {
+            run_campaigns("load", &campaign::registry(), &["load"], a);
+            throughput_probe(a.seed);
+        },
+    ),
+    Command::new("load --probe-only [--seed]", "the probe alone", |a| {
+        throughput_probe(a.seed)
+    }),
+    Command::new(
+        "matrix --topo [--attacks] [--stacks] [--seed] [--json] [--seeds] [--workers] \
+         [--confidence] [--shard] [--state] [--resume]",
+        "detection matrix on generated fabrics (--topo: labels, families or default)",
+        topo_matrix,
+    ),
+];
 
-fn matrix_to_json(entries: &[tm_core::MatrixEntry]) -> JsonValue {
+fn matrix_to_json(entries: &[MatrixEntry]) -> JsonValue {
     JsonValue::Array(
         entries
             .iter()
@@ -49,6 +182,21 @@ fn matrix_to_json(entries: &[tm_core::MatrixEntry]) -> JsonValue {
     )
 }
 
+/// Runs the detection matrix over `stacks` under `profile` and prints it.
+fn print_matrix(stacks: &[DefenseStack], profile: FaultProfile, seed: u64) -> Vec<MatrixEntry> {
+    let entries = matrix::run_matrix(stacks, profile, seed);
+    println!("{}", matrix::render(&entries));
+    entries
+}
+
+/// Runs `print` for subcommand `cmd` and writes the entries it returns to
+/// `--json`.
+fn write_matrix(cmd: &str, args: &Args, print: impl FnOnce() -> Vec<MatrixEntry>) {
+    let json = create_json(cmd, args.json.as_deref());
+    let entries = print();
+    write_json(cmd, json, matrix_to_json(&entries));
+}
+
 /// Creates subcommand `cmd`'s `--json` file, if one was given. Called
 /// before the run, so a path that cannot be written exits 2 like any other
 /// bad flag instead of throwing the run's work away.
@@ -69,37 +217,6 @@ fn write_json(cmd: &str, out: Option<(String, File)>, json: JsonValue) {
     eprintln!("wrote {path}");
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: experiments <id> [--trials N] [--seed HEX] [--json FILE]\n\
-         (--json FILE is written by matrix, matrix_extended, fault_matrix,\n\
-          matrix --topo, scale, campaign <scenario|smoke|faults>, campaign\n\
-          replay and load without --probe-only; every other id rejects it)\n\
-         ids: table1 table2 table3 fig4 fig5 fig6 fig7 fig8 fig10 fig11 fig12 fig13\n\
-              matrix matrix_extended fault_matrix scan_detection alert_flood downtime\n\
-              ablations ablation_lli ablation_amnesia ablation_timeout metrics all\n\
-              campaign <scenario|smoke|faults|list> [--seeds N] [--workers N] [--confidence P]\n\
-                     [--shard I/N] [--state DIR] [--resume]\n\
-                     (--shard runs only grid cells `index mod N == I`; seeds stay global,\n\
-                      so merged shard output is byte-identical to a single invocation;\n\
-                      --state writes a binary run-log per shard;\n\
-                      --resume skips cells that run-log already completed)\n\
-              campaign replay <LOG...> [--json FILE]\n\
-                     (merge shard run-logs and re-aggregate without re-simulating)\n\
-              scale [--seeds N] [--workers N]  (alias for `campaign scale`)\n\
-              load [--seeds N] [--workers N] [--probe-only]\n\
-                     (flow-level traffic campaign + 102,400-host throughput probe;\n\
-                      --probe-only skips the campaign)\n\
-              matrix --topo <labels|families|default> [--attacks CSV] [--stacks CSV]\n\
-                     [--seeds N] [--workers N] [--confidence P] [--shard I/N]\n\
-                     [--state DIR] [--resume]\n\
-                     (detection matrix on generated fabrics; families fat-tree, ring,\n\
-                      linear, core-edge, datacenter expand to a small+large pair;\n\
-                      datacenter tops out at 1000 switches)"
-    );
-    std::process::exit(2);
-}
-
 /// Peak resident set size (VmHWM) in kB, from `/proc/self/status`.
 /// `None` on platforms without procfs — the record field is just omitted.
 fn peak_rss_kb() -> Option<u64> {
@@ -117,58 +234,6 @@ fn fail(cmd: &str, e: String) -> ! {
     std::process::exit(2)
 }
 
-/// The campaign family's flags, parsed once: the spec's knobs, shard
-/// assignment, and on-disk state (the shard's run-log) with resume.
-struct CampaignArgs {
-    common: CommonArgs,
-    seeds: usize,
-    workers: usize,
-    confidence: f64,
-    shard: Shard,
-    state: Option<PathBuf>,
-    resume: bool,
-}
-
-impl CampaignArgs {
-    /// Parses `args` for subcommand `cmd` (the error prefix): the campaign
-    /// flags plus the value-taking flags in `extra`. An unknown flag
-    /// prints usage; a bad value exits 2.
-    fn parse(cmd: &str, args: &[String], extra: &[&str]) -> CampaignArgs {
-        // `--resume` is boolean; every flag CommonArgs sees takes a value.
-        let resume = args.iter().any(|a| a == "--resume");
-        let filtered: Vec<String> = args
-            .iter()
-            .filter(|a| a.as_str() != "--resume")
-            .cloned()
-            .collect();
-        let common = CommonArgs::parse(&filtered, &[extra, CAMPAIGN_FLAGS].concat())
-            .unwrap_or_else(|e| {
-                eprintln!("{cmd}: {e}");
-                usage()
-            });
-        CampaignArgs::read(common, resume).unwrap_or_else(|e| fail(cmd, e))
-    }
-
-    /// Reads the campaign flags back out of `common`.
-    fn read(common: CommonArgs, resume: bool) -> Result<CampaignArgs, String> {
-        let shard = Shard::parse(&common.extra_parsed("--shard", "0/1".to_string())?)?;
-        let state: String = common.extra_parsed("--state", String::new())?;
-        let state = (!state.is_empty()).then(|| PathBuf::from(state));
-        if resume && state.is_none() {
-            return Err("--resume needs --state DIR (that is where the run-log lives)".into());
-        }
-        Ok(CampaignArgs {
-            seeds: common.extra_parsed("--seeds", 5)?,
-            workers: common.extra_parsed("--workers", 1)?,
-            confidence: common.extra_parsed("--confidence", 0.95)?,
-            common,
-            shard,
-            state,
-            resume,
-        })
-    }
-}
-
 /// Runs one campaign under `args`: plain in-memory execution without
 /// `--state`; with it, every run streams into the shard's binary run-log,
 /// and `--resume` first rebuilds the cells that log already completed.
@@ -176,7 +241,7 @@ impl CampaignArgs {
 fn execute_campaign(
     registry: &Registry,
     spec: &CampaignSpec,
-    args: &CampaignArgs,
+    args: &Args,
 ) -> Result<(CampaignReport, Option<u64>), String> {
     let Some(dir) = &args.state else {
         return run_campaign(registry, spec).map(|report| (report, None));
@@ -209,18 +274,16 @@ fn execute_campaign(
 /// The stderr `campaign-wall` perf record: wall clock, peak RSS, and the
 /// run-log footprint when state is on. Never in the deterministic stdout.
 fn campaign_wall_record(
-    name: &str,
-    workers: usize,
-    shard: Shard,
+    spec: &CampaignSpec,
     report: &CampaignReport,
     wall_ms: f64,
     runlog_bytes: Option<u64>,
 ) {
     let mut fields = vec![
         ("suite", JsonValue::from("campaign-wall")),
-        ("bench", name.into()),
-        ("workers", workers.into()),
-        ("shard", shard.label().as_str().into()),
+        ("bench", spec.scenario.as_str().into()),
+        ("workers", spec.workers.into()),
+        ("shard", spec.shard.label().as_str().into()),
         ("runs", report.total_runs.into()),
         ("failed", report.total_failures().into()),
         ("wall_ms", wall_ms.into()),
@@ -234,6 +297,15 @@ fn campaign_wall_record(
     eprintln!("BENCH_JSON {}", JsonValue::object(fields).to_compact());
 }
 
+/// Prints a campaign report and its per-cell `BENCH_JSON` records.
+fn print_report(report: &CampaignReport) {
+    print!("{}", report.render());
+    for line in campaign::cell_bench_lines(report) {
+        println!("{line}");
+    }
+    println!();
+}
+
 /// Runs each named campaign in `registry` under `args`.
 ///
 /// Everything deterministic — the report and the per-cell `BENCH_JSON`
@@ -241,19 +313,17 @@ fn campaign_wall_record(
 /// `--workers` are byte-identical there (CI diffs exactly that). The
 /// wall-clock record, which legitimately varies, goes to **stderr**.
 /// `--json` gets the one summary, or an array of them.
-fn run_campaigns(cmd: &str, registry: &Registry, names: &[&str], args: &CampaignArgs) {
-    let json = create_json(cmd, args.common.json.as_deref());
+fn run_campaigns(cmd: &str, registry: &Registry, names: &[&str], args: &Args) {
+    let json = create_json(cmd, args.json.as_deref());
     let mut summaries = Vec::new();
     for &name in names {
         let spec = CampaignSpec {
-            seeds: args.seeds,
-            workers: args.workers,
-            confidence: args.confidence,
-            shard: args.shard,
+            scenario: name.to_string(),
+            base_seed: args.seed,
             // This binary owns the process: silence the default panic hook's
             // backtraces while isolated cells fail (they are *reported*).
             quiet_panics: true,
-            ..CampaignSpec::new(name, args.common.seed)
+            ..args.campaign.clone()
         };
 
         // tm-lint: allow(wall-clock) -- campaign wall time is the perf-trajectory record; stderr only, never in the deterministic report
@@ -262,20 +332,8 @@ fn run_campaigns(cmd: &str, registry: &Registry, names: &[&str], args: &Campaign
             execute_campaign(registry, &spec, args).unwrap_or_else(|e| fail(cmd, e));
         let wall_ms = start.elapsed().as_secs_f64() * 1e3;
 
-        print!("{}", report.render());
-        for line in campaign::cell_bench_lines(&report) {
-            println!("{line}");
-        }
-        println!();
-
-        campaign_wall_record(
-            name,
-            args.workers,
-            args.shard,
-            &report,
-            wall_ms,
-            runlog_bytes,
-        );
+        print_report(&report);
+        campaign_wall_record(&spec, &report, wall_ms, runlog_bytes);
 
         summaries.push(campaign::summary_json(&report));
     }
@@ -291,60 +349,31 @@ fn run_campaigns(cmd: &str, registry: &Registry, names: &[&str], args: &Campaign
 /// `campaign replay <LOG...>`: merge shard run-logs and re-aggregate the
 /// canonical stream — the exact stdout of the original campaign, with
 /// zero simulation work.
-fn replay_cmd(args: &[String]) {
-    let mut files: Vec<String> = Vec::new();
-    let mut flags: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        if args[i].starts_with("--") {
-            flags.push(args[i].clone());
-            if let Some(value) = args.get(i + 1) {
-                flags.push(value.clone());
-            }
-            i += 2;
-        } else {
-            files.push(args[i].clone());
-            i += 1;
-        }
-    }
-    let common = CommonArgs::parse(&flags, &[]).unwrap_or_else(|e| {
-        eprintln!("campaign replay: {e}");
-        usage()
-    });
-    if files.is_empty() {
-        eprintln!("campaign replay: needs at least one run-log file");
-        usage()
-    }
-    let json = create_json("campaign replay", common.json.as_deref());
-    let fail = |e: String| -> ! {
-        eprintln!("campaign replay: {e}");
-        std::process::exit(2)
-    };
-    let logs: Vec<runlog::RunLog> = files
+fn replay(args: &Args) {
+    const CMD: &str = "campaign replay";
+    let json = create_json(CMD, args.json.as_deref());
+    let logs: Vec<runlog::RunLog> = args
+        .operands
         .iter()
         .map(|f| runlog::read(Path::new(f)))
         .collect::<Result<_, _>>()
-        .unwrap_or_else(|e| fail(e));
-    for (file, log) in files.iter().zip(&logs) {
+        .unwrap_or_else(|e| fail(CMD, e));
+    for (file, log) in args.operands.iter().zip(&logs) {
         if log.truncated {
             eprintln!("warning: {file} has a damaged tail; incomplete cells will be rejected");
         }
     }
-    let (header, records) = runlog::merge(&logs).unwrap_or_else(|e| fail(e));
+    let (header, records) = runlog::merge(&logs).unwrap_or_else(|e| fail(CMD, e));
     let grid = header.grid();
-    let report = aggregate_stream(&header.meta(), &grid, records).unwrap_or_else(|e| fail(e));
+    let report = aggregate_stream(&header.meta(), &grid, records).unwrap_or_else(|e| fail(CMD, e));
 
-    print!("{}", report.render());
-    for line in campaign::cell_bench_lines(&report) {
-        println!("{line}");
-    }
-    println!();
+    print_report(&report);
     eprintln!(
         "replayed {} runs from {} log(s) without re-simulating",
         report.total_runs,
         logs.len()
     );
-    write_json("campaign replay", json, campaign::summary_json(&report));
+    write_json(CMD, json, campaign::summary_json(&report));
 }
 
 /// Expands a `--topo` grid spec: topology labels (`fat-tree-8`,
@@ -371,92 +400,23 @@ fn expand_topo_spec(items: &[String]) -> Vec<String> {
 }
 
 /// `matrix --topo`: the detection matrix re-run on generated fabrics, as
-/// a multi-seed campaign with [`run_campaigns`]' stdout/stderr split.
-fn topo_matrix_cmd(args: &[String]) {
+/// a multi-seed campaign with [`run_campaigns`]' stdout/stderr split, so
+/// verdicts come with ± CI and output is worker-count independent.
+fn topo_matrix(args: &Args) {
     const CMD: &str = "matrix --topo";
-    let args = CampaignArgs::parse(CMD, args, &["--topo", "--attacks", "--stacks"]);
-    let list = |flag: &str, default: String| -> Vec<String> {
-        let csv: String = args
-            .common
-            .extra_parsed(flag, default)
-            .unwrap_or_else(|e| fail(CMD, e));
-        csv.split(',')
-            .filter(|s| !s.is_empty())
-            .map(String::from)
-            .collect()
-    };
-    let topos = expand_topo_spec(&list("--topo", "default".to_string()));
-    let attacks = list(
-        "--attacks",
-        campaign::FABRIC_MATRIX_DEFAULT_ATTACKS.join(","),
-    );
-    let stacks = list("--stacks", campaign::FABRIC_MATRIX_STACKS.join(","));
     fn as_refs(v: &[String]) -> Vec<&str> {
         v.iter().map(String::as_str).collect()
     }
-
-    let scenario =
-        campaign::fabric_matrix_scenario(&as_refs(&topos), &as_refs(&attacks), &as_refs(&stacks))
-            .unwrap_or_else(|e| fail(CMD, e));
+    let topos = expand_topo_spec(&args.topo);
+    let scenario = campaign::fabric_matrix_scenario(
+        &as_refs(&topos),
+        &as_refs(&args.attacks),
+        &as_refs(&args.stacks),
+    )
+    .unwrap_or_else(|e| fail(CMD, e));
     let mut registry = Registry::new();
     registry.register(scenario).unwrap_or_else(|e| fail(CMD, e));
-    run_campaigns(CMD, &registry, &["fabric-matrix"], &args);
-}
-
-/// The `campaign` subcommand: multi-seed parameter-grid campaigns over the
-/// registry in `bench::campaign`, run by [`run_campaigns`].
-fn campaign_cmd(args: &[String]) {
-    let Some(target) = args.first() else { usage() };
-    if target == "replay" {
-        replay_cmd(&args[1..]);
-        return;
-    }
-    let registry = campaign::registry();
-
-    if target == "list" {
-        if let Some(flag) = args.get(1) {
-            fail("campaign list", format!("takes no flags, got {flag}"));
-        }
-        for s in registry.scenarios() {
-            let cells = s.cells().len();
-            println!("{:<18} {:>3} cells  {}", s.name, cells, s.description);
-        }
-        return;
-    }
-
-    let parsed = CampaignArgs::parse("campaign", &args[1..], &[]);
-    let names: Vec<&str> = match target.as_str() {
-        "smoke" => campaign::SMOKE_SCENARIOS.to_vec(),
-        "faults" => campaign::FAULT_SCENARIOS.to_vec(),
-        name => vec![name],
-    };
-    run_campaigns("campaign", &registry, &names, &parsed);
-}
-
-/// `load`: the flow-level traffic campaign (hosts × demand × stack on the
-/// fat-tree-4 fabric) followed by the 102,400-host throughput probe.
-/// `--probe-only` skips the campaign — the CI smoke path. Same
-/// stdout/stderr split as [`run_campaigns`]: everything on stdout is a
-/// pure function of the seed (diffable across `--workers`); the wall
-/// clock goes to stderr as the `traffic-throughput` `BENCH_JSON` record.
-fn load_cmd(args: &[String]) {
-    let probe_only = args.iter().any(|a| a == "--probe-only");
-    let filtered: Vec<String> = args
-        .iter()
-        .filter(|a| a.as_str() != "--probe-only")
-        .cloned()
-        .collect();
-    let parsed = CampaignArgs::parse("load", &filtered, &[]);
-    if probe_only && parsed.common.json.is_some() {
-        fail(
-            "load",
-            "--json is written by the campaign, which --probe-only skips".into(),
-        );
-    }
-    if !probe_only {
-        run_campaigns("load", &campaign::registry(), &["load"], &parsed);
-    }
-    throughput_probe(parsed.common.seed);
+    run_campaigns(CMD, &registry, &["fabric-matrix"], args);
 }
 
 /// Runs the ≥100k-host flow-level scenario end-to-end and reports the
@@ -466,7 +426,7 @@ fn load_cmd(args: &[String]) {
 /// simulation (every real packet crosses several hops), so the printed
 /// speedup is a floor.
 fn throughput_probe(seed: u64) {
-    use tm_core::{DefenseStack, LoadScenario, TrafficLoad};
+    use tm_core::{LoadScenario, TrafficLoad};
     use tm_topo::TopoKind;
 
     let scenario = LoadScenario::new(
@@ -510,122 +470,148 @@ fn throughput_probe(seed: u64) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(id) = args.first() else { usage() };
-    if id == "campaign" {
-        campaign_cmd(&args[1..]);
-        return;
-    }
-    if id == "matrix" && args.iter().any(|a| a == "--topo") {
-        // Topology-parameterized variant: runs as a multi-seed campaign so
-        // verdicts come with ± CI and output is worker-count independent.
-        topo_matrix_cmd(&args[1..]);
-        return;
-    }
-    if id == "scale" {
-        // Alias for `campaign scale`: the datacenter-fabric soak grid.
-        let mut forwarded = vec!["scale".to_string()];
-        forwarded.extend_from_slice(&args[1..]);
-        campaign_cmd(&forwarded);
-        return;
-    }
-    if id == "load" {
-        load_cmd(&args[1..]);
-        return;
-    }
-
-    let common = CommonArgs::parse(&args[1..], &[]).unwrap_or_else(|e| {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let (command, args) = cli::parse(COMMANDS, &argv).unwrap_or_else(|e| {
         eprintln!("{e}");
-        usage()
+        std::process::exit(2)
     });
-    let trials = common.trials;
-    let seed = common.seed;
-    let json_path = common.json;
-    if json_path.is_some() && !matches!(id.as_str(), "matrix" | "matrix_extended" | "fault_matrix")
-    {
-        fail(id, "--json is not written by this command".into());
+    (command.run)(&args);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bench::cli::FLAGS;
+
+    /// `flag` with a value it accepts; `--resume` with the `--state` it
+    /// needs.
+    fn given(flag: &'static str) -> Vec<&'static str> {
+        match flag {
+            "--resume" => vec![flag, "--state", "d"],
+            "--probe-only" => vec![flag],
+            "--seed" => vec![flag, "0x5"],
+            "--confidence" => vec![flag, "0.9"],
+            "--shard" => vec![flag, "1/2"],
+            _ if FLAGS.contains(&(flag, "N")) => vec![flag, "3"],
+            _ => vec![flag, "x"],
+        }
     }
 
-    match id.as_str() {
-        "table1" => println!("{}", tables::table1(seed)),
-        "table2" => println!("{}", tables::table2()),
-        "table3" => println!("{}", tables::table3(seed)),
-        "fig4" => println!("{}", figures::fig4(seed, trials.max(1000))),
-        // Figs. 5-8 come from the same trial batch.
-        "fig5" | "fig6" | "fig7" | "fig8" => println!("{}", figures::figs5_to_8(seed, trials)),
-        "fig10" => println!("{}", figures::fig10(seed, 100)),
-        "fig11" | "fig13" => println!("{}", figures::fig11(seed)),
-        "fig12" => {
-            println!("{}", figures::fig12(seed));
-            println!("alert log:");
-            for line in figures::fig12_alerts(seed).iter().take(6) {
-                println!("  {line}");
+    /// The words that name `c`, and any flag that selects it.
+    fn name(c: &Command) -> Vec<&'static str> {
+        let words = c.usage.split_whitespace();
+        words.filter(|p| !p.starts_with(['[', '<'])).collect()
+    }
+
+    /// A command line naming `c` (first aliases, a value for a selecting
+    /// flag, one operand), then `extra`.
+    fn argv(c: &Command, extra: Option<&'static str>) -> Vec<String> {
+        let mut argv = Vec::new();
+        for part in name(c) {
+            match part.strip_prefix("--") {
+                Some(_) => argv.extend(given(part)),
+                None => argv.extend(part.split('|').next()),
             }
         }
-        "matrix" | "matrix_extended" => {
-            let stacks: &[DefenseStack] = if id == "matrix" {
-                &DefenseStack::ALL
+        if c.usage.contains(" <") {
+            argv.push("x");
+        }
+        argv.extend(extra.map(given).unwrap_or_default());
+        argv.into_iter().map(String::from).collect()
+    }
+
+    fn parsed(argv: &[String]) -> &'static Command {
+        cli::parse(COMMANDS, argv)
+            .unwrap_or_else(|e| panic!("{argv:?}: {e}"))
+            .0
+    }
+
+    fn reads(c: &Command, flag: &str) -> bool {
+        c.usage.contains(&format!("[{flag}]"))
+    }
+
+    fn selects(c: &Command, flag: &str) -> bool {
+        name(c).contains(&flag)
+    }
+
+    #[test]
+    fn every_entry_reads_its_flags_and_rejects_the_rest() {
+        for c in COMMANDS {
+            assert!(std::ptr::eq(parsed(&argv(c, None)), c), "{}", c.usage);
+            for (flag, _) in FLAGS.into_iter().filter(|f| !selects(c, f.0)) {
+                let argv = argv(c, Some(flag));
+                let sibling = COMMANDS
+                    .iter()
+                    .find(|s| selects(s, flag) && name(s)[0] == name(c)[0]);
+                if reads(c, flag) {
+                    assert!(std::ptr::eq(parsed(&argv), c), "{argv:?}");
+                } else if let Some(sibling) = sibling {
+                    assert!(std::ptr::eq(parsed(&argv), sibling), "{argv:?}");
+                } else {
+                    let e = cli::parse(COMMANDS, &argv).expect_err(&argv.join(" "));
+                    let named = format!(": {flag} is not read by this command\n");
+                    assert!(
+                        e.starts_with(&argv[0]) && e.contains(&named),
+                        "{argv:?}: {e}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn boolean_flags_take_no_value_and_value_flags_need_one() {
+        let probe = ["load", "--probe-only", "--seed", "7"].map(String::from);
+        let (_, args) = cli::parse(COMMANDS, &probe).expect("probe-only");
+        assert_eq!(args.seed, 7);
+        let resume = ["campaign", "x", "--resume", "--state", "d"].map(String::from);
+        let (_, args) = cli::parse(COMMANDS, &resume).expect("resume");
+        assert!(args.resume && args.state.is_some());
+        for (flag, _) in FLAGS.into_iter().filter(|f| !f.1.is_empty()) {
+            let c = COMMANDS
+                .iter()
+                .find(|c| reads(c, flag) || selects(c, flag))
+                .expect("every flag is read by some command");
+            let mut argv = argv(c, None);
+            if selects(c, flag) {
+                argv.pop();
             } else {
-                &DefenseStack::ALL_EXTENDED
-            };
-            let json = create_json(id, json_path.as_deref());
-            let entries = matrix::run_matrix(stacks, FaultProfile::Clean, seed);
-            println!("{}", matrix::render(&entries));
-            write_json(id, json, matrix_to_json(&entries));
-        }
-        "fault_matrix" => {
-            // The detection matrix re-run under each degraded-network
-            // profile: does detection survive loss, jitter, congestion,
-            // and switch restarts?
-            let json = create_json(id, json_path.as_deref());
-            let mut all = Vec::new();
-            for profile in FaultProfile::MATRIX_SWEEP {
-                println!(
-                    "DETECTION MATRIX under fault profile: {}\n",
-                    profile.label()
-                );
-                let entries = matrix::run_matrix(&DefenseStack::ALL, profile, seed);
-                println!("{}", matrix::render(&entries));
-                all.extend(entries);
+                argv.push(flag.into());
             }
-            write_json(id, json, matrix_to_json(&all));
+            let e = cli::parse(COMMANDS, &argv).expect_err(&argv.join(" "));
+            assert!(e.starts_with(&format!("{flag} needs a value\n")), "{e}");
         }
-        "scan_detection" => println!("{}", sweeps::scan_detection()),
-        "alert_flood" => println!("{}", sweeps::alert_flood(seed)),
-        "downtime" => println!("{}", sweeps::downtime_windows(80.0)),
-        "metrics" => println!("{}", metrics::metrics_report(seed)),
-        "ablation_lli" => println!("{}", ablation::lli_fence_sweep(seed)),
-        "ablation_amnesia" => println!("{}", ablation::amnesia_hold_sweep(seed)),
-        "ablation_timeout" => println!("{}", ablation::probe_timeout_sweep(seed)),
-        "ablations" => {
-            println!("{}", ablation::lli_fence_sweep(seed));
-            println!("{}", ablation::amnesia_hold_sweep(seed));
-            println!("{}", ablation::probe_timeout_sweep(seed));
+    }
+
+    #[test]
+    fn json_is_read_by_exactly_the_commands_that_write_it() {
+        let json: Vec<String> = COMMANDS
+            .iter()
+            .filter(|c| reads(c, "--json"))
+            .map(|c| name(c).join(" "))
+            .collect();
+        let writers = [
+            "matrix",
+            "matrix_extended",
+            "fault_matrix",
+            "campaign",
+            "campaign replay",
+            "scale",
+            "load",
+            "matrix --topo",
+        ];
+        assert_eq!(json, writers);
+    }
+
+    #[test]
+    fn usage_names_every_entry_on_indented_lines() {
+        let text = cli::usage(COMMANDS);
+        for c in COMMANDS {
+            let line = format!("\n  {}\n", c.synopsis());
+            assert!(text.contains(&line), "{}", c.usage);
         }
-        "all" => {
-            println!("{}", tables::table1(seed));
-            println!("{}", tables::table2());
-            println!("{}", tables::table3(seed));
-            println!("{}", figures::fig4(seed, 1000));
-            println!("{}", figures::figs5_to_8(seed, trials));
-            println!("{}", figures::fig10(seed, 100));
-            println!("{}", figures::fig11(seed));
-            println!("{}", figures::fig12(seed));
-            for line in figures::fig12_alerts(seed).iter().take(6) {
-                println!("  {line}");
-            }
-            println!();
-            println!("DETECTION MATRIX (headline result)\n");
-            let entries = matrix::run_matrix(&DefenseStack::ALL, FaultProfile::Clean, seed);
-            println!("{}", matrix::render(&entries));
-            println!("{}", sweeps::scan_detection());
-            println!("{}", sweeps::alert_flood(seed));
-            println!("{}", sweeps::downtime_windows(80.0));
-            println!("{}", ablation::lli_fence_sweep(seed));
-            println!("{}", ablation::amnesia_hold_sweep(seed));
-            println!("{}", ablation::probe_timeout_sweep(seed));
-            println!("{}", metrics::metrics_report(seed));
+        for line in text.lines().skip(1) {
+            assert!(line.starts_with(char::is_whitespace), "{line:?}");
         }
-        _ => usage(),
     }
 }

@@ -8,6 +8,7 @@ use sdn_types::packet::{EthernetFrame, LldpPacket, Payload};
 use sdn_types::{DatapathId, Duration, HostId, IpAddr, MacAddr, PortNo, SimTime};
 use tm_rand::StdRng;
 use tm_stats::Summary;
+use tm_telemetry::Telemetry;
 
 use crate::harness::{self, black_box, Bench};
 
@@ -198,12 +199,13 @@ pub(crate) fn measure_profile(profile: ControllerProfile, seed: u64) -> (f64, f6
         profile,
         ..ControllerConfig::default()
     })));
+    spec.set_telemetry(Telemetry::new());
     let mut sim = Simulator::new(spec, seed);
 
     // Cadence: probes emitted over 60 s / rounds.
     sim.run_for(Duration::from_secs(61));
-    let ctrl: &SdnController = sim.controller_as().expect("controller");
-    let probes = ctrl.lldp_emitted as f64;
+    let emitted = sim.metrics_snapshot().counter("controller.lldp.emitted");
+    let probes = emitted.unwrap_or(0) as f64;
     let ports = 3.0; // two trunk endpoints + one host port
     let rounds = probes / ports;
     // First round fires 0.1 s after startup; cadence is the spacing between

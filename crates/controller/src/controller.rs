@@ -118,10 +118,6 @@ pub struct SdnController {
     telemetry: Telemetry,
     /// Hot-path metrics resolved from `telemetry`.
     metrics: HotMetrics,
-    /// Count of LLDP probes emitted (diagnostics / Table II workload).
-    pub lldp_emitted: u64,
-    /// Count of dataplane PacketIns processed (diagnostics).
-    pub packet_ins: u64,
 }
 
 impl SdnController {
@@ -138,8 +134,6 @@ impl SdnController {
             next_xid: 1,
             telemetry: Telemetry::disabled(),
             metrics: HotMetrics::default(),
-            lldp_emitted: 0,
-            packet_ins: 0,
         }
     }
 
@@ -256,7 +250,6 @@ impl SdnController {
                     frame,
                 },
             );
-            self.lldp_emitted += 1;
             self.metrics.lldp_emitted.inc();
         }
 
@@ -487,7 +480,6 @@ impl ControllerLogic for SdnController {
                 let _ = reason;
             }
             OfMessage::PacketIn { in_port, frame } => {
-                self.packet_ins += 1;
                 self.metrics.packet_in_total.inc();
                 let pin = PacketInCtx {
                     dpid,

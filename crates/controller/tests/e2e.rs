@@ -5,6 +5,7 @@ use controller::{ControllerConfig, ControllerProfile, DirectedLink, SdnControlle
 use netsim::apps::PeriodicPinger;
 use netsim::{LinkProfile, NetworkSpec, Simulator};
 use sdn_types::{DatapathId, Duration, HostId, IpAddr, MacAddr, PortNo, SwitchPort};
+use tm_telemetry::Telemetry;
 
 const S1: DatapathId = DatapathId::new(1);
 const S2: DatapathId = DatapathId::new(2);
@@ -72,15 +73,16 @@ fn discovery_cadence_follows_profile() {
             profile,
             ..ControllerConfig::default()
         };
-        let mut sim = Simulator::new(two_switch_spec(config), 1);
+        let mut spec = two_switch_spec(config);
+        spec.set_telemetry(Telemetry::new());
+        let mut sim = Simulator::new(spec, 1);
         sim.run_for(Duration::from_secs(31));
-        let ctrl: &SdnController = sim.controller_as().expect("controller");
         // 4 ports probed per round; rounds at 0.1s then every interval.
         let interval = profile.link_discovery_interval.as_nanos();
         let expected_rounds = 1 + (31_000_000_000 - 100_000_000) / interval;
         assert_eq!(
-            ctrl.lldp_emitted,
-            expected_rounds * 4,
+            sim.metrics_snapshot().counter("controller.lldp.emitted"),
+            Some(expected_rounds * 4),
             "{}: {} rounds of 4 probes",
             profile.name,
             expected_rounds

@@ -3,6 +3,7 @@
 use std::fmt;
 
 use controller::{ControllerConfig, SdnController};
+use netsim::Simulator;
 use sdn_types::Duration;
 use sphinx::{Sphinx, SphinxConfig};
 use topoguard::{Cmm, CmmConfig, IdentifierBinding, Lli, LliConfig, TopoGuard, TopoGuardConfig};
@@ -113,6 +114,13 @@ impl DefenseStack {
             }
         }
     }
+}
+
+/// The controller a scenario in this crate runs: every one installs a
+/// [`DefenseStack::build_controller`] controller during setup.
+pub(crate) fn controller(sim: &Simulator) -> &SdnController {
+    // tm-lint: allow(unwrap-in-lib) -- every scenario in this crate installs SdnController itself during setup; a missing controller is a bug in the scenario, not its input
+    sim.controller_as().expect("controller")
 }
 
 impl fmt::Display for DefenseStack {

@@ -3,12 +3,12 @@
 //! alerts.
 
 use attacks::{AlertFloodAttacker, FloodConfig};
-use controller::{ControllerConfig, SdnController};
+use controller::ControllerConfig;
 use netsim::apps::PeriodicPinger;
 use netsim::{LinkProfile, NetworkSpec, Simulator};
 use sdn_types::{DatapathId, Duration, HostId, IpAddr, MacAddr, PortNo};
 
-use crate::defense::DefenseStack;
+use crate::defense::{self, DefenseStack};
 
 /// Scenario parameters.
 #[derive(Clone, Copy, Debug)]
@@ -112,8 +112,7 @@ pub fn run(scenario: &FloodScenario) -> FloodOutcome {
         .host_app_as::<AlertFloodAttacker>(attacker)
         .map(|a| a.spoofs_sent)
         .unwrap_or(0);
-    // tm-lint: allow(unwrap-in-lib) -- this scenario installed SdnController itself during setup; a missing controller is a bug in this file, not scenario input
-    let ctrl: &SdnController = sim.controller_as().expect("controller");
+    let ctrl = defense::controller(&sim);
     let alerts = ctrl.alerts();
     let attack_secs = (scenario.run_for - Duration::from_secs(2)).as_secs_f64();
     let mut identities: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();

@@ -21,7 +21,7 @@ use netsim::apps::PeriodicPinger;
 use netsim::Simulator;
 use sdn_types::{Duration, SimTime};
 
-use crate::defense::DefenseStack;
+use crate::defense::{self, DefenseStack};
 use crate::fabric;
 use crate::robustness::FaultProfile;
 use crate::testbed;
@@ -260,8 +260,7 @@ pub fn run(scenario: &HijackScenario) -> HijackOutcome {
     let rejoin_at = victim_down_at + scenario.downtime;
     while sim.now() < rejoin_at {
         sim.run_for(Duration::from_millis(1));
-        // tm-lint: allow(unwrap-in-lib) -- this scenario installed SdnController itself during setup; a missing controller is a bug in this file, not scenario input
-        let ctrl: &SdnController = sim.controller_as().expect("controller");
+        let ctrl = defense::controller(&sim);
         if controller_ack_at.is_none()
             && ctrl.devices().location_of(&ids.victim_mac) == Some(ids.attacker_port)
         {
@@ -276,12 +275,7 @@ pub fn run(scenario: &HijackScenario) -> HijackOutcome {
 
     // Let the impersonation window play out.
     sim.run_until(rejoin_at);
-    let alerts_before_rejoin = sim
-        .controller_as::<SdnController>()
-        // tm-lint: allow(unwrap-in-lib) -- this scenario installed SdnController itself during setup; a missing controller is a bug in this file, not scenario input
-        .expect("controller")
-        .alerts()
-        .len();
+    let alerts_before_rejoin = defense::controller(&sim).alerts().len();
     let client_pings_at_rejoin = sim
         .host_app_as::<PeriodicPinger>(ids.client)
         .map(|p| p.received)
@@ -304,8 +298,7 @@ pub fn run(scenario: &HijackScenario) -> HijackOutcome {
     }
     sim.run_for(scenario.tail);
 
-    // tm-lint: allow(unwrap-in-lib) -- this scenario installed SdnController itself during setup; a missing controller is a bug in this file, not scenario input
-    let ctrl: &SdnController = sim.controller_as().expect("controller");
+    let ctrl = defense::controller(&sim);
     let alerts = ctrl.alerts();
     let timeline = sim
         .host_app_as::<PortProbingAttacker>(ids.attacker)

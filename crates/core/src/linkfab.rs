@@ -13,13 +13,13 @@
 //!   attack with colluders placed by the spec's forked attacker stream.
 
 use attacks::{InBandRelayAttacker, OobRelayAttacker, RelayConfig, RelayStats};
-use controller::{AlertKind, ControllerConfig, ControllerProfile, DirectedLink, SdnController};
+use controller::{AlertKind, ControllerConfig, ControllerProfile, DirectedLink};
 use netsim::apps::PeriodicPinger;
 use netsim::{HostApp, NetworkSpec, Simulator};
 use sdn_types::{Duration, HostId, IpAddr, MacAddr, SimTime};
 use tm_topo::TopoKind;
 
-use crate::defense::DefenseStack;
+use crate::defense::{self, DefenseStack};
 use crate::fabric::{self, RelayEndpoints};
 use crate::robustness::{FaultProfile, ProfileTargets};
 use crate::testbed;
@@ -299,8 +299,7 @@ fn collect_outcome(
     };
     let (stats_a, stats_b) = (stats(endpoints.attacker_a), stats(endpoints.attacker_b));
     let fake_link = DirectedLink::new(endpoints.port_a, endpoints.port_b);
-    // tm-lint: allow(unwrap-in-lib) -- this scenario installed SdnController itself during setup; a missing controller is a bug in this file, not scenario input
-    let ctrl: &SdnController = sim.controller_as().expect("controller");
+    let ctrl = defense::controller(sim);
     let link_established =
         ctrl.topology().contains(&fake_link) || ctrl.topology().contains(&fake_link.reversed());
     let alerts = ctrl.alerts();

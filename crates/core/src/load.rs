@@ -16,13 +16,13 @@
 //! fabrics place switches and hosts independently of the seed, so the
 //! plan never perturbs role mapping.
 
-use controller::{ControllerConfig, ControllerProfile, SdnController};
+use controller::{ControllerConfig, ControllerProfile};
 use netsim::traffic::{ArrivalProcess, SizeMix};
 use netsim::{DemandProfile, LinkProfile, Simulator, TrafficPlan, TrafficWindow};
 use sdn_types::{Duration, SimTime};
 use tm_topo::TopoKind;
 
-use crate::defense::DefenseStack;
+use crate::defense::{self, DefenseStack};
 use crate::fabric::TRAFFIC_START;
 
 /// Port distance between a traffic group's aggregation port and the
@@ -161,7 +161,7 @@ pub struct LoadOutcome {
     pub packets_aggregated: u64,
     /// Real frames expanded at detector boundaries (ARP + first packets).
     pub packets_expanded: u64,
-    /// Dataplane Packet-Ins the controller processed.
+    /// Packet-Ins the controller processed, LLDP ones included.
     pub packet_ins: u64,
     /// Engine events processed over the whole run.
     pub events_processed: u64,
@@ -211,8 +211,7 @@ pub fn run(scenario: &LoadScenario) -> LoadOutcome {
 
     let metrics = sim.metrics_snapshot();
     let counter = |name: &str| metrics.counter(name).unwrap_or(0);
-    // tm-lint: allow(unwrap-in-lib) -- this scenario installed SdnController itself during setup; a missing controller is a bug in this file, not scenario input
-    let ctrl: &SdnController = sim.controller_as().expect("controller");
+    let ctrl = defense::controller(&sim);
     LoadOutcome {
         switches: topo.switches.len(),
         hosts_placed: topo.hosts.len(),
@@ -221,7 +220,7 @@ pub fn run(scenario: &LoadScenario) -> LoadOutcome {
         bytes_offered: counter("traffic.bytes_offered"),
         packets_aggregated: counter("traffic.packets_aggregated"),
         packets_expanded: counter("traffic.packets_expanded"),
-        packet_ins: ctrl.packet_ins,
+        packet_ins: counter("controller.packet_in.total"),
         events_processed: counter("netsim.engine.events_processed"),
         links_discovered: ctrl.topology().len(),
         alerts_total: ctrl.alerts().len(),

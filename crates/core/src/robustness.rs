@@ -17,13 +17,13 @@
 //!   construction a false positive, which is what the `lli-under-jitter`,
 //!   `cmm-under-flaps`, and `discovery-under-loss` campaigns measure.
 
-use controller::{AlertKind, ControllerConfig, ControllerProfile, SdnController};
+use controller::{AlertKind, ControllerConfig, ControllerProfile};
 use netsim::apps::PeriodicPinger;
 use netsim::faults::{FaultPlan, FaultWindow, LossModel};
 use netsim::Simulator;
 use sdn_types::{DatapathId, Duration, PortNo, SimTime};
 
-use crate::defense::DefenseStack;
+use crate::defense::{self, DefenseStack};
 use crate::testbed;
 
 /// The fault targets of one testbed topology: which egress directions are
@@ -237,8 +237,7 @@ pub fn run(scenario: &RobustnessScenario) -> RobustnessOutcome {
     let mut sim = Simulator::with_fault_plan(spec, scenario.seed, plan);
     sim.run_for(scenario.run_for);
 
-    // tm-lint: allow(unwrap-in-lib) -- this scenario installed SdnController itself during setup; a missing controller is a bug in this file, not scenario input
-    let ctrl: &SdnController = sim.controller_as().expect("controller");
+    let ctrl = defense::controller(&sim);
     let alerts = ctrl.alerts();
     RobustnessOutcome {
         alerts_total: alerts.len(),

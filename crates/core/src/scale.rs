@@ -19,12 +19,12 @@
 //! from outside the simulator by the `fabric-soak` workload of
 //! `benches/topobench`.
 
-use controller::{ControllerConfig, ControllerProfile, SdnController};
+use controller::{ControllerConfig, ControllerProfile};
 use netsim::{LinkProfile, Simulator};
 use sdn_types::Duration;
 use tm_topo::TopoKind;
 
-use crate::defense::DefenseStack;
+use crate::defense::{self, DefenseStack};
 
 /// A scale soak: which fabric, which defense stack, how long.
 #[derive(Clone, Copy, Debug)]
@@ -101,8 +101,7 @@ pub fn run(scenario: &ScaleScenario) -> ScaleOutcome {
         .counter("netsim.engine.events_scheduled")
         .unwrap_or(0);
     let sim_secs = (scenario.run_for.as_nanos() as f64) / 1e9;
-    // tm-lint: allow(unwrap-in-lib) -- this scenario installed SdnController itself during setup; a missing controller is a bug in this file, not scenario input
-    let ctrl: &SdnController = sim.controller_as().expect("controller");
+    let ctrl = defense::controller(&sim);
     ScaleOutcome {
         switches: topo.switches.len(),
         hosts: topo.hosts.len(),

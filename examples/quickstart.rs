@@ -8,6 +8,7 @@
 use topomirage::controller::{ControllerConfig, SdnController};
 use topomirage::netsim::apps::PeriodicPinger;
 use topomirage::netsim::{LinkProfile, NetworkSpec, Simulator};
+use topomirage::telemetry::Telemetry;
 use topomirage::types::{DatapathId, Duration, HostId, IpAddr, MacAddr, PortNo};
 
 fn main() {
@@ -40,6 +41,7 @@ fn main() {
         )),
     );
 
+    spec.set_telemetry(Telemetry::new());
     let mut sim = Simulator::new(spec, 42);
     sim.run_for(Duration::from_secs(10));
 
@@ -70,6 +72,7 @@ fn main() {
         "\n== traffic ==\n  {} pings sent, {} replies, mean RTT {:.1} ms",
         pinger.sent, pinger.received, mean_rtt
     );
-    println!("  LLDP probes emitted: {}", ctrl.lldp_emitted);
+    let probes = sim.metrics_snapshot().counter("controller.lldp.emitted");
+    println!("  LLDP probes emitted: {}", probes.unwrap_or(0));
     assert!(pinger.received > 0, "quickstart network must carry traffic");
 }
