@@ -121,6 +121,15 @@ cargo run -q --release --offline -p bench --bin experiments -- \
     >"$tmp/tm_shard_replay.out" 2>"$tmp/tm_shard_replay.err"
 grep -q 'without re-simulating' "$tmp/tm_shard_replay.err"
 diff "$tmp/tm_shard_single.out" "$tmp/tm_shard_replay.out"
+# A campaign the runner rejects exits 2 before it touches --state: the
+# shard's run-log keeps every byte.
+cp "$log" "$tmp/tm_shard_0.runlog"
+status=0
+cargo run -q --release --offline -p bench --bin experiments -- \
+    campaign probe-overhead --seeds 0 --shard 0/2 --state "$state" \
+    >/dev/null 2>"$tmp/tm_shard_rejected.err" || status=$?
+test "$status" -eq 2
+cmp "$log" "$tmp/tm_shard_0.runlog"
 
 # A flag the command does not read is a usage error, never ignored: exit 2
 # before any work, nothing on stdout, and the flag named on stderr. Each

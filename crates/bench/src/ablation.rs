@@ -78,7 +78,7 @@ fn run_lli(seed: u64, k: f64, with_attack: bool) -> u64 {
             .filter(|o| o.flagged && (o.link.src == ep.port_a || o.link.src == ep.port_b))
             .count() as u64
     } else {
-        lli.detections
+        ctrl.alerts().count(AlertKind::AbnormalLinkLatency) as u64
     }
 }
 

@@ -236,7 +236,8 @@ fn fail(cmd: &str, e: String) -> ! {
 
 /// Runs one campaign under `args`: plain in-memory execution without
 /// `--state`; with it, every run streams into the shard's binary run-log,
-/// and `--resume` first rebuilds the cells that log already completed.
+/// and `--resume` first takes back the cells that log already completed.
+/// A spec the runner would reject fails before the log is touched.
 /// Returns the report plus the run-log size when state is on.
 fn execute_campaign(
     registry: &Registry,
@@ -249,24 +250,25 @@ fn execute_campaign(
     let scenario = registry
         .get(&spec.scenario)
         .ok_or_else(|| format!("unknown scenario `{}`", spec.scenario))?;
+    spec.check()?;
     std::fs::create_dir_all(dir).map_err(|e| format!("state dir {}: {e}", dir.display()))?;
     let log_path = dir.join(format!(
         "{}.shard{}of{}.runlog",
         spec.scenario, spec.shard.index, spec.shard.count
     ));
     let header = runlog::RunLogHeader::for_spec(scenario, spec);
-    let (resume, kept) = if args.resume {
-        let (resume, kept) = runlog::resume(&log_path, &header)?;
+    let resume = if args.resume {
+        let resume = runlog::resume(&log_path, &header)?;
         eprintln!(
             "resume: {} completed cell(s) carried over from {}",
-            resume.cells.len(),
+            resume.records.len() / spec.seeds,
             dir.display()
         );
-        (resume, kept)
+        resume
     } else {
-        (Resume::none(), Vec::new())
+        Resume::none()
     };
-    let mut writer = runlog::Writer::create(&log_path, &header, &kept)?;
+    let mut writer = runlog::Writer::create(&log_path, &header, &resume.records)?;
     let report = run_campaign_with(registry, spec, &resume, &mut writer)?;
     Ok((report, Some(writer.bytes())))
 }
@@ -284,7 +286,7 @@ fn campaign_wall_record(
         ("bench", spec.scenario.as_str().into()),
         ("workers", spec.workers.into()),
         ("shard", spec.shard.label().as_str().into()),
-        ("runs", report.total_runs.into()),
+        ("runs", report.total_runs().into()),
         ("failed", report.total_failures().into()),
         ("wall_ms", wall_ms.into()),
     ];
@@ -364,13 +366,13 @@ fn replay(args: &Args) {
         }
     }
     let (header, records) = runlog::merge(&logs).unwrap_or_else(|e| fail(CMD, e));
-    let grid = header.grid();
-    let report = aggregate_stream(&header.meta(), &grid, records).unwrap_or_else(|e| fail(CMD, e));
+    let report =
+        aggregate_stream(&header.meta, &header.grid(), records).unwrap_or_else(|e| fail(CMD, e));
 
     print_report(&report);
     eprintln!(
         "replayed {} runs from {} log(s) without re-simulating",
-        report.total_runs,
+        report.total_runs(),
         logs.len()
     );
     write_json(CMD, json, campaign::summary_json(&report));

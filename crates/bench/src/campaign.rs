@@ -531,7 +531,7 @@ pub fn cell_bench_lines(report: &CampaignReport) -> Vec<String> {
         for m in &cell.metrics {
             let record = metric_json(
                 vec![
-                    ("suite", format!("campaign/{}", report.scenario).into()),
+                    ("suite", format!("campaign/{}", report.meta.scenario).into()),
                     ("cell", cell.point.label().into()),
                     ("metric", m.name.as_str().into()),
                 ],
@@ -545,12 +545,13 @@ pub fn cell_bench_lines(report: &CampaignReport) -> Vec<String> {
 
 /// The machine-readable campaign summary (`--json FILE`).
 pub fn summary_json(report: &CampaignReport) -> JsonValue {
+    let meta = &report.meta;
     JsonValue::object(vec![
-        ("scenario", report.scenario.as_str().into()),
-        ("description", report.description.as_str().into()),
-        ("base_seed", format!("{:#x}", report.base_seed).into()),
-        ("seeds", report.seeds.into()),
-        ("confidence", report.confidence.into()),
+        ("scenario", meta.scenario.as_str().into()),
+        ("description", meta.description.as_str().into()),
+        ("base_seed", format!("{:#x}", meta.base_seed).into()),
+        ("seeds", meta.seeds.into()),
+        ("confidence", meta.confidence.into()),
         (
             "cells",
             JsonValue::Array(
@@ -594,7 +595,7 @@ pub fn summary_json(report: &CampaignReport) -> JsonValue {
         ),
         (
             "total_ok",
-            (report.total_runs - report.total_failures()).into(),
+            (report.total_runs() - report.total_failures()).into(),
         ),
         ("total_failed", report.total_failures().into()),
     ])

@@ -223,7 +223,7 @@ pub fn fig11(seed: u64) -> String {
     }
     out.push_str(&format!(
         "\nLLI detections: {}   fake link in topology at end: {}\n",
-        lli.detections,
+        ctrl.alerts().count(AlertKind::AbnormalLinkLatency),
         ctrl.topology()
             .contains(&controller::DirectedLink::new(ep.port_a, ep.port_b))
             || ctrl

@@ -25,8 +25,8 @@
 //! Records are length-prefixed and appended one `write` per run by the
 //! [`Writer`] sink, so a killed campaign leaves a log whose complete
 //! prefix-of-records is intact; [`read`] stops cleanly at a damaged tail
-//! and flags it, and [`resume`] re-aggregates the complete cells of that
-//! prefix, so the log is the only state `--resume` needs. Shard logs
+//! and flags it, and [`resume`] hands the runner the complete cells of
+//! that prefix, so the log is the only state `--resume` needs. Shard logs
 //! [`merge`] by global run index; duplicate or incomplete coverage is an
 //! error naming the offending cell, never a silently wrong aggregate.
 
@@ -48,18 +48,8 @@ const MAGIC: &[u8; 8] = b"TMRLOG01";
 /// records without the scenario registry.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RunLogHeader {
-    /// Scenario name.
-    pub scenario: String,
-    /// Scenario description (carried into replayed reports).
-    pub description: String,
-    /// The campaign's base seed.
-    pub base_seed: u64,
-    /// Seeds per cell.
-    pub seeds: usize,
-    /// Confidence level for replayed intervals.
-    pub confidence: f64,
-    /// The shard that wrote this log.
-    pub shard: Shard,
+    /// The campaign that wrote the log, and the shard that wrote it.
+    pub meta: CampaignMeta,
     /// The scenario's parameter axes — the grid, reconstructible via
     /// [`tm_campaign::grid_of`].
     pub axes: Vec<Axis>,
@@ -69,12 +59,7 @@ impl RunLogHeader {
     /// The header for a spec over the given scenario.
     pub fn for_spec(scenario: &Scenario, spec: &CampaignSpec) -> RunLogHeader {
         RunLogHeader {
-            scenario: scenario.name.clone(),
-            description: scenario.description.clone(),
-            base_seed: spec.base_seed,
-            seeds: spec.seeds,
-            confidence: spec.confidence,
-            shard: spec.shard,
+            meta: CampaignMeta::for_spec(scenario, spec),
             axes: scenario.axes.clone(),
         }
     }
@@ -82,18 +67,6 @@ impl RunLogHeader {
     /// The canonical grid described by the stored axes.
     pub fn grid(&self) -> Vec<GridPoint> {
         grid_of(&self.axes)
-    }
-
-    /// The aggregation meta block for this log's stream.
-    pub fn meta(&self) -> CampaignMeta {
-        CampaignMeta {
-            scenario: self.scenario.clone(),
-            description: self.description.clone(),
-            base_seed: self.base_seed,
-            seeds: self.seeds,
-            confidence: self.confidence,
-            shard: self.shard,
-        }
     }
 
     /// Whether two headers describe the same campaign, shard aside —
@@ -104,14 +77,15 @@ impl RunLogHeader {
 
     /// The campaign fields, shard aside, on which two headers disagree.
     fn differences(&self, other: &RunLogHeader) -> Vec<&'static str> {
+        let (a, b) = (&self.meta, &other.meta);
         [
-            ("scenario", self.scenario != other.scenario),
-            ("description", self.description != other.description),
-            ("base seed", self.base_seed != other.base_seed),
-            ("seed count", self.seeds != other.seeds),
+            ("scenario", a.scenario != b.scenario),
+            ("description", a.description != b.description),
+            ("base seed", a.base_seed != b.base_seed),
+            ("seed count", a.seeds != b.seeds),
             (
                 "confidence",
-                self.confidence.to_bits() != other.confidence.to_bits(),
+                a.confidence.to_bits() != b.confidence.to_bits(),
             ),
             ("axes", self.axes != other.axes),
         ]
@@ -121,15 +95,16 @@ impl RunLogHeader {
     }
 
     fn encode(&self) -> Vec<u8> {
+        let meta = &self.meta;
         let mut buf = Vec::new();
         buf.extend_from_slice(MAGIC);
-        put_str(&mut buf, &self.scenario);
-        put_str(&mut buf, &self.description);
-        put_u64(&mut buf, self.base_seed);
-        put_u64(&mut buf, self.seeds as u64);
-        put_f64(&mut buf, self.confidence);
-        put_u32(&mut buf, self.shard.index);
-        put_u32(&mut buf, self.shard.count);
+        put_str(&mut buf, &meta.scenario);
+        put_str(&mut buf, &meta.description);
+        put_u64(&mut buf, meta.base_seed);
+        put_u64(&mut buf, meta.seeds as u64);
+        put_f64(&mut buf, meta.confidence);
+        put_u32(&mut buf, meta.shard.index);
+        put_u32(&mut buf, meta.shard.count);
         put_u32(&mut buf, self.axes.len() as u32);
         for axis in &self.axes {
             put_str(&mut buf, &axis.name);
@@ -145,14 +120,16 @@ impl RunLogHeader {
         if cursor.bytes(MAGIC.len())? != MAGIC {
             return None;
         }
-        let scenario = cursor.str()?;
-        let description = cursor.str()?;
-        let base_seed = cursor.u64()?;
-        let seeds = cursor.len()?;
-        let confidence = cursor.f64()?;
-        let shard = Shard {
-            index: cursor.u32()?,
-            count: cursor.u32()?,
+        let meta = CampaignMeta {
+            scenario: cursor.str()?,
+            description: cursor.str()?,
+            base_seed: cursor.u64()?,
+            seeds: cursor.len()?,
+            confidence: cursor.f64()?,
+            shard: Shard {
+                index: cursor.u32()?,
+                count: cursor.u32()?,
+            },
         };
         let n_axes = cursor.u32()?;
         let mut axes = Vec::with_capacity(n_axes as usize);
@@ -165,15 +142,7 @@ impl RunLogHeader {
             }
             axes.push(Axis { name, values });
         }
-        Some(RunLogHeader {
-            scenario,
-            description,
-            base_seed,
-            seeds,
-            confidence,
-            shard,
-            axes,
-        })
+        Some(RunLogHeader { meta, axes })
     }
 }
 
@@ -257,7 +226,7 @@ pub fn read(path: &Path) -> Result<RunLog, String> {
     let mut records = Vec::new();
     let mut truncated = false;
     while !cursor.is_empty() {
-        match decode_record(&mut cursor, header.seeds) {
+        match decode_record(&mut cursor, header.meta.seeds) {
             Some(record) => records.push(record),
             None => {
                 truncated = true;
@@ -289,31 +258,34 @@ pub fn complete_cells(log: &RunLog) -> BTreeMap<usize, Vec<RunRecord>> {
         .into_iter()
         .filter(|(cell, seeds)| {
             !poisoned.contains(cell)
-                && seeds.len() == log.header.seeds
-                && seeds.keys().copied().eq(0..log.header.seeds)
+                && seeds.len() == log.header.meta.seeds
+                && seeds.keys().copied().eq(0..log.header.meta.seeds)
         })
         .map(|(cell, seeds)| (cell, seeds.into_values().collect()))
         .collect()
 }
 
-/// Rebuilds a shard's finished cells from its run-log — the `--resume`
-/// rule, and the only campaign state kept on disk.
+/// The finished cells of a shard's run-log — the `--resume` rule, and
+/// the only campaign state kept on disk.
 ///
 /// * A missing file, or one whose header cannot be read, is a clean
 ///   start: nothing resumed, nothing kept.
 /// * A log written for a different campaign (another base seed, seed
 ///   count, confidence, scenario or axes) or by another shard is an
 ///   `Err` naming the mismatch; the caller must not touch the file.
-/// * Otherwise every [`complete_cells`] entry is re-aggregated through
-///   [`aggregate_stream`], which also re-checks each record's derived
-///   seed. The returned records are the ones [`Writer::create`] carries
-///   over, in canonical order.
-pub fn resume(path: &Path, header: &RunLogHeader) -> Result<(Resume, Vec<RunRecord>), String> {
+/// * Otherwise the records of every [`complete_cells`] entry are
+///   returned in canonical order, once [`aggregate_stream`] has checked
+///   them (each record's derived seed among them), so a damaged log
+///   fails before [`Writer::create`] replaces the file. The same records
+///   are what the writer carries over and what the runner folds in place
+///   of re-running those cells.
+pub fn resume(path: &Path, header: &RunLogHeader) -> Result<Resume, String> {
     let Ok(log) = read(path) else {
-        return Ok((Resume::none(), Vec::new()));
+        return Ok(Resume::none());
     };
+    let (have, want) = (&log.header.meta, &header.meta);
     let mut differs = log.header.differences(header);
-    if log.header.shard != header.shard {
+    if have.shard != want.shard {
         differs.push("shard");
     }
     if !differs.is_empty() {
@@ -322,21 +294,16 @@ pub fn resume(path: &Path, header: &RunLogHeader) -> Result<(Resume, Vec<RunReco
              {} seeds, shard {}) — delete it or fix the flags",
             path.display(),
             differs.join(", "),
-            log.header.scenario,
-            log.header.base_seed,
-            log.header.seeds,
-            log.header.shard.label(),
+            have.scenario,
+            have.base_seed,
+            have.seeds,
+            have.shard.label(),
         ));
     }
-    let kept: Vec<RunRecord> = complete_cells(&log).into_values().flatten().collect();
-    let report = aggregate_stream(&header.meta(), &header.grid(), kept.iter().cloned())
+    let records: Vec<RunRecord> = complete_cells(&log).into_values().flatten().collect();
+    aggregate_stream(want, &header.grid(), records.iter().cloned())
         .map_err(|e| format!("run-log {}: {e}", path.display()))?;
-    Ok((
-        Resume {
-            cells: report.cells,
-        },
-        kept,
-    ))
+    Ok(Resume { records })
 }
 
 /// Merges shard logs into one canonical stream.
@@ -353,18 +320,14 @@ pub fn merge(logs: &[RunLog]) -> Result<(RunLogHeader, Vec<RunRecord>), String> 
         .ok_or_else(|| "no run-logs to merge".to_string())?;
     for log in &logs[1..] {
         if !first.header.same_campaign(&log.header) {
+            let (a, b) = (&first.header.meta, &log.header.meta);
             return Err(format!(
                 "run-logs disagree: `{}` (base seed {:#x}, {} seeds) vs `{}` (base seed {:#x}, {} seeds)",
-                first.header.scenario,
-                first.header.base_seed,
-                first.header.seeds,
-                log.header.scenario,
-                log.header.base_seed,
-                log.header.seeds,
+                a.scenario, a.base_seed, a.seeds, b.scenario, b.base_seed, b.seeds,
             ));
         }
     }
-    let seeds = first.header.seeds;
+    let seeds = first.header.meta.seeds;
     if seeds == 0 {
         return Err("run-log header has zero seeds per cell".to_string());
     }
@@ -397,10 +360,10 @@ pub fn merge(logs: &[RunLog]) -> Result<(RunLogHeader, Vec<RunRecord>), String> 
     // A complete merge is the unsharded campaign; a partial replay (one
     // shard's log on its own) keeps that shard's label so the rendered
     // header cannot be mistaken for the merged result.
-    header.shard = if covered.len() == grid_of(&header.axes).len() {
+    header.meta.shard = if covered.len() == header.grid().len() {
         Shard::full()
     } else {
-        first.header.shard
+        first.header.meta.shard
     };
     Ok((header, by_k.into_values().collect()))
 }
@@ -427,7 +390,7 @@ impl Writer {
     ) -> Result<Writer, String> {
         let mut buf = header.encode();
         for record in keep {
-            buf.extend_from_slice(&encode_record(header.seeds, record));
+            buf.extend_from_slice(&encode_record(header.meta.seeds, record));
         }
         let mut tmp = path.as_os_str().to_owned();
         tmp.push(".tmp");
@@ -446,7 +409,7 @@ impl Writer {
             .map_err(|e| format!("run-log open {}: {e}", path.display()))?;
         Ok(Writer {
             file,
-            seeds: header.seeds,
+            seeds: header.meta.seeds,
             bytes: buf.len() as u64,
         })
     }

@@ -10,8 +10,8 @@
 //!    offers only cells whose full seed set is on disk.
 //! 4. `resume` is the only campaign state: a log cut anywhere resumes to
 //!    the uninterrupted report and log bytes, a missing or garbage log is
-//!    a clean start, and a log written under other flags is refused with
-//!    its bytes left alone.
+//!    a clean start, and a log written under other flags, or a campaign
+//!    the runner would reject, leaves its bytes alone.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -89,7 +89,7 @@ fn log_round_trips_and_replays_byte_identically() {
     assert_eq!(log.header.grid().len(), 4);
 
     let replayed =
-        aggregate_stream(&log.header.meta(), &log.header.grid(), log.records).expect("replay");
+        aggregate_stream(&log.header.meta, &log.header.grid(), log.records).expect("replay");
     assert_eq!(replayed.render(), live.render(), "replayed render");
     assert_eq!(replayed, live, "replayed report");
     let _ = fs::remove_dir_all(&dir);
@@ -108,10 +108,10 @@ fn shard_logs_merge_into_the_unsharded_stream() {
     ];
     let (header, records) = runlog::merge(&logs).expect("merge");
     assert!(
-        header.shard.is_full(),
+        header.meta.shard.is_full(),
         "complete merge is the unsharded campaign"
     );
-    let merged = aggregate_stream(&header.meta(), &header.grid(), records).expect("aggregate");
+    let merged = aggregate_stream(&header.meta, &header.grid(), records).expect("aggregate");
     assert_eq!(
         merged.render(),
         whole.render(),
@@ -127,7 +127,7 @@ fn shard_logs_merge_into_the_unsharded_stream() {
     assert!(runlog::merge(&dup).unwrap_err().contains("duplicate"));
     // A lone shard log still merges (partial replay keeps its shard label)…
     let (lone_header, _) = runlog::merge(&logs[..1]).expect("single log");
-    assert_eq!(lone_header.shard, Shard { index: 0, count: 2 });
+    assert_eq!(lone_header.meta.shard, Shard { index: 0, count: 2 });
     // …but a log with a run chopped out mid-cell reports the gap.
     let mut cut = runlog::read(&p0).expect("shard 0");
     cut.records.remove(1);
@@ -140,7 +140,7 @@ fn mismatched_logs_refuse_to_merge() {
     let dir = tmpdir("mismatch");
     let (_, _, path) = run_shard(&dir, Shard::full());
     let mut other = runlog::read(&path).expect("read");
-    other.header.base_seed ^= 1;
+    other.header.meta.base_seed ^= 1;
     let same = runlog::read(&path).expect("read again");
     assert!(runlog::merge(&[same, other])
         .unwrap_err()
@@ -260,13 +260,15 @@ fn resume_from_any_cut_reproduces_the_uninterrupted_run() {
         // the same log as the uninterrupted run.
         for cut in full.len() - records..=full.len() {
             fs::write(&path, &full[..cut]).expect("truncate");
-            let (resume, kept) = runlog::resume(&path, &header).expect("resume");
-            assert_eq!(
-                kept.len(),
-                resume.cells.len() * 4,
+            let resume = runlog::resume(&path, &header).expect("resume");
+            assert!(
+                resume.records.chunks(4).all(|cell| cell
+                    .iter()
+                    .enumerate()
+                    .all(|(i, r)| r.seed_index == i && r.cell == cell[0].cell)),
                 "kept records are whole cells"
             );
-            let mut writer = Writer::create(&path, &header, &kept).expect("rewrite");
+            let mut writer = Writer::create(&path, &header, &resume.records).expect("rewrite");
             let resumed = run_campaign_with(&r, &s, &resume, &mut writer).expect("resumed run");
             drop(writer);
             assert_eq!(resumed.render(), live.render(), "{shard:?} cut={cut}");
@@ -289,9 +291,9 @@ fn resume_refuses_a_log_written_under_other_flags() {
     let header = header_for(Shard::full());
 
     let mut other_seed = header.clone();
-    other_seed.base_seed ^= 1;
+    other_seed.meta.base_seed ^= 1;
     let mut other_seeds = header.clone();
-    other_seeds.seeds = 9;
+    other_seeds.meta.seeds = 9;
     let other_shard = header_for(Shard { index: 0, count: 2 });
     let mut other_axes = header.clone();
     other_axes.axes = vec![
@@ -323,11 +325,11 @@ fn missing_or_garbage_log_resumes_nothing() {
     let dir = tmpdir("resume-clean");
     let header = header_for(Shard::full());
     let absent = runlog::resume(&dir.join("absent.runlog"), &header).expect("absent");
-    assert!(absent.0.cells.is_empty() && absent.1.is_empty());
+    assert!(absent.records.is_empty());
     let garbage = dir.join("garbage.runlog");
     fs::write(&garbage, b"not a run-log at all").expect("write");
     let garbled = runlog::resume(&garbage, &header).expect("garbage");
-    assert!(garbled.0.cells.is_empty() && garbled.1.is_empty());
+    assert!(garbled.records.is_empty());
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -357,5 +359,34 @@ fn experiments_resume_refuses_a_log_from_other_flags_and_keeps_it() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("seed count"), "{stderr}");
     assert_eq!(fs::read(&log).expect("reread"), bytes, "log left intact");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn experiments_rejects_a_bad_spec_before_touching_the_log() {
+    let dir = tmpdir("reject-cli");
+    let state = dir.join("state");
+    let _ = fs::remove_dir_all(&state);
+    let campaign = |extra: &[&str]| {
+        let mut args = vec!["campaign", "probe-overhead", "--state"];
+        args.push(state.to_str().expect("utf-8 path"));
+        args.extend_from_slice(extra);
+        Command::new(env!("CARGO_BIN_EXE_experiments"))
+            .args(&args)
+            .output()
+            .expect("run experiments")
+    };
+    assert!(campaign(&["--seeds", "2"]).status.success());
+    let log = state.join("probe-overhead.shard0of1.runlog");
+    let bytes = fs::read(&log).expect("read log");
+
+    for bad in [["--seeds", "0"], ["--workers", "0"], ["--confidence", "1"]] {
+        let out = campaign(&bad);
+        assert_eq!(out.status.code(), Some(2), "{bad:?}");
+        assert!(
+            fs::read(&log).expect("reread") == bytes,
+            "{bad:?}: log changed"
+        );
+    }
     let _ = fs::remove_dir_all(&dir);
 }

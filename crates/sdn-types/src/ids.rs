@@ -162,29 +162,6 @@ impl fmt::Debug for HostId {
     }
 }
 
-/// A simulation node: a switch, a host, or the controller.
-///
-/// Used by the discrete-event engine to address event handlers.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub enum NodeId {
-    /// An OpenFlow switch, by datapath id.
-    Switch(DatapathId),
-    /// An end host.
-    Host(HostId),
-    /// The (single, logically centralized) SDN controller.
-    Controller,
-}
-
-impl fmt::Display for NodeId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            NodeId::Switch(dpid) => write!(f, "sw{dpid}"),
-            NodeId::Host(h) => write!(f, "{h}"),
-            NodeId::Controller => write!(f, "controller"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,12 +197,5 @@ mod tests {
         let a = SwitchPort::new(DatapathId::new(1), PortNo::new(9));
         let b = SwitchPort::new(DatapathId::new(2), PortNo::new(1));
         assert!(a < b);
-    }
-
-    #[test]
-    fn node_ids_display() {
-        assert_eq!(NodeId::Switch(DatapathId::new(1)).to_string(), "sw0x1");
-        assert_eq!(NodeId::Host(HostId::new(3)).to_string(), "h3");
-        assert_eq!(NodeId::Controller.to_string(), "controller");
     }
 }

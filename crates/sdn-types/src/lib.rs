@@ -44,5 +44,5 @@ pub mod time;
 
 pub use addr::{IpAddr, MacAddr};
 pub use error::ParseError;
-pub use ids::{DatapathId, HostId, NodeId, PortNo, SwitchPort};
+pub use ids::{DatapathId, HostId, PortNo, SwitchPort};
 pub use time::{Duration, SimTime};

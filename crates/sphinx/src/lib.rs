@@ -79,8 +79,6 @@ pub struct FlowGraph {
     pub waypoints: Vec<DatapathId>,
     /// Latest per-switch byte counts, with the time each was refreshed.
     pub byte_counts: BTreeMap<DatapathId, (u64, SimTime)>,
-    /// Latest per-switch packet counts.
-    pub packet_counts: BTreeMap<DatapathId, u64>,
 }
 
 /// The SPHINX surrogate module.
@@ -173,7 +171,6 @@ impl DefenseModule for Sphinx {
             let now = cx.now;
             let graph = self.flows.entry(key).or_default();
             graph.byte_counts.insert(dpid, (entry.byte_count, now));
-            graph.packet_counts.insert(dpid, entry.packet_count);
             if let Some(divergence) = Self::counter_violation(&self.config, graph) {
                 violations.push((key, divergence));
             }

@@ -5,14 +5,15 @@
 //! Two aggregation paths exist, and they are **byte-identical** by
 //! construction:
 //!
-//! * [`CellAccumulator`] / [`aggregate_stream`] — the streaming path the
-//!   runner and `campaign replay` use. Each open cell folds its runs into
+//! * [`aggregate_stream`] — the one fold from runs to reports: the live
+//!   runner (fresh and resumed cells alike) and `campaign replay` both
+//!   feed it. The open cell folds its runs into
 //!   [`tm_stats::OnlineStats`] (Welford) accumulators as they arrive in
 //!   canonical `(cell, seed-index)` order; when the cell's last seed
 //!   lands, the accumulator finalizes into a [`CellReport`] and the raw
 //!   per-run metrics are dropped. Resident memory is O(cells) finalized
-//!   reports plus O(seeds) samples for the handful of still-open cells —
-//!   never O(runs).
+//!   reports plus O(seeds) samples for the one open cell — never
+//!   O(runs).
 //! * [`aggregate_two_pass`] — the original collect-then-summarize
 //!   reference implementation, retained so the differential suite
 //!   (`crates/tm-campaign/tests/campaign.rs`,
@@ -49,7 +50,7 @@ pub struct MetricAggregate {
     /// Maximum.
     pub max: f64,
     /// Half-width of the Student-t interval on the mean at
-    /// [`CampaignReport::confidence`].
+    /// the report's [`CampaignMeta::confidence`].
     pub ci_half: f64,
     /// Median (empirical, type-7).
     pub q50: f64,
@@ -84,15 +85,14 @@ impl CellReport {
     }
 }
 
-/// Streaming per-cell aggregation state.
+/// Streaming per-cell aggregation state: [`aggregate_stream`]'s open
+/// cell.
 ///
 /// Absorbs the cell's runs in canonical seed order, keeping a Welford
 /// accumulator per metric (plus the raw samples, needed only for the
-/// exact median and dropped at [`CellAccumulator::finalize`]). One
-/// accumulator is O(seeds) resident; the runner holds accumulators only
-/// for cells whose runs are still in flight.
-#[derive(Clone, Debug)]
-pub struct CellAccumulator {
+/// exact median and dropped at [`CellAccumulator::finalize`]).
+#[derive(Debug)]
+struct CellAccumulator {
     index: usize,
     point: GridPoint,
     seeds: usize,
@@ -104,8 +104,7 @@ pub struct CellAccumulator {
 }
 
 impl CellAccumulator {
-    /// An empty accumulator for the given cell.
-    pub fn new(index: usize, point: GridPoint, seeds: usize) -> CellAccumulator {
+    fn new(index: usize, point: GridPoint, seeds: usize) -> CellAccumulator {
         CellAccumulator {
             index,
             point,
@@ -118,34 +117,12 @@ impl CellAccumulator {
         }
     }
 
-    /// The cell's canonical index.
-    pub fn index(&self) -> usize {
-        self.index
-    }
-
-    /// Runs absorbed so far.
-    pub fn absorbed(&self) -> usize {
-        self.absorbed
-    }
-
-    /// Whether all of the cell's seeds have been absorbed.
-    pub fn is_complete(&self) -> bool {
-        self.absorbed >= self.seeds
-    }
-
-    /// Folds one run into the accumulator.
-    ///
-    /// Runs must arrive in canonical seed order (`seed_index` equal to
-    /// [`CellAccumulator::absorbed`]) for the aggregates to be
-    /// byte-identical to the two-pass reference; a `debug_assert` states
-    /// the contract. Duplicate metric names within one record follow
-    /// [`crate::Metrics::get`] semantics: the first value wins.
-    pub fn absorb(&mut self, record: &RunRecord) {
-        debug_assert_eq!(record.cell, self.index, "record routed to wrong cell");
-        debug_assert_eq!(
-            record.seed_index, self.absorbed,
-            "runs must arrive in seed order"
-        );
+    /// Folds one run into the accumulator. [`aggregate_stream`] has
+    /// checked that it is the cell's next seed, so the aggregates are
+    /// byte-identical to the two-pass reference. Duplicate metric names
+    /// within one record follow [`crate::Metrics::get`] semantics: the
+    /// first value wins.
+    fn absorb(&mut self, record: &RunRecord) {
         match &record.status {
             RunStatus::Ok(metrics) => {
                 // Slots touched by this record, so a duplicate name in one
@@ -179,10 +156,17 @@ impl CellAccumulator {
         self.absorbed += 1;
     }
 
-    /// Finalizes the cell: snapshots every Welford accumulator, derives
-    /// the t-interval from the snapshot, takes the exact median from the
-    /// retained samples, and drops everything else.
-    pub fn finalize(self, confidence: f64) -> CellReport {
+    /// Finalizes the cell, or names it if some of its seeds never came.
+    /// Snapshots every Welford accumulator, derives the t-interval from
+    /// the snapshot, takes the exact median from the retained samples,
+    /// and drops everything else.
+    fn finalize(self, confidence: f64) -> Result<CellReport, String> {
+        if self.absorbed < self.seeds {
+            return Err(format!(
+                "cell {} has only {} of {} runs in the stream",
+                self.index, self.absorbed, self.seeds
+            ));
+        }
         let metrics = self
             .names
             .into_iter()
@@ -205,19 +189,20 @@ impl CellAccumulator {
                 }
             })
             .collect();
-        CellReport {
+        Ok(CellReport {
             index: self.index,
             point: self.point,
             seeds: self.seeds,
             failures: self.failures,
             metrics,
-        }
+        })
     }
 }
 
-/// The descriptive header shared by live campaigns and run-log replay
-/// and resume: everything [`aggregate_stream`] needs besides the grid
-/// and the records themselves.
+/// The descriptive header of a campaign, carried by every
+/// [`CampaignReport`] and every run-log (`bench::runlog::RunLogHeader`):
+/// everything [`aggregate_stream`] needs besides the grid and the records
+/// themselves.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CampaignMeta {
     /// Scenario name.
@@ -258,28 +243,22 @@ impl CampaignMeta {
 /// raw runs; [`CampaignReport::total_runs`] keeps the totals line exact.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CampaignReport {
-    /// Scenario name.
-    pub scenario: String,
-    /// Scenario description (from the registry).
-    pub description: String,
-    /// The spec's base seed.
-    pub base_seed: u64,
-    /// Seeds per cell.
-    pub seeds: usize,
-    /// Confidence level of the intervals.
-    pub confidence: f64,
-    /// The shard this report covers (`Shard::full()` when unsharded).
-    pub shard: Shard,
+    /// The campaign the report describes: scenario, base seed, seeds per
+    /// cell, confidence and shard (`Shard::full()` when unsharded).
+    pub meta: CampaignMeta,
     /// Total number of cells in the scenario's grid (across all shards).
     pub grid_cells: usize,
-    /// Runs this report covers (owned cells × seeds).
-    pub total_runs: usize,
     /// Per-cell aggregates for the cells this shard owns, in canonical
     /// cell order.
     pub cells: Vec<CellReport>,
 }
 
 impl CampaignReport {
+    /// Runs this report covers (its cells × seeds).
+    pub fn total_runs(&self) -> usize {
+        self.cells.len() * self.meta.seeds
+    }
+
     /// Total failed runs across all cells.
     pub fn total_failures(&self) -> usize {
         self.cells.iter().map(|c| c.failures.len()).sum()
@@ -293,28 +272,29 @@ impl CampaignReport {
     /// owned-cell count so partial output cannot be mistaken for the
     /// merged result.
     pub fn render(&self) -> String {
-        let mut out = if self.shard.is_full() {
+        let meta = &self.meta;
+        let mut out = if meta.shard.is_full() {
             format!(
                 "CAMPAIGN {name}: {cells} cells x {seeds} seeds (base seed {seed:#x}, {conf:.0}% CI)\n",
-                name = self.scenario,
+                name = meta.scenario,
                 cells = self.cells.len(),
-                seeds = self.seeds,
-                seed = self.base_seed,
-                conf = self.confidence * 100.0,
+                seeds = meta.seeds,
+                seed = meta.base_seed,
+                conf = meta.confidence * 100.0,
             )
         } else {
             format!(
                 "CAMPAIGN {name} [shard {shard}]: {owned} of {cells} cells x {seeds} seeds (base seed {seed:#x}, {conf:.0}% CI)\n",
-                name = self.scenario,
-                shard = self.shard.label(),
+                name = meta.scenario,
+                shard = meta.shard.label(),
                 owned = self.cells.len(),
                 cells = self.grid_cells,
-                seeds = self.seeds,
-                seed = self.base_seed,
-                conf = self.confidence * 100.0,
+                seeds = meta.seeds,
+                seed = meta.base_seed,
+                conf = meta.confidence * 100.0,
             )
         };
-        out.push_str(&format!("  {}\n\n", self.description));
+        out.push_str(&format!("  {}\n\n", meta.description));
         for cell in &self.cells {
             out.push_str(&format!(
                 "[{label}] seeds={seeds} ok={ok} failed={failed}\n",
@@ -342,8 +322,8 @@ impl CampaignReport {
         }
         out.push_str(&format!(
             "total: {ok}/{all} runs ok, {failed} failed\n",
-            ok = self.total_runs - self.total_failures(),
-            all = self.total_runs,
+            ok = self.total_runs() - self.total_failures(),
+            all = self.total_runs(),
             failed = self.total_failures(),
         ));
         out
@@ -351,15 +331,15 @@ impl CampaignReport {
 }
 
 /// Folds an already-canonical run stream into a [`CampaignReport`] with
-/// O(cells) resident memory: one [`CellAccumulator`] open at a time.
+/// O(cells) resident memory: one cell open at a time.
 ///
-/// This is the replay path (`campaign replay` re-aggregates a run-log
-/// through here) and the reference for what the live runner computes
-/// incrementally. The stream must be in canonical order — cells strictly
-/// increasing, each cell's `seed_index` running `0..meta.seeds` — and
-/// each record's stored seed must match its canonical derivation;
-/// violations produce an error naming the offending record, never a
-/// panic or a silently wrong table.
+/// This is the one fold from runs to reports: the live runner hands it
+/// the merged stream of resumed and fresh cells, and `campaign replay`
+/// the records of its run-logs. The stream must be in canonical order —
+/// cells strictly increasing, each cell's `seed_index` running
+/// `0..meta.seeds` — and each record's stored seed must match its
+/// canonical derivation; violations produce an error naming the
+/// offending cell, never a panic or a silently wrong table.
 ///
 /// The stream may cover a subset of the grid's cells (a single shard's
 /// log); the report then describes exactly the cells present.
@@ -396,73 +376,37 @@ pub fn aggregate_stream(
                 record.cell, record.seed_index, record.seed
             ));
         }
-        let advance = match &open {
-            None => true,
-            Some(acc) if acc.index() != record.cell => true,
-            Some(_) => false,
-        };
-        if advance {
-            if let Some(acc) = open.take() {
-                if !acc.is_complete() {
-                    return Err(format!(
-                        "cell {} has only {} of {} runs in the stream",
-                        acc.index(),
-                        acc.absorbed(),
-                        meta.seeds
-                    ));
-                }
-                cells.push(acc.finalize(meta.confidence));
-            }
-            if let Some(last) = cells.last() {
-                if record.cell <= last.index {
-                    return Err(format!(
-                        "stream is not in canonical order: cell {} after cell {}",
-                        record.cell, last.index
-                    ));
-                }
-            }
-            if record.seed_index != 0 {
-                return Err(format!(
-                    "cell {} stream starts at seed index {}, not 0",
-                    record.cell, record.seed_index
-                ));
-            }
-            open = Some(CellAccumulator::new(record.cell, point.clone(), meta.seeds));
+        if let Some(acc) = open.take_if(|acc| acc.index != record.cell) {
+            cells.push(acc.finalize(meta.confidence)?);
         }
-        let acc = open
-            .as_mut()
-            .ok_or_else(|| "accumulator missing (internal error)".to_string())?;
-        if record.seed_index != acc.absorbed() {
+        let acc = match &mut open {
+            Some(acc) => acc,
+            None => {
+                if let Some(last) = cells.last() {
+                    if record.cell <= last.index {
+                        return Err(format!(
+                            "stream is not in canonical order: cell {} after cell {}",
+                            record.cell, last.index
+                        ));
+                    }
+                }
+                open.insert(CellAccumulator::new(record.cell, point.clone(), meta.seeds))
+            }
+        };
+        if record.seed_index != acc.absorbed {
             return Err(format!(
-                "cell {} stream jumps from seed index {} to {}",
-                record.cell,
-                acc.absorbed(),
-                record.seed_index
+                "cell {} stream holds seed index {} where seed index {} belongs",
+                record.cell, record.seed_index, acc.absorbed
             ));
         }
         acc.absorb(&record);
     }
-    if let Some(acc) = open.take() {
-        if !acc.is_complete() {
-            return Err(format!(
-                "cell {} has only {} of {} runs in the stream",
-                acc.index(),
-                acc.absorbed(),
-                meta.seeds
-            ));
-        }
-        cells.push(acc.finalize(meta.confidence));
+    if let Some(acc) = open {
+        cells.push(acc.finalize(meta.confidence)?);
     }
-    let total_runs = cells.len() * meta.seeds;
     Ok(CampaignReport {
-        scenario: meta.scenario.clone(),
-        description: meta.description.clone(),
-        base_seed: meta.base_seed,
-        seeds: meta.seeds,
-        confidence: meta.confidence,
-        shard: meta.shard,
+        meta: meta.clone(),
         grid_cells: grid.len(),
-        total_runs,
         cells,
     })
 }
@@ -555,14 +499,11 @@ pub fn aggregate_two_pass(
         });
     }
     Ok(CampaignReport {
-        scenario: meta.scenario.clone(),
-        description: meta.description.clone(),
-        base_seed: meta.base_seed,
-        seeds: meta.seeds,
-        confidence: meta.confidence,
-        shard: Shard::full(),
+        meta: CampaignMeta {
+            shard: Shard::full(),
+            ..meta.clone()
+        },
         grid_cells: grid.len(),
-        total_runs: runs.len(),
         cells: cell_reports,
     })
 }

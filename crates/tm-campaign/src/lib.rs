@@ -19,20 +19,22 @@
 //!    sequential, deterministic simulation at a time; threads never share
 //!    simulation state. The pool only distributes *which* runs execute
 //!    where.
-//! 3. **Canonical-order streaming merge.** A reorder buffer releases
-//!    results strictly in `(grid-cell, seed-index)` order into one open
-//!    [`CellAccumulator`] (Welford) at a time, so the merged stream — and
-//!    therefore every aggregate, table and JSON record derived from it —
-//!    is byte-identical for `--workers 1` and `--workers 8`, while peak
-//!    memory stays O(cells), not O(runs). Regression tests pin this
-//!    against the retained two-pass reference
-//!    ([`aggregate_two_pass`]).
+//! 3. **One canonical-order fold.** A reorder buffer releases results
+//!    strictly in `(grid-cell, seed-index)` order into
+//!    [`aggregate_stream`], which keeps one open cell (Welford) at a
+//!    time, so the merged stream — and therefore every aggregate, table
+//!    and JSON record derived from it — is byte-identical for
+//!    `--workers 1` and `--workers 8`, while peak memory stays O(cells),
+//!    not O(runs). `campaign replay` folds run-log records through the
+//!    same function. Regression tests pin it against the retained
+//!    two-pass reference ([`aggregate_two_pass`]).
 //! 4. **Cell-granular sharding.** [`Shard`] `i/n` owns cells
 //!    `index ≡ i (mod n)`; seeds are derived from global indices, so the
 //!    union of all shards' streams merged back into canonical order is
-//!    the unsharded stream, byte for byte. [`Resume`] splices cells a
-//!    previous invocation finished (rebuilt from its run-log) back into
-//!    the report without re-running them.
+//!    the unsharded stream, byte for byte. [`Resume`] hands the runner
+//!    the records of cells a previous invocation finished (kept in its
+//!    run-log); they take their place in the canonical stream without
+//!    being re-run.
 //!
 //! Failure isolation: each run executes under [`isolate`]
 //! (`catch_unwind`), so one panicking parameter point becomes a reported
@@ -85,8 +87,7 @@ pub mod runner;
 pub mod shard;
 
 pub use aggregate::{
-    aggregate_stream, aggregate_two_pass, CampaignMeta, CampaignReport, CellAccumulator,
-    CellReport, MetricAggregate,
+    aggregate_stream, aggregate_two_pass, CampaignMeta, CampaignReport, CellReport, MetricAggregate,
 };
 pub use registry::{grid_of, Axis, GridPoint, Metrics, Registry, Scenario};
 pub use runner::{

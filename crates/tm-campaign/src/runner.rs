@@ -1,7 +1,7 @@
 //! The streaming worker-pool executor: fans `(grid-cell, seed)` runs out
-//! across a fixed-size thread pool and aggregates the results **as they
-//! are merged back into canonical order**, holding one open cell at a
-//! time instead of every run of the campaign.
+//! across a fixed-size thread pool and hands the results, **merged back
+//! into canonical order**, to [`aggregate_stream`], which holds one open
+//! cell at a time instead of every run of the campaign.
 //!
 //! Threading model (the determinism argument, also in DESIGN.md):
 //!
@@ -13,12 +13,14 @@
 //! * Workers pull pending-run indices from an atomic counter and send
 //!   `(index, status)` over a channel. Which worker executes which run,
 //!   and in what real-time order results arrive, is scheduler-dependent.
-//! * The aggregator thread holds out-of-order arrivals in a reorder
-//!   buffer and releases them strictly in canonical order — into the
-//!   per-cell [`CellAccumulator`] and past the caller's [`RunSink`]. The
-//!   emitted stream is identical for any worker count, so everything
-//!   derived from it (aggregates, render, run-log bytes) is too.
-//! * A cell finalizes the moment its last seed is emitted; its raw
+//! * The calling thread holds out-of-order arrivals in a reorder buffer
+//!   and releases them strictly in canonical order — past the caller's
+//!   [`RunSink`], then into [`aggregate_stream`]. A cell resumed from a
+//!   run-log contributes its kept records at its place in that order
+//!   instead. The folded stream is identical for any worker count and
+//!   any resume point, so everything derived from it (aggregates,
+//!   render, run-log bytes) is too.
+//! * A cell finalizes the moment its last seed is folded; its raw
 //!   samples are dropped then. Peak memory is O(cells) finalized reports
 //!   plus the reorder buffer, never O(runs) retained metrics.
 //!
@@ -26,11 +28,11 @@
 //! parameter point is recorded as [`RunStatus::Failed`] with its message
 //! and the campaign continues.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
-use crate::aggregate::{CampaignReport, CellAccumulator, CellReport};
+use crate::aggregate::{aggregate_stream, CampaignMeta, CampaignReport};
 use crate::registry::{Metrics, Registry};
 use crate::shard::Shard;
 
@@ -70,6 +72,23 @@ impl CampaignSpec {
             shard: Shard::full(),
             quiet_panics: false,
         }
+    }
+
+    /// Rejects a spec no campaign can run: zero seeds per cell, zero
+    /// workers, or a confidence outside (0, 1). [`run_campaign_with`]
+    /// checks first; a driver with state on disk checks before touching
+    /// it.
+    pub fn check(&self) -> Result<(), String> {
+        if self.seeds == 0 {
+            return Err("campaign needs at least one seed per cell".to_string());
+        }
+        if self.workers == 0 {
+            return Err("campaign needs at least one worker".to_string());
+        }
+        if !(self.confidence > 0.0 && self.confidence < 1.0) {
+            return Err(format!("confidence {} outside (0, 1)", self.confidence));
+        }
+        Ok(())
     }
 }
 
@@ -147,22 +166,24 @@ impl RunSink for TeeSink<'_> {
     }
 }
 
-/// Cells already finalized by a previous invocation, re-aggregated from
-/// its run-log (`bench::runlog::resume`).
+/// Cells already finished by a previous invocation, as the records its
+/// run-log kept (`bench::runlog::resume`).
 ///
-/// Resumed cells are spliced into the report verbatim and **not** re-run;
-/// the sink never sees them either — their run-log records were written
-/// by the invocation that completed them.
+/// Resumed cells are **not** re-run: their records take their place in
+/// the canonical stream the report folds, and the sink never sees them —
+/// the invocation that completed them wrote them.
 #[derive(Clone, Debug, Default)]
 pub struct Resume {
-    /// Finalized cell reports, any order; validated against the grid.
-    pub cells: Vec<CellReport>,
+    /// The kept records, whole cells in canonical order.
+    pub records: Vec<RunRecord>,
 }
 
 impl Resume {
     /// No resumed cells: run everything the shard owns.
     pub fn none() -> Resume {
-        Resume { cells: Vec::new() }
+        Resume {
+            records: Vec::new(),
+        }
     }
 }
 
@@ -204,8 +225,8 @@ impl Drop for SilencedPanics {
 /// Runs a campaign to completion with streaming aggregation.
 ///
 /// Equivalent to [`run_campaign_with`] with no resume state and no sink.
-/// Fails (with a message, never a panic) on an unknown scenario, a
-/// zero-seed spec, or an internal pool error. Individual run panics do
+/// Fails (with a message, never a panic) on an unknown scenario, a spec
+/// [`CampaignSpec::check`] rejects, or an internal pool error. Individual run panics do
 /// *not* fail the campaign; they surface as failed cells in the report.
 pub fn run_campaign(registry: &Registry, spec: &CampaignSpec) -> Result<CampaignReport, String> {
     run_campaign_with(registry, spec, &Resume::none(), &mut NullSink)
@@ -216,9 +237,9 @@ pub fn run_campaign(registry: &Registry, spec: &CampaignSpec) -> Result<Campaign
 ///
 /// The report is byte-identical for any `spec.workers`, and the union of
 /// all shards' reports (merged in cell order) is byte-identical to an
-/// unsharded run — both pinned by the differential tests. Resumed cells
-/// must match the grid (owned index, matching point, matching seed
-/// count); stale or foreign resume state is an error, not silent
+/// unsharded run — both pinned by the differential tests. Resumed records
+/// must be whole cells this shard owns, in canonical order, with their
+/// derived seeds; anything else is an error naming the cell, not silent
 /// mis-aggregation.
 pub fn run_campaign_with(
     registry: &Registry,
@@ -229,63 +250,29 @@ pub fn run_campaign_with(
     let scenario = registry
         .get(&spec.scenario)
         .ok_or_else(|| format!("unknown scenario `{}`", spec.scenario))?;
-    if spec.seeds == 0 {
-        return Err("campaign needs at least one seed per cell".to_string());
-    }
-    if spec.workers == 0 {
-        return Err("campaign needs at least one worker".to_string());
-    }
+    spec.check()?;
     // Everything below derives (cell, seed_index) as `j / spec.seeds` and
-    // `j % spec.seeds`; restate the guard where the divisions live.
+    // `j % spec.seeds`; restate `check`'s guard where the divisions live.
     debug_assert!(spec.seeds > 0);
-    if !(spec.confidence > 0.0 && spec.confidence < 1.0) {
-        return Err(format!("confidence {} outside (0, 1)", spec.confidence));
-    }
     let grid = scenario.cells();
     let owned: Vec<usize> = (0..grid.len()).filter(|&c| spec.shard.owns(c)).collect();
 
-    // Validate the resume state against this spec's grid before trusting
-    // a single cell of it.
-    let mut resumed: BTreeMap<usize, CellReport> = BTreeMap::new();
-    for cell in &resume.cells {
-        if !spec.shard.owns(cell.index) {
-            return Err(format!(
-                "resumed cell {} is not owned by shard {}",
-                cell.index,
-                spec.shard.label()
-            ));
-        }
-        let point = grid.get(cell.index).ok_or_else(|| {
-            format!(
-                "resumed cell {} outside the {}-cell grid (stale run-log?)",
-                cell.index,
-                grid.len()
-            )
-        })?;
-        if &cell.point != point {
-            return Err(format!(
-                "resumed cell {} was [{}] but the grid has [{}] (stale run-log?)",
-                cell.index,
-                cell.point.label(),
-                point.label()
-            ));
-        }
-        if cell.seeds != spec.seeds {
-            return Err(format!(
-                "resumed cell {} holds {} seeds, spec wants {}",
-                cell.index, cell.seeds, spec.seeds
-            ));
-        }
-        if resumed.insert(cell.index, cell.clone()).is_some() {
-            return Err(format!("resumed cell {} listed twice", cell.index));
-        }
+    let resumed: BTreeSet<usize> = resume.records.iter().map(|r| r.cell).collect();
+    if let Some(cell) = resumed
+        .iter()
+        .find(|&&c| c >= grid.len() || !spec.shard.owns(c))
+    {
+        return Err(format!(
+            "resumed cell {cell} is not a cell of shard {} in the {}-cell grid",
+            spec.shard.label(),
+            grid.len()
+        ));
     }
-
-    // Pending cells: owned, not already finalized by a previous run.
+    // Pending cells: owned, not already finished by a previous run.
     let pending: Vec<usize> = owned
         .iter()
         .copied()
-        .filter(|c| !resumed.contains_key(c))
+        .filter(|c| !resumed.contains(c))
         .collect();
     let n_pending_runs = pending.len() * spec.seeds;
 
@@ -297,17 +284,14 @@ pub fn run_campaign_with(
 
     // Fan out: workers claim pending-run indices `j` from a shared
     // counter and stream `(j, status)` back over a channel — no shared
-    // mutable results, no locks on the hot path. The aggregator below is
-    // the only consumer of results.
+    // mutable results, no locks on the hot path.
     let next = AtomicUsize::new(0);
     let run_one = |j: usize| -> RunStatus {
-        let slot = j / spec.seeds;
-        let seed_index = j % spec.seeds;
         let status = pending
-            .get(slot)
+            .get(j / spec.seeds)
             .and_then(|&cell| grid.get(cell).map(|point| (cell, point)))
             .map(|(cell, point)| {
-                let k = cell * spec.seeds + seed_index;
+                let k = cell * spec.seeds + j % spec.seeds;
                 let seed = tm_rand::stream_seed(spec.base_seed, k as u64);
                 match crate::isolate(|| (scenario.run)(point, seed)) {
                     Ok(metrics) => RunStatus::Ok(metrics),
@@ -323,9 +307,8 @@ pub fn run_campaign_with(
     };
 
     let (tx, rx) = mpsc::channel::<(usize, RunStatus)>();
-    let mut fresh: Vec<CellReport> = Vec::new();
-    let mut stream_error: Option<String> = None;
-    let pool_result: Result<(), String> = std::thread::scope(|scope| {
+    let mut kept = resume.records.iter().peekable();
+    let report = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..spec.workers)
             .map(|_| {
                 let tx = tx.clone();
@@ -333,94 +316,81 @@ pub fn run_campaign_with(
                     let tx = tx;
                     loop {
                         let j = next.fetch_add(1, Ordering::Relaxed);
-                        if j >= n_pending_runs {
+                        // A closed channel means the fold stopped early.
+                        if j >= n_pending_runs || tx.send((j, run_one(j))).is_err() {
                             break;
                         }
-                        // The aggregator may have bailed (sink error);
-                        // a closed channel just means "stop caring".
-                        let _ = tx.send((j, run_one(j)));
                     }
                 })
             })
             .collect();
         drop(tx);
 
-        // The aggregator: release results strictly in canonical order via
-        // a reorder buffer, feed the open cell's accumulator, finalize
-        // cells as their last seed lands.
+        // The canonical stream: every owned (cell, seed-index) slot in
+        // order, filled by the cell's kept record if it was resumed, else
+        // by its fresh run once the reorder buffer releases it (and the
+        // sink has taken it). The stream stops at the first slot it
+        // cannot fill.
         let mut buffer: BTreeMap<usize, RunStatus> = BTreeMap::new();
-        let mut next_emit = 0usize;
-        let mut open: Option<CellAccumulator> = None;
-        'drain: for (j, status) in &rx {
-            buffer.insert(j, status);
-            while let Some(status) = buffer.remove(&next_emit) {
-                let slot = next_emit / spec.seeds;
-                let seed_index = next_emit % spec.seeds;
-                let Some(&cell) = pending.get(slot) else {
-                    stream_error = Some(format!("emitted run {next_emit} has no pending cell"));
-                    break 'drain;
-                };
-                let k = cell * spec.seeds + seed_index;
-                let record = RunRecord {
-                    cell,
-                    seed_index,
-                    seed: tm_rand::stream_seed(spec.base_seed, k as u64),
-                    status,
-                };
-                if let Err(e) = sink.on_run(&record) {
-                    stream_error = Some(e);
-                    break 'drain;
-                }
-                let acc = open.get_or_insert_with(|| {
-                    CellAccumulator::new(cell, record_point(&grid, cell), spec.seeds)
-                });
-                acc.absorb(&record);
-                if acc.is_complete() {
-                    fresh.extend(open.take().map(|a| a.finalize(spec.confidence)));
-                }
-                next_emit += 1;
+        let mut next_fresh = 0usize;
+        let mut stream_error: Option<String> = None;
+        let slots = owned
+            .iter()
+            .flat_map(|&cell| (0..spec.seeds).map(move |seed_index| (cell, seed_index)));
+        let stream = slots.map_while(|(cell, seed_index)| {
+            if resumed.contains(&cell) {
+                return kept.next_if(|r| r.cell == cell).cloned();
             }
-        }
-        // Receiver dropped early on error; workers notice the closed
-        // channel and wind down on their own.
+            let status = loop {
+                if let Some(status) = buffer.remove(&next_fresh) {
+                    break status;
+                }
+                match rx.recv() {
+                    Ok((j, status)) => buffer.insert(j, status),
+                    Err(_) => {
+                        stream_error = Some(format!(
+                            "pool emitted {next_fresh} of {n_pending_runs} runs"
+                        ));
+                        return None;
+                    }
+                };
+            };
+            next_fresh += 1;
+            let k = cell * spec.seeds + seed_index;
+            let record = RunRecord {
+                cell,
+                seed_index,
+                seed: tm_rand::stream_seed(spec.base_seed, k as u64),
+                status,
+            };
+            match sink.on_run(&record) {
+                Ok(()) => Some(record),
+                Err(e) => {
+                    stream_error = Some(e);
+                    None
+                }
+            }
+        });
+        let folded = aggregate_stream(&CampaignMeta::for_spec(scenario, spec), &grid, stream);
+        // Workers notice the closed channel and wind down on their own.
         drop(rx);
         for h in handles {
             h.join()
                 .map_err(|_| "campaign worker died outside run isolation".to_string())?;
         }
-        if stream_error.is_none() && next_emit != n_pending_runs {
-            return Err(format!("pool emitted {next_emit} of {n_pending_runs} runs"));
+        match stream_error {
+            Some(e) => Err(e),
+            None => folded,
         }
-        Ok(())
-    });
-    pool_result?;
-    if let Some(e) = stream_error {
-        return Err(e);
+    })?;
+    match kept.next() {
+        Some(r) => Err(format!(
+            "resumed cell {} has a record out of canonical order or listed twice \
+             (seed index {})",
+            r.cell, r.seed_index
+        )),
+        None => Ok(report),
     }
-
-    // Canonical splice: resumed + fresh cells, ordered by cell index.
-    let mut cells: Vec<CellReport> = resumed.into_values().chain(fresh).collect();
-    cells.sort_by_key(|c| c.index);
-
-    Ok(CampaignReport {
-        scenario: scenario.name.clone(),
-        description: scenario.description.clone(),
-        base_seed: spec.base_seed,
-        seeds: spec.seeds,
-        confidence: spec.confidence,
-        shard: spec.shard,
-        grid_cells: grid.len(),
-        total_runs: owned.len() * spec.seeds,
-        cells,
-    })
-}
-
-/// The grid point for `cell`, cloned; an out-of-range index (impossible
-/// for runner-emitted cells) yields an empty point rather than a panic.
-fn record_point(grid: &[crate::registry::GridPoint], cell: usize) -> crate::registry::GridPoint {
-    grid.get(cell)
-        .cloned()
-        .unwrap_or(crate::registry::GridPoint { coords: Vec::new() })
 }
 
 #[cfg(test)]
@@ -428,25 +398,51 @@ mod tests {
     use super::*;
     use crate::registry::{Axis, Scenario};
 
+    /// `synthetic` (2 cells) and `wide` (4 cells): pure arithmetic on the
+    /// point and the seed.
     fn registry() -> Registry {
         let mut r = Registry::new();
-        r.register(Scenario::new(
-            "synthetic",
-            "pure arithmetic on the seed",
-            vec![Axis::new("a", &["x", "y"])],
-            |point, seed| {
-                let bias = if point.get("a") == Some("x") {
-                    1.0
-                } else {
-                    2.0
-                };
-                Metrics::new()
-                    .with("value", bias * (seed % 1000) as f64)
-                    .with("flag", f64::from(u8::from(seed % 2 == 0)))
-            },
-        ))
-        .expect("register");
+        for (name, values) in [
+            ("synthetic", &["x", "y"][..]),
+            ("wide", &["x", "y", "z", "w"]),
+        ] {
+            r.register(Scenario::new(
+                name,
+                "pure arithmetic on the seed",
+                vec![Axis::new("a", values)],
+                |point, seed| {
+                    let bias = match point.get("a") {
+                        Some("x") => 1.0,
+                        Some("y") => 2.0,
+                        _ => 3.0,
+                    };
+                    Metrics::new()
+                        .with("value", bias * (seed % 1000) as f64)
+                        .with("flag", f64::from(u8::from(seed % 2 == 0)))
+                },
+            ))
+            .expect("register");
+        }
         r
+    }
+
+    /// A fresh run of `spec` and the stream its sink saw.
+    fn recorded(spec: &CampaignSpec) -> (CampaignReport, Vec<RunRecord>) {
+        let mut sink = RecordingSink::default();
+        let report =
+            run_campaign_with(&registry(), spec, &Resume::none(), &mut sink).expect("fresh run");
+        (report, sink.runs)
+    }
+
+    /// `runs` of the given cells, as a run-log would keep them.
+    fn kept(runs: &[RunRecord], cells: &[usize]) -> Resume {
+        Resume {
+            records: runs
+                .iter()
+                .filter(|r| cells.contains(&r.cell))
+                .cloned()
+                .collect(),
+        }
     }
 
     #[test]
@@ -455,13 +451,15 @@ mod tests {
         assert!(run_campaign(&r, &CampaignSpec::new("missing", 1)).is_err());
         let mut zero_seeds = CampaignSpec::new("synthetic", 1);
         zero_seeds.seeds = 0;
-        assert!(run_campaign(&r, &zero_seeds).is_err());
         let mut zero_workers = CampaignSpec::new("synthetic", 1);
         zero_workers.workers = 0;
-        assert!(run_campaign(&r, &zero_workers).is_err());
         let mut bad_conf = CampaignSpec::new("synthetic", 1);
         bad_conf.confidence = 1.0;
-        assert!(run_campaign(&r, &bad_conf).is_err());
+        for spec in [zero_seeds, zero_workers, bad_conf] {
+            let err = spec.check().expect_err("a spec no campaign can run");
+            assert_eq!(run_campaign(&r, &spec).map(|_| ()), Err(err));
+        }
+        assert_eq!(CampaignSpec::new("synthetic", 1).check(), Ok(()));
     }
 
     #[test]
@@ -471,7 +469,7 @@ mod tests {
         let mut sink = RecordingSink::default();
         let report =
             run_campaign_with(&registry(), &spec, &Resume::none(), &mut sink).expect("campaign");
-        assert_eq!(report.total_runs, 6);
+        assert_eq!(report.total_runs(), 6);
         assert_eq!(sink.runs.len(), 6);
         for (k, run) in sink.runs.iter().enumerate() {
             assert_eq!(run.cell, k / 3);
@@ -496,63 +494,68 @@ mod tests {
     }
 
     #[test]
-    fn resumed_cells_are_skipped_and_spliced() {
-        let mut spec = CampaignSpec::new("synthetic", 5);
-        spec.seeds = 4;
-        let full = run_campaign(&registry(), &spec).expect("full run");
-        // Resume with cell 0 finalized: only cell 1 re-runs, output is
-        // byte-identical to the full run.
-        let resume = Resume {
-            cells: vec![full.cells[0].clone()],
-        };
+    fn resumed_and_fresh_cells_interleave_in_the_fold() {
+        let mut spec = CampaignSpec::new("wide", 5);
+        spec.seeds = 3;
+        spec.workers = 2;
+        let (full, runs) = recorded(&spec);
         let mut sink = RecordingSink::default();
-        let resumed =
-            run_campaign_with(&registry(), &spec, &resume, &mut sink).expect("resumed run");
+        let resumed = run_campaign_with(&registry(), &spec, &kept(&runs, &[1, 3]), &mut sink)
+            .expect("resumed run");
         assert_eq!(resumed.render(), full.render());
         assert_eq!(resumed, full);
-        assert!(
-            sink.runs.iter().all(|r| r.cell == 1),
-            "cell 0 must not re-run"
+        assert_eq!(
+            sink.runs,
+            kept(&runs, &[0, 2]).records,
+            "only cells 0 and 2 re-run"
         );
     }
 
     #[test]
-    fn stale_resume_state_is_rejected() {
-        let mut spec = CampaignSpec::new("synthetic", 5);
+    fn a_shard_resumes_its_own_cell() {
+        let mut spec = CampaignSpec::new("wide", 5);
         spec.seeds = 2;
-        let full = run_campaign(&registry(), &spec).expect("full run");
+        spec.shard = Shard { index: 1, count: 2 };
+        let (fresh, runs) = recorded(&spec);
+        let mut sink = RecordingSink::default();
+        let resumed = run_campaign_with(&registry(), &spec, &kept(&runs, &[1]), &mut sink)
+            .expect("resumed shard");
+        assert_eq!(resumed.render(), fresh.render());
+        assert_eq!(resumed, fresh);
+        assert_eq!(sink.runs, kept(&runs, &[3]).records);
+    }
 
-        let mut wrong_seeds = full.cells[0].clone();
-        wrong_seeds.seeds = 9;
-        let err = run_campaign_with(
-            &registry(),
-            &spec,
-            &Resume {
-                cells: vec![wrong_seeds],
-            },
-            &mut NullSink,
-        );
-        assert!(err.is_err(), "seed-count mismatch must be rejected");
-
-        let mut wrong_index = full.cells[0].clone();
-        wrong_index.index = 99;
-        let err = run_campaign_with(
-            &registry(),
-            &spec,
-            &Resume {
-                cells: vec![wrong_index],
-            },
-            &mut NullSink,
-        );
-        assert!(err.is_err(), "out-of-grid index must be rejected");
-
-        let dup = Resume {
-            cells: vec![full.cells[0].clone(), full.cells[0].clone()],
-        };
-        assert!(
-            run_campaign_with(&registry(), &spec, &dup, &mut NullSink).is_err(),
-            "duplicate cells must be rejected"
-        );
+    #[test]
+    fn foreign_or_malformed_resume_records_are_rejected() {
+        let mut spec = CampaignSpec::new("wide", 5);
+        spec.seeds = 2;
+        let (_, runs) = recorded(&spec);
+        let cell1 = kept(&runs, &[1]).records;
+        let mut beyond = cell1.clone();
+        for r in &mut beyond {
+            r.cell = 5;
+            r.seed = tm_rand::stream_seed(5, (5 * 2 + r.seed_index) as u64);
+        }
+        let mut forged = cell1.clone();
+        forged[1].seed ^= 1;
+        let mut shard1 = spec.clone();
+        shard1.shard = Shard { index: 1, count: 2 };
+        for (what, spec, records, cell) in [
+            ("not owned", &shard1, kept(&runs, &[0]).records, "cell 0"),
+            ("outside the grid", &spec, beyond, "cell 5"),
+            (
+                "listed twice",
+                &spec,
+                [&cell1[..], &cell1[..]].concat(),
+                "cell 1",
+            ),
+            ("missing a seed", &spec, cell1[..1].to_vec(), "cell 1"),
+            ("not the derived seed", &spec, forged, "cell 1"),
+        ] {
+            let resume = Resume { records };
+            let err = run_campaign_with(&registry(), spec, &resume, &mut NullSink).expect_err(what);
+            assert!(err.contains(cell), "{what}: {err}");
+        }
     }
 
     #[test]

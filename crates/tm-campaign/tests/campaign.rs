@@ -149,7 +149,7 @@ fn per_run_seeds_are_canonical() {
     }
     // 6 cells x 6 seeds.
     assert_eq!(sink.runs.len(), 36);
-    assert_eq!(report.total_runs, 36);
+    assert_eq!(report.total_runs(), 36);
 }
 
 #[test]

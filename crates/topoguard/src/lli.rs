@@ -84,8 +84,6 @@ pub struct Lli {
     detectors: BTreeMap<DirectedLink, IqrOutlierDetector>,
     /// Full measurement history (Figs. 10/11 series).
     pub observations: Vec<LliObservation>,
-    /// Anomalies flagged (diagnostics).
-    pub detections: u64,
 }
 
 /// The canonical orientation of a trunk: both directions of the same
@@ -101,7 +99,6 @@ impl Lli {
             config,
             detectors: BTreeMap::new(),
             observations: Vec::new(),
-            detections: 0,
         }
     }
 
@@ -191,7 +188,6 @@ impl DefenseModule for Lli {
         });
 
         if let IqrVerdict::Outlier { threshold } = verdict {
-            self.detections += 1;
             cx.telemetry.counter_inc("topoguard.lli.detections");
             cx.alerts.raise(Alert {
                 at: cx.now,

@@ -62,8 +62,6 @@ pub struct TopoGuard {
     recent_port_downs: Vec<(SwitchPort, SimTime)>,
     pending_checks: Vec<PendingReachabilityCheck>,
     probe_seq: u16,
-    /// Migrations verified without violation (diagnostics).
-    pub migrations_accepted: u64,
 }
 
 /// The IP TopoGuard's reachability probes claim as their source.
@@ -80,7 +78,6 @@ impl TopoGuard {
             recent_port_downs: Vec::new(),
             pending_checks: Vec::new(),
             probe_seq: 0,
-            migrations_accepted: 0,
         }
     }
 
@@ -280,9 +277,7 @@ impl DefenseModule for TopoGuard {
             deadline: cx.now + self.config.reachability_timeout,
         });
         cx.telemetry.counter_inc("topoguard.reachability_probes");
-        self.migrations_accepted += 1;
-        cx.telemetry
-            .counter_set("topoguard.migrations_accepted", self.migrations_accepted);
+        cx.telemetry.counter_inc("topoguard.migrations_accepted");
         Command::Continue
     }
 

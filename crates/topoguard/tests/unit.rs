@@ -343,7 +343,6 @@ fn lli_flags_and_blocks_anomalous_latency() {
     assert_eq!(v, Command::Block);
     assert_eq!(h.alerts.count(AlertKind::AbnormalLinkLatency), 1);
     assert!(h.alerts.all()[0].detail.contains("delay:21ms"));
-    assert_eq!(lli.detections, 1);
 }
 
 #[test]
@@ -410,7 +409,7 @@ fn lli_keeps_per_trunk_baselines_for_heterogeneous_fabrics() {
         sample(45.0),
     );
     assert_eq!(v, Command::Block, "relay on the slow trunk must flag");
-    assert_eq!(lli.detections, 2);
+    assert_eq!(h.alerts.count(AlertKind::AbnormalLinkLatency), 2);
 }
 
 #[test]
