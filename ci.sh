@@ -92,9 +92,9 @@ diff "$tmp/tm_campaign_w1.out" "$tmp/tm_campaign_w2.out"
 # --state, writing one binary run-log per shard; (3) shard 0's run-log
 # loses its last 11 bytes (a simulated mid-write crash) and --resume
 # must rebuild the surviving cells from it and reproduce the fresh shard
-# stdout exactly; (4) `campaign replay` over the two shard logs
-# re-aggregates the merged stream without re-simulating and must equal
-# the single-shot stdout byte for byte.
+# stdout exactly; (4) `campaign replay` over the two shard logs, named in
+# either order, re-aggregates the merged stream without re-simulating and
+# must equal the single-shot stdout byte for byte.
 state="$tmp/tm_campaign_state"
 rm -rf "$state"
 cargo run -q --release --offline -p bench --bin experiments -- \
@@ -121,6 +121,13 @@ cargo run -q --release --offline -p bench --bin experiments -- \
     >"$tmp/tm_shard_replay.out" 2>"$tmp/tm_shard_replay.err"
 grep -q 'without re-simulating' "$tmp/tm_shard_replay.err"
 diff "$tmp/tm_shard_single.out" "$tmp/tm_shard_replay.out"
+# The merge sorts by global run index, so the order the logs are named
+# in must not matter.
+cargo run -q --release --offline -p bench --bin experiments -- \
+    campaign replay "$state/probe-overhead.shard1of2.runlog" \
+    "$state/probe-overhead.shard0of2.runlog" \
+    >"$tmp/tm_shard_replay_rev.out" 2>/dev/null
+diff "$tmp/tm_shard_single.out" "$tmp/tm_shard_replay_rev.out"
 # A campaign the runner rejects exits 2 before it touches --state: the
 # shard's run-log keeps every byte.
 cp "$log" "$tmp/tm_shard_0.runlog"

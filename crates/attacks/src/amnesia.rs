@@ -21,7 +21,6 @@
 //!   adding ≥ 16 ms latency per relayed LLDP and producing the Port-Down-
 //!   during-LLDP-propagation signature TopoGuard+'s CMM detects.
 
-use std::any::Any;
 use std::collections::VecDeque;
 
 use netsim::{FrameDisposition, HostApp, HostCtx};
@@ -275,13 +274,6 @@ impl HostApp for OobRelayAttacker {
             self.inject(ctx, frame);
         }
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// The attacker's belief about its port's current TopoGuard class — the
@@ -477,12 +469,5 @@ impl HostApp for InBandRelayAttacker {
         self.bouncing = false;
         self.belief = PortBelief::Any;
         self.pump(ctx);
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }

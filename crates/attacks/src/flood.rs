@@ -7,8 +7,6 @@
 //! overwhelm the operator's triage queue while a real hijack persists
 //! elsewhere.
 
-use std::any::Any;
-
 use netsim::{HostApp, HostCtx};
 use sdn_types::packet::{ArpPacket, EthernetFrame, Payload};
 use sdn_types::{Duration, IpAddr, MacAddr};
@@ -72,12 +70,5 @@ impl HostApp for AlertFloodAttacker {
         ));
         self.spoofs_sent += 1;
         ctx.set_timer(self.config.interval, TIMER_NEXT);
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }

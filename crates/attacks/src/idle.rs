@@ -15,8 +15,6 @@
 //! sequentially-incrementing IP-ID counter — modeled by `netsim`'s host
 //! stack.
 
-use std::any::Any;
-
 use netsim::{FrameDisposition, HostApp, HostCtx};
 use sdn_types::packet::{EthernetFrame, Ipv4Packet, Payload, TcpFlags, TcpSegment, Transport};
 use sdn_types::{Duration, IpAddr, MacAddr, SimTime};
@@ -185,12 +183,5 @@ impl HostApp for IdleScanProber {
             _ => {}
         }
         FrameDisposition::Consume
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }

@@ -9,7 +9,6 @@
 //! [`ProbingTimeline`], which is exactly the instrumentation behind the
 //! paper's Figs. 3–8.
 
-use std::any::Any;
 use std::collections::BTreeMap;
 
 use netsim::{FrameDisposition, HostApp, HostCtx};
@@ -273,12 +272,5 @@ impl HostApp for PortProbingAttacker {
         )) {
             self.timeline.first_spoofed_tx_at = Some(ctx.now());
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }

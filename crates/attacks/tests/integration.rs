@@ -32,12 +32,6 @@ impl HostApp for RecordingVictim {
         }
         FrameDisposition::Pass
     }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 /// A single switch pre-programmed as a learning-free hub via one FLOOD
@@ -64,12 +58,6 @@ fn hub_spec() -> NetworkSpec {
         }
         fn on_message(&mut self, _: &mut ControllerCtx<'_>, _: DatapathId, _: OfMessage) {}
         fn on_timer(&mut self, _: &mut ControllerCtx<'_>, _: TimerId) {}
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
     }
 
     let mut spec = NetworkSpec::new();

@@ -62,10 +62,7 @@ fn run_lli(seed: u64, k: f64, with_attack: bool) -> u64 {
     })
     .with_module(Box::new(TopoGuard::new(TopoGuardConfig::default())))
     .with_module(Box::new(Cmm::new(CmmConfig::default())))
-    .with_module(Box::new(Lli::new(LliConfig {
-        iqr_k: k,
-        ..LliConfig::default()
-    })));
+    .with_module(Box::new(Lli::new(LliConfig { iqr_k: k })));
     spec.set_controller(Box::new(controller));
     let mut sim = Simulator::new(spec, seed);
     sim.run_for(scenario.run_for);

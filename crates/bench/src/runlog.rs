@@ -332,6 +332,8 @@ pub fn merge(logs: &[RunLog]) -> Result<(RunLogHeader, Vec<RunRecord>), String> 
         return Err("run-log header has zero seeds per cell".to_string());
     }
     let mut by_k: BTreeMap<usize, RunRecord> = BTreeMap::new();
+    // Runs per covered cell, counted as they are merged.
+    let mut covered: BTreeMap<usize, usize> = BTreeMap::new();
     for log in logs {
         for record in &log.records {
             let k = record.cell * seeds + record.seed_index;
@@ -341,22 +343,18 @@ pub fn merge(logs: &[RunLog]) -> Result<(RunLogHeader, Vec<RunRecord>), String> 
                     record.cell, record.seed_index
                 ));
             }
+            *covered.entry(k / seeds).or_default() += 1;
         }
     }
     // Every covered cell must be complete; a gap means a shard's log is
-    // missing or was cut short.
-    let cells: Vec<usize> = by_k.keys().map(|k| k / seeds).collect();
-    for &cell in &cells {
-        let have = cells.iter().filter(|&&c| c == cell).count();
-        if have != seeds {
-            return Err(format!(
-                "cell {cell} has {have} of {seeds} runs across the merged logs \
-                 (missing shard or truncated log?)"
-            ));
-        }
+    // missing or was cut short. The lowest incomplete cell is named.
+    if let Some((cell, have)) = covered.iter().find(|&(_, &have)| have != seeds) {
+        return Err(format!(
+            "cell {cell} has {have} of {seeds} runs across the merged logs \
+             (missing shard or truncated log?)"
+        ));
     }
     let mut header = first.header.clone();
-    let covered: std::collections::BTreeSet<usize> = by_k.keys().map(|k| k / seeds).collect();
     // A complete merge is the unsharded campaign; a partial replay (one
     // shard's log on its own) keeps that shard's label so the rendered
     // header cannot be mistaken for the merged result.

@@ -5,7 +5,7 @@ use sdn_types::packet::{ArpPacket, EthernetFrame, Ipv4Packet, Payload, TcpSegmen
 use sdn_types::{Duration, IpAddr, MacAddr, SimTime};
 use tm_core::floodsc::{self, FloodScenario};
 use tm_core::DefenseStack;
-use tm_ids::{IdsConfig, IdsEngine, IdsRule};
+use tm_ids::{IdsEngine, IdsRule};
 
 const ATTACKER: IpAddr = IpAddr::new(10, 0, 0, 66);
 const VICTIM: IpAddr = IpAddr::new(10, 0, 0, 1);
@@ -34,7 +34,7 @@ pub fn scan_detection() -> String {
 }
 
 fn run_rate(per_sec: u64, syn: bool) -> bool {
-    let mut ids = IdsEngine::new(IdsConfig::default());
+    let mut ids = IdsEngine::new();
     let interval_ns = 1_000_000_000 / per_sec;
     let attacker_mac = MacAddr::from_index(66);
     let victim_mac = MacAddr::from_index(1);

@@ -98,7 +98,7 @@ fn log_round_trips_and_replays_byte_identically() {
 #[test]
 fn shard_logs_merge_into_the_unsharded_stream() {
     let dir = tmpdir("merge");
-    let (whole, _, _) = run_shard(&dir, Shard::full());
+    let (whole, _, whole_path) = run_shard(&dir, Shard::full());
     let (_, _, p0) = run_shard(&dir, Shard { index: 0, count: 2 });
     let (_, _, p1) = run_shard(&dir, Shard { index: 1, count: 2 });
 
@@ -132,6 +132,16 @@ fn shard_logs_merge_into_the_unsharded_stream() {
     let mut cut = runlog::read(&p0).expect("shard 0");
     cut.records.remove(1);
     assert!(runlog::merge(&[cut]).unwrap_err().contains("of 4 runs"));
+    // With gaps in two cells, the lower cell is named, whatever the order
+    // the records arrive in.
+    let mut gappy = runlog::read(&whole_path).expect("whole log");
+    gappy.records.retain(|r| (r.cell, r.seed_index) != (3, 0));
+    gappy.records.retain(|r| (r.cell, r.seed_index) != (1, 2));
+    gappy.records.reverse();
+    assert_eq!(
+        runlog::merge(&[gappy]).unwrap_err(),
+        "cell 1 has 3 of 4 runs across the merged logs (missing shard or truncated log?)"
+    );
     let _ = fs::remove_dir_all(&dir);
 }
 

@@ -40,6 +40,9 @@ const FIRST_DISCOVERY_DELAY: Duration = Duration::from_millis(100);
 /// path.
 const HOST_LEARNING_AFTER: Duration = Duration::from_millis(300);
 
+/// The controller-owned key LLDP probes are signed and sealed with.
+const LLDP_KEY: Key = Key::from_seed(0xC0FF_EE00);
+
 /// Controller configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct ControllerConfig {
@@ -49,8 +52,6 @@ pub struct ControllerConfig {
     pub sign_lldp: bool,
     /// Embed encrypted departure timestamps in LLDP (TopoGuard+ LLI).
     pub timestamp_lldp: bool,
-    /// The controller-owned key for signing/sealing.
-    pub lldp_key: Key,
     /// Poll control-link latency with echoes at this interval.
     pub echo_interval: Option<Duration>,
     /// Poll switch flow/port statistics at this interval (SPHINX).
@@ -69,7 +70,6 @@ impl Default for ControllerConfig {
             profile: ControllerProfile::FLOODLIGHT,
             sign_lldp: false,
             timestamp_lldp: false,
-            lldp_key: Key::from_seed(0xC0FF_EE00),
             echo_interval: None,
             stats_interval: None,
             tree_scoped_flood: false,
@@ -196,12 +196,11 @@ impl SdnController {
         for module in modules.iter_mut() {
             let mut mcx = ModuleCtx {
                 now: ctx.now(),
-                alerts: &mut self.alerts,
                 topology: &self.topology,
                 devices: &self.devices,
-                latency: &self.latency,
-                lldp_key: self.config.lldp_key,
                 telemetry: &self.telemetry,
+                source: module.name(),
+                alerts: &mut self.alerts,
                 outbox: &mut outbox,
             };
             if f(module.as_mut(), &mut mcx) == Command::Block {
@@ -231,10 +230,10 @@ impl SdnController {
         for (dpid, port) in targets {
             let mut lldp = sdn_types::packet::LldpPacket::new(dpid, port.port_no);
             if self.config.timestamp_lldp {
-                lldp = lldp.with_timestamp(self.config.lldp_key, now);
+                lldp = lldp.with_timestamp(LLDP_KEY, now);
             }
             if self.config.sign_lldp {
-                lldp = lldp.signed(self.config.lldp_key);
+                lldp = lldp.signed(LLDP_KEY);
             }
             let frame =
                 EthernetFrame::new(port.hw_addr, MacAddr::LLDP_MULTICAST, Payload::Lldp(lldp));
@@ -279,13 +278,13 @@ impl SdnController {
         let dst = SwitchPort::new(dpid, in_port);
 
         let signature_valid = if self.config.sign_lldp {
-            Some(lldp.verify(self.config.lldp_key))
+            Some(lldp.verify(LLDP_KEY))
         } else {
             None
         };
 
         let sample = if self.config.timestamp_lldp {
-            lldp.open_timestamp(self.config.lldp_key)
+            lldp.open_timestamp(LLDP_KEY)
                 .map(|departure| LinkLatencySample {
                     t_lldp: now.since(departure),
                     t_sw_src: self.latency.one_way(src.dpid),
@@ -567,13 +566,5 @@ impl ControllerLogic for SdnController {
             }
             _ => {}
         }
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }

@@ -119,11 +119,6 @@ impl DeviceTable {
         self.devices.get(mac).map(|d| d.location)
     }
 
-    /// Removes a device (e.g. operator intervention). Returns it.
-    pub fn remove(&mut self, mac: &MacAddr) -> Option<Device> {
-        self.devices.remove(mac)
-    }
-
     /// Number of tracked devices.
     pub fn len(&self) -> usize {
         self.devices.len()
@@ -211,13 +206,5 @@ mod tests {
             SimTime::ZERO,
         );
         assert_eq!(t.get(&mac(1)).unwrap().ips.len(), 2);
-    }
-
-    #[test]
-    fn remove_forgets() {
-        let mut t = DeviceTable::new();
-        t.commit(mac(1), None, loc(1, 1), SimTime::ZERO);
-        assert!(t.remove(&mac(1)).is_some());
-        assert!(t.is_empty());
     }
 }

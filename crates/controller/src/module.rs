@@ -2,22 +2,20 @@
 //!
 //! TopoGuard, TopoGuard+ and SPHINX are implemented (in their own crates) as
 //! [`DefenseModule`]s plugged into the controller. Modules observe every
-//! relevant controller event, may raise [`Alert`](crate::Alert)s, and may
+//! relevant controller event, may raise [`Alert`]s, and may
 //! veto topology/host-table updates by returning [`Command::Block`] — the
 //! distinction between *alert-only* defenses (TopoGuard, SPHINX: "this
 //! alert does not alter network state", §IV-B) and TopoGuard+'s optional
 //! blocking of suspicious link updates (§VI-D).
 
 use openflow::{FlowStatsEntry, OfMessage, PortDesc, PortStatsEntry, PortStatusReason};
-use sdn_types::crypto::Key;
 use sdn_types::packet::EthernetFrame;
 use sdn_types::{DatapathId, Duration, IpAddr, MacAddr, PortNo, SimTime, SwitchPort};
 
 use tm_telemetry::Telemetry;
 
-use crate::alerts::AlertSink;
+use crate::alerts::{Alert, AlertKind, AlertSink};
 use crate::devices::{DeviceTable, HostMove};
-use crate::latency::CtrlLatencyTracker;
 use crate::topology::{DirectedLink, Topology};
 
 /// A module's verdict on a pending state update.
@@ -92,22 +90,30 @@ pub struct LldpReceive<'f> {
 pub struct ModuleCtx<'a> {
     /// Current controller time.
     pub now: SimTime,
-    /// The shared alert sink.
-    pub alerts: &'a mut AlertSink,
     /// Read view of the link table.
     pub topology: &'a Topology,
     /// Read view of the host-tracking table.
     pub devices: &'a DeviceTable,
-    /// Read view of control-link latency estimates.
-    pub latency: &'a CtrlLatencyTracker,
-    /// The controller's LLDP signing/sealing key.
-    pub lldp_key: Key,
     /// The run's shared metrics handle (disabled handles no-op).
     pub telemetry: &'a Telemetry,
+    /// The running module's [`DefenseModule::name`].
+    pub(crate) source: &'static str,
+    pub(crate) alerts: &'a mut AlertSink,
     pub(crate) outbox: &'a mut Vec<(DatapathId, OfMessage)>,
 }
 
 impl ModuleCtx<'_> {
+    /// Raises an alert at the current time, with the running module's name
+    /// as its `source`.
+    pub fn raise(&mut self, kind: AlertKind, detail: String) {
+        self.alerts.raise(Alert {
+            at: self.now,
+            source: self.source,
+            kind,
+            detail,
+        });
+    }
+
     /// Queues a control message to `dpid` (sent after the module pass).
     /// Used e.g. by TopoGuard's post-condition reachability probe.
     pub fn send(&mut self, dpid: DatapathId, msg: OfMessage) {
@@ -118,8 +124,9 @@ impl ModuleCtx<'_> {
 /// A controller security module. All hooks default to no-ops that
 /// [`Command::Continue`].
 #[allow(unused_variables)]
-pub trait DefenseModule {
-    /// A stable name used as the alert `source`.
+pub trait DefenseModule: netsim::AsAny {
+    /// A stable name, stamped as the `source` of every alert the module
+    /// raises through [`ModuleCtx::raise`].
     fn name(&self) -> &'static str;
 
     /// Every dataplane `PacketIn` (including LLDP), before any service
@@ -202,11 +209,16 @@ pub trait DefenseModule {
     /// intent).
     fn on_flow_mod(&mut self, cx: &mut ModuleCtx<'_>, dpid: DatapathId, msg: &OfMessage) {}
 
-    /// Downcasting support.
-    fn as_any(&self) -> &dyn std::any::Any;
+    /// Downcasting support; a decorator overrides it to expose the module
+    /// it wraps.
+    fn as_any(&self) -> &dyn std::any::Any {
+        self.any_ref()
+    }
 
-    /// Downcasting support.
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any;
+    /// Downcasting support, mutably.
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self.any_mut()
+    }
 }
 
 #[cfg(test)]

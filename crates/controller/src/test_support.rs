@@ -5,13 +5,11 @@
 //! and `sphinx` test suites); not part of the stable API surface.
 
 use openflow::OfMessage;
-use sdn_types::crypto::Key;
 use sdn_types::{DatapathId, SimTime};
 use tm_telemetry::Telemetry;
 
 use crate::alerts::AlertSink;
 use crate::devices::DeviceTable;
-use crate::latency::CtrlLatencyTracker;
 use crate::module::ModuleCtx;
 use crate::topology::Topology;
 
@@ -24,12 +22,8 @@ pub struct ModuleHarness {
     pub topology: Topology,
     /// The device table modules read.
     pub devices: DeviceTable,
-    /// Control-link latency estimates modules read.
-    pub latency: CtrlLatencyTracker,
     /// Messages modules queued via [`ModuleCtx::send`].
     pub outbox: Vec<(DatapathId, OfMessage)>,
-    /// The controller key handed to modules.
-    pub key: Key,
     /// Metrics handle handed to modules (enabled, so tests can assert on
     /// published counters).
     pub telemetry: Telemetry,
@@ -42,29 +36,27 @@ impl Default for ModuleHarness {
 }
 
 impl ModuleHarness {
-    /// Creates an empty harness with a fixed test key.
+    /// Creates an empty harness.
     pub fn new() -> Self {
         ModuleHarness {
             alerts: AlertSink::new(),
             topology: Topology::new(),
             devices: DeviceTable::new(),
-            latency: CtrlLatencyTracker::new(),
             outbox: Vec::new(),
-            key: Key::from_seed(0xBEEF),
             telemetry: Telemetry::new(),
         }
     }
 
-    /// Produces a context at `now`, borrowing the harness state.
+    /// Produces a context at `now`, borrowing the harness state. Alerts
+    /// raised through it carry the source `"test-harness"`.
     pub fn ctx(&mut self, now: SimTime) -> ModuleCtx<'_> {
         ModuleCtx {
             now,
-            alerts: &mut self.alerts,
             topology: &self.topology,
             devices: &self.devices,
-            latency: &self.latency,
-            lldp_key: self.key,
             telemetry: &self.telemetry,
+            source: "test-harness",
+            alerts: &mut self.alerts,
             outbox: &mut self.outbox,
         }
     }

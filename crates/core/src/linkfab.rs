@@ -13,7 +13,7 @@
 //!   attack with colluders placed by the spec's forked attacker stream.
 
 use attacks::{InBandRelayAttacker, OobRelayAttacker, RelayConfig, RelayStats};
-use controller::{AlertKind, ControllerConfig, ControllerProfile, DirectedLink};
+use controller::{AlertKind, ControllerConfig, DirectedLink};
 use netsim::apps::PeriodicPinger;
 use netsim::{HostApp, NetworkSpec, Simulator};
 use sdn_types::{Duration, HostId, IpAddr, MacAddr, SimTime};
@@ -86,9 +86,6 @@ pub struct LinkFabScenario {
     /// Start benign cross-network traffic (exercises the MITM bridge in
     /// the Fig. 1 topology).
     pub benign_traffic: bool,
-    /// The controller's timing personality (Table III). The attack is
-    /// cadence-agnostic: it relays whatever LLDP the controller sends.
-    pub profile: ControllerProfile,
     /// Network degradation active for the whole run ([`FaultProfile::Clean`]
     /// leaves the trace byte-identical to the pre-fault-layer simulator).
     pub faults: FaultProfile,
@@ -112,7 +109,6 @@ impl LinkFabScenario {
             hold_down: RelayConfig::DEFAULT_HOLD_DOWN,
             run_for: Duration::from_secs(40),
             benign_traffic: true,
-            profile: ControllerProfile::FLOODLIGHT,
             faults: FaultProfile::Clean,
             traffic: None,
         }
@@ -208,10 +204,7 @@ pub fn setup(scenario: &LinkFabScenario) -> (NetworkSpec, RelayEndpoints, Profil
         "background traffic needs a generated fabric: run on FabTopology::Fabric, or set \
          `traffic: None` on the hand-built testbeds"
     );
-    let config = ControllerConfig {
-        profile: scenario.profile,
-        ..ControllerConfig::default()
-    };
+    let config = ControllerConfig::default();
     let (mut spec, endpoints, targets) = match scenario.topology {
         FabTopology::Fig1 => testbed::fig1_spec(scenario.stack, config),
         FabTopology::Fig9 => testbed::fig9_spec(scenario.stack, config),

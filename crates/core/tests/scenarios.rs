@@ -283,7 +283,7 @@ fn port_amnesia_is_cadence_agnostic_across_controller_profiles() {
     // Table III: POX and OpenDaylight probe every 5 s with shorter link
     // timeouts. The attack relays whatever cadence the controller uses —
     // the relay must just keep up with the refresh rate, which it does.
-    use controller::ControllerProfile;
+    use controller::{AlertKind, ControllerConfig, ControllerProfile, DirectedLink, SdnController};
     for (i, profile) in [
         ControllerProfile::FLOODLIGHT,
         ControllerProfile::POX,
@@ -292,16 +292,36 @@ fn port_amnesia_is_cadence_agnostic_across_controller_profiles() {
     .into_iter()
     .enumerate()
     {
-        let out = linkfab::run(&LinkFabScenario {
+        let stack = DefenseStack::TopoGuard;
+        let scenario = LinkFabScenario::new(RelayMode::OutOfBand, stack, 400 + i as u64);
+        let (mut spec, endpoints, _) = linkfab::setup(&scenario);
+        spec.set_controller(Box::new(stack.build_controller(ControllerConfig {
             profile,
-            ..LinkFabScenario::new(
-                RelayMode::OutOfBand,
-                DefenseStack::TopoGuard,
-                400 + i as u64,
-            )
-        });
-        assert!(out.link_established, "{}: {out:?}", profile.name);
-        assert!(!out.detected(), "{}: {out:?}", profile.name);
+            ..ControllerConfig::default()
+        })));
+        let mut sim = netsim::Simulator::new(spec, scenario.seed);
+        sim.run_for(scenario.run_for);
+        let ctrl: &SdnController = sim.controller_as().expect("controller");
+        let link = DirectedLink::new(endpoints.port_a, endpoints.port_b);
+        assert!(
+            ctrl.topology().contains(&link) || ctrl.topology().contains(&link.reversed()),
+            "{}: fake link missing",
+            profile.name
+        );
+        let fabrication = [
+            AlertKind::LinkFabrication,
+            AlertKind::TrafficFromSwitchPort,
+            AlertKind::LinkChanged,
+        ];
+        assert!(
+            ctrl.alerts()
+                .all()
+                .iter()
+                .all(|a| !fabrication.contains(&a.kind)),
+            "{}: {:?}",
+            profile.name,
+            ctrl.alerts().all()
+        );
     }
 }
 
@@ -336,12 +356,6 @@ fn forged_lldp_without_relay_is_stopped_by_authentication() {
         }
         fn on_frame(&mut self, _: &mut HostCtx<'_>, _: &EthernetFrame) -> FrameDisposition {
             FrameDisposition::Consume
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
         }
     }
 

@@ -53,36 +53,21 @@ pub struct IdsAlert {
     pub detail: String,
 }
 
-/// Detection thresholds, following the paper's findings.
-#[derive(Clone, Copy, Debug)]
-pub struct IdsConfig {
-    /// SYN probes per second from one source before alerting (paper: scans
-    /// above 2/s were detected).
-    pub syn_scan_per_sec: f64,
-    /// Echo requests per second from one source before alerting.
-    pub icmp_per_sec: f64,
-    /// Distinct ARP target IPs within the window before alerting.
-    pub arp_distinct_targets: usize,
-    /// Zero-data TCP teardowns per minute before alerting.
-    pub zero_data_flows_per_min: usize,
-    /// Sliding-window length for rate rules.
-    pub window: Duration,
-    /// Minimum time between repeated alerts for the same (rule, source).
-    pub alert_cooldown: Duration,
-}
+// Detection thresholds, following the paper's findings.
 
-impl Default for IdsConfig {
-    fn default() -> Self {
-        IdsConfig {
-            syn_scan_per_sec: 2.0,
-            icmp_per_sec: 2.0,
-            arp_distinct_targets: 10,
-            zero_data_flows_per_min: 30,
-            window: Duration::from_secs(1),
-            alert_cooldown: Duration::from_secs(5),
-        }
-    }
-}
+/// SYN probes per second from one source before alerting (paper: scans
+/// above 2/s were detected).
+const SYN_SCAN_PER_SEC: f64 = 2.0;
+/// Echo requests per second from one source before alerting.
+const ICMP_PER_SEC: f64 = 2.0;
+/// Distinct ARP target IPs within the window before alerting.
+const ARP_DISTINCT_TARGETS: usize = 10;
+/// Zero-data TCP teardowns per minute before alerting.
+const ZERO_DATA_FLOWS_PER_MIN: usize = 30;
+/// Sliding-window length for rate rules.
+const WINDOW: Duration = Duration::from_secs(1);
+/// Minimum time between repeated alerts for the same (rule, source).
+const ALERT_COOLDOWN: Duration = Duration::from_secs(5);
 
 #[derive(Default)]
 struct SrcState {
@@ -94,8 +79,8 @@ struct SrcState {
 }
 
 /// The IDS engine.
+#[derive(Default)]
 pub struct IdsEngine {
-    config: IdsConfig,
     per_src: BTreeMap<IpAddr, SrcState>,
     last_alert: BTreeMap<(IdsRule, IpAddr), SimTime>,
     alerts: Vec<IdsAlert>,
@@ -105,14 +90,8 @@ pub struct IdsEngine {
 
 impl IdsEngine {
     /// Creates an engine.
-    pub fn new(config: IdsConfig) -> Self {
-        IdsEngine {
-            config,
-            per_src: BTreeMap::new(),
-            last_alert: BTreeMap::new(),
-            alerts: Vec::new(),
-            frames_observed: 0,
-        }
+    pub fn new() -> Self {
+        IdsEngine::default()
     }
 
     /// All alerts raised so far.
@@ -154,14 +133,14 @@ impl IdsEngine {
     fn window_start(&self, at: SimTime) -> SimTime {
         SimTime::from_nanos(
             at.as_nanos()
-                .saturating_sub(self.config.window.as_nanos())
+                .saturating_sub(WINDOW.as_nanos())
                 .saturating_add(1),
         )
     }
 
     fn try_alert(&mut self, at: SimTime, rule: IdsRule, src: IpAddr, detail: String) {
         if let Some(last) = self.last_alert.get(&(rule, src)) {
-            if at.since(*last) < self.config.alert_cooldown {
+            if at.since(*last) < ALERT_COOLDOWN {
                 return;
             }
         }
@@ -176,8 +155,7 @@ impl IdsEngine {
 
     fn observe_syn(&mut self, at: SimTime, src: IpAddr, dst_port: u16) {
         let start = self.window_start(at);
-        let window_secs = self.config.window.as_secs_f64();
-        let threshold = self.config.syn_scan_per_sec;
+        let window_secs = WINDOW.as_secs_f64();
         let count = {
             let state = self.per_src.entry(src).or_default();
             state.syn_times.push_back(at);
@@ -188,7 +166,7 @@ impl IdsEngine {
             state.syn_times.len()
         };
         let rate = count as f64 / window_secs;
-        if rate > threshold {
+        if rate > SYN_SCAN_PER_SEC {
             self.try_alert(
                 at,
                 IdsRule::TcpSynScan,
@@ -201,7 +179,6 @@ impl IdsEngine {
     fn observe_rst(&mut self, at: SimTime, scanned_by: IpAddr) {
         // An RST answering a probe closes a zero-data exchange; attribute to
         // the prober (the destination of the RST).
-        let per_min_limit = self.config.zero_data_flows_per_min;
         let count = {
             let state = self.per_src.entry(scanned_by).or_default();
             state.zero_data_teardowns.push_back(at);
@@ -215,7 +192,7 @@ impl IdsEngine {
             }
             state.zero_data_teardowns.len()
         };
-        if count > per_min_limit {
+        if count > ZERO_DATA_FLOWS_PER_MIN {
             self.try_alert(
                 at,
                 IdsRule::ZeroDataTcpFlows,
@@ -227,8 +204,7 @@ impl IdsEngine {
 
     fn observe_icmp(&mut self, at: SimTime, src: IpAddr) {
         let start = self.window_start(at);
-        let window_secs = self.config.window.as_secs_f64();
-        let threshold = self.config.icmp_per_sec;
+        let window_secs = WINDOW.as_secs_f64();
         let count = {
             let state = self.per_src.entry(src).or_default();
             state.icmp_times.push_back(at);
@@ -238,7 +214,7 @@ impl IdsEngine {
             state.icmp_times.len()
         };
         let rate = count as f64 / window_secs;
-        if rate > threshold {
+        if rate > ICMP_PER_SEC {
             self.try_alert(
                 at,
                 IdsRule::IcmpPingSweep,
@@ -253,7 +229,6 @@ impl IdsEngine {
         // distinct target IPs. A targeted liveness probe re-ARPs one IP and
         // never accumulates distinct targets.
         let start = self.window_start(at);
-        let limit = self.config.arp_distinct_targets;
         let distinct = {
             let state = self.per_src.entry(src).or_default();
             state.arp_targets.push_back((at, target));
@@ -267,7 +242,7 @@ impl IdsEngine {
                 .collect::<BTreeSet<_>>()
                 .len()
         };
-        if distinct >= limit {
+        if distinct >= ARP_DISTINCT_TARGETS {
             self.try_alert(
                 at,
                 IdsRule::ArpDiscoveryFlood,
@@ -335,7 +310,7 @@ mod tests {
     /// §V-B2: SYN scans above 2/s are detected.
     #[test]
     fn syn_scan_above_2_per_sec_detected() {
-        let mut ids = IdsEngine::new(IdsConfig::default());
+        let mut ids = IdsEngine::new();
         // 5 SYNs within one second.
         for i in 0..5 {
             ids.observe(
@@ -348,7 +323,7 @@ mod tests {
 
     #[test]
     fn syn_scan_at_or_below_2_per_sec_undetected() {
-        let mut ids = IdsEngine::new(IdsConfig::default());
+        let mut ids = IdsEngine::new();
         // 1 SYN every 500 ms = exactly 2/s -> not *above* threshold.
         for i in 0..20 {
             ids.observe(
@@ -362,7 +337,7 @@ mod tests {
     /// §V-B2: targeted ARP liveness probing at 20/s stays undetected.
     #[test]
     fn targeted_arp_probing_never_detected() {
-        let mut ids = IdsEngine::new(IdsConfig::default());
+        let mut ids = IdsEngine::new();
         // One ARP every 50 ms for 10 seconds — the paper's chosen probe rate.
         for i in 0..200 {
             ids.observe(SimTime::from_millis(i * 50), &arp_frame(ATTACKER, VICTIM));
@@ -372,7 +347,7 @@ mod tests {
 
     #[test]
     fn network_wide_arp_discovery_is_detected() {
-        let mut ids = IdsEngine::new(IdsConfig::default());
+        let mut ids = IdsEngine::new();
         for i in 0..50u16 {
             let target = IpAddr::new(10, 0, 0, (i % 250) as u8);
             ids.observe(
@@ -385,7 +360,7 @@ mod tests {
 
     #[test]
     fn frequent_icmp_is_low_stealth() {
-        let mut ids = IdsEngine::new(IdsConfig::default());
+        let mut ids = IdsEngine::new();
         for i in 0..10 {
             ids.observe(SimTime::from_millis(i * 100), &icmp_frame(ATTACKER, VICTIM));
         }
@@ -394,7 +369,7 @@ mod tests {
 
     #[test]
     fn occasional_icmp_is_fine() {
-        let mut ids = IdsEngine::new(IdsConfig::default());
+        let mut ids = IdsEngine::new();
         for i in 0..10 {
             ids.observe(SimTime::from_secs(i * 2), &icmp_frame(ATTACKER, VICTIM));
         }
@@ -403,7 +378,7 @@ mod tests {
 
     #[test]
     fn alert_cooldown_suppresses_repeats() {
-        let mut ids = IdsEngine::new(IdsConfig::default());
+        let mut ids = IdsEngine::new();
         for i in 0..50 {
             ids.observe(
                 SimTime::from_millis(i * 100),
@@ -420,7 +395,7 @@ mod tests {
 
     #[test]
     fn sources_are_tracked_independently() {
-        let mut ids = IdsEngine::new(IdsConfig::default());
+        let mut ids = IdsEngine::new();
         let other = IpAddr::new(10, 0, 0, 77);
         for i in 0..5 {
             ids.observe(
@@ -464,7 +439,7 @@ mod zero_data_tests {
 
     #[test]
     fn sustained_zero_data_teardowns_alert() {
-        let mut ids = IdsEngine::new(IdsConfig::default());
+        let mut ids = IdsEngine::new();
         // 40 RSTs toward the scanner within a minute (limit is 30/min).
         for i in 0..40u32 {
             ids.observe(
@@ -477,7 +452,7 @@ mod zero_data_tests {
 
     #[test]
     fn occasional_resets_are_normal() {
-        let mut ids = IdsEngine::new(IdsConfig::default());
+        let mut ids = IdsEngine::new();
         // A handful of RSTs spread over minutes: ordinary connection churn.
         for i in 0..10u32 {
             ids.observe(

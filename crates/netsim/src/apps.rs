@@ -1,6 +1,5 @@
 //! Built-in host applications: benign workloads and test instrumentation.
 
-use std::any::Any;
 use std::collections::VecDeque;
 
 use sdn_types::packet::{
@@ -132,13 +131,6 @@ impl HostApp for PeriodicPinger {
         }
         FrameDisposition::Pass
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// Records every frame delivered to the host (the default stack still
@@ -160,13 +152,6 @@ impl HostApp for FrameRecorder {
     fn on_frame(&mut self, ctx: &mut HostCtx<'_>, frame: &EthernetFrame) -> FrameDisposition {
         self.frames.push((ctx.now(), frame.clone()));
         FrameDisposition::Pass
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -62,10 +62,9 @@ impl ControllerCtx<'_> {
 /// A controller implementation.
 ///
 /// All methods receive a [`ControllerCtx`] granting access to control
-/// channels and timers. Implementations must provide `as_any`/`as_any_mut`
-/// so tests and experiments can downcast to the concrete controller type
-/// and inspect its state.
-pub trait ControllerLogic {
+/// channels and timers. `as_any`/`as_any_mut` let tests and experiments
+/// downcast to the concrete controller type and inspect its state.
+pub trait ControllerLogic: crate::AsAny {
     /// Called once at simulation start, before any messages.
     fn on_start(&mut self, ctx: &mut ControllerCtx<'_>);
 
@@ -75,11 +74,16 @@ pub trait ControllerLogic {
     /// Called when a timer set via [`ControllerCtx::set_timer`] fires.
     fn on_timer(&mut self, ctx: &mut ControllerCtx<'_>, id: TimerId);
 
-    /// Downcasting support.
-    fn as_any(&self) -> &dyn Any;
+    /// Downcasting support; a decorator overrides it to expose the value
+    /// it wraps.
+    fn as_any(&self) -> &dyn Any {
+        self.any_ref()
+    }
 
-    /// Downcasting support.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
+    /// Downcasting support, mutably.
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self.any_mut()
+    }
 }
 
 /// A controller that ignores everything — useful for dataplane-only tests.
@@ -90,10 +94,4 @@ impl ControllerLogic for NullController {
     fn on_start(&mut self, _ctx: &mut ControllerCtx<'_>) {}
     fn on_message(&mut self, _ctx: &mut ControllerCtx<'_>, _dpid: DatapathId, _msg: OfMessage) {}
     fn on_timer(&mut self, _ctx: &mut ControllerCtx<'_>, _id: TimerId) {}
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }

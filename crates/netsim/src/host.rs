@@ -43,7 +43,7 @@ pub struct HostInfo {
 
 /// A host application: traffic generator, server workload, or attack
 /// script. All interaction with the network goes through [`HostCtx`].
-pub trait HostApp {
+pub trait HostApp: crate::AsAny {
     /// Called once at simulation start.
     fn on_start(&mut self, _ctx: &mut HostCtx<'_>) {}
 
@@ -63,11 +63,16 @@ pub trait HostApp {
     /// Called when a scheduled interface bring-up completes.
     fn on_iface_up(&mut self, _ctx: &mut HostCtx<'_>) {}
 
-    /// Downcasting support.
-    fn as_any(&self) -> &dyn Any;
+    /// Downcasting support; a decorator overrides it to expose the value
+    /// it wraps.
+    fn as_any(&self) -> &dyn Any {
+        self.any_ref()
+    }
 
-    /// Downcasting support.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
+    /// Downcasting support, mutably.
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self.any_mut()
+    }
 }
 
 /// A host app that does nothing (the default stack still responds to
@@ -75,14 +80,7 @@ pub trait HostApp {
 #[derive(Debug, Default)]
 pub struct NullHostApp;
 
-impl HostApp for NullHostApp {
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
+impl HostApp for NullHostApp {}
 
 /// Internal host state.
 pub(crate) struct HostState {

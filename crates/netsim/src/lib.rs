@@ -78,3 +78,25 @@ pub use link::{BurstModel, LinkProfile};
 pub use sim::{NetworkSpec, Simulator};
 pub use trace::{Trace, TraceKind};
 pub use traffic::{DemandProfile, TrafficPlan, TrafficWindow};
+
+/// The downcasting glue behind the plug-in traits' default `as_any` and
+/// `as_any_mut` ([`HostApp`], [`ControllerLogic`] and the controller's
+/// defense modules), implemented for every `'static` type. Its methods are
+/// named apart from `as_any`: a `Box<dyn HostApp>` is itself `Any`, so a
+/// same-named method would resolve on the box and downcast to the box.
+#[doc(hidden)]
+pub trait AsAny {
+    /// `self` as `&dyn Any`.
+    fn any_ref(&self) -> &dyn std::any::Any;
+    /// `self` as `&mut dyn Any`.
+    fn any_mut(&mut self) -> &mut dyn std::any::Any;
+}
+
+impl<T: std::any::Any> AsAny for T {
+    fn any_ref(&self) -> &dyn std::any::Any {
+        self
+    }
+    fn any_mut(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+}

@@ -2,8 +2,6 @@
 //! link-integrity-pulse port state machine, control-channel round trips,
 //! flow-table forwarding, out-of-band channels, and determinism.
 
-use std::any::Any;
-
 use netsim::apps::FrameRecorder;
 use netsim::{
     ControllerCtx, ControllerLogic, FrameDisposition, HostApp, HostCtx, LinkProfile, NetworkSpec,
@@ -106,13 +104,6 @@ impl ControllerLogic for FloodController {
             },
         );
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// Records each `PortStatus` as (port, new state, when the switch
@@ -133,13 +124,6 @@ impl ControllerLogic for PortStatusLog {
     }
 
     fn on_timer(&mut self, _ctx: &mut ControllerCtx<'_>, _id: TimerId) {}
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 #[test]
@@ -333,12 +317,6 @@ fn installed_flow_rules_forward_without_controller() {
         }
         fn on_message(&mut self, _: &mut ControllerCtx<'_>, _: DatapathId, _: OfMessage) {}
         fn on_timer(&mut self, _: &mut ControllerCtx<'_>, _: TimerId) {}
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
     }
 
     let mut spec = two_host_spec();
@@ -369,12 +347,6 @@ impl HostApp for OobCounter {
     }
     fn on_frame(&mut self, _: &mut HostCtx<'_>, _: &EthernetFrame) -> FrameDisposition {
         FrameDisposition::Pass
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

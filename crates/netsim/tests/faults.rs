@@ -11,8 +11,6 @@
 //! Plus behavioural checks for each fault kind (loss actually drops, flaps
 //! produce `PortStatus` edges, restarts wipe the flow table).
 
-use std::any::Any;
-
 use netsim::{
     ControllerCtx, ControllerLogic, FaultPlan, FaultWindow, FrameDisposition, HostApp, HostCtx,
     LinkProfile, LossModel, NetworkSpec, Simulator, TimerId, Trace, TraceKind,
@@ -63,12 +61,6 @@ impl ControllerLogic for StaticForwarder {
         }
     }
     fn on_timer(&mut self, _ctx: &mut ControllerCtx<'_>, _id: TimerId) {}
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// Counts opaque test frames.
@@ -86,12 +78,6 @@ impl HostApp for Recorder {
             self.seen += 1;
         }
         FrameDisposition::Consume
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

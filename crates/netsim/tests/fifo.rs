@@ -3,8 +3,6 @@
 //! independently sampled per-transit delays used to let later frames
 //! overtake earlier ones, perturbing LLDP/probe ordering.
 
-use std::any::Any;
-
 use netsim::{
     ControllerCtx, ControllerLogic, FrameDisposition, HostApp, HostCtx, LinkProfile, NetworkSpec,
     Simulator, TimerId,
@@ -39,12 +37,6 @@ impl ControllerLogic for StaticForwarder {
     }
     fn on_message(&mut self, _ctx: &mut ControllerCtx<'_>, _dpid: DatapathId, _msg: OfMessage) {}
     fn on_timer(&mut self, _ctx: &mut ControllerCtx<'_>, _id: TimerId) {}
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// Records the sequence numbers of every opaque frame it receives.
@@ -63,12 +55,6 @@ impl HostApp for Recorder {
             self.seen.push(u16::from_le_bytes([data[0], data[1]]));
         }
         FrameDisposition::Consume
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -1,8 +1,6 @@
 //! Direct tests of the default host network stack: ARP/ICMP/TCP
 //! responders, responder toggles, and the IP-ID counter.
 
-use std::any::Any;
-
 use netsim::{
     ControllerCtx, ControllerLogic, FrameDisposition, HostApp, HostCtx, LinkProfile, NetworkSpec,
     Simulator, TimerId,
@@ -36,12 +34,6 @@ impl HostApp for Capture {
         self.frames.push(frame.clone());
         FrameDisposition::Consume // prober has no stack of its own
     }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 struct Hub;
@@ -62,12 +54,6 @@ impl ControllerLogic for Hub {
     }
     fn on_message(&mut self, _: &mut ControllerCtx<'_>, _: DatapathId, _: OfMessage) {}
     fn on_timer(&mut self, _: &mut ControllerCtx<'_>, _: TimerId) {}
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 fn sim() -> Simulator {

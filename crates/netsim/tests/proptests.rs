@@ -1,8 +1,6 @@
 //! Property tests for the simulator: determinism and port state machine
 //! invariants under arbitrary interface bounce schedules.
 
-use std::any::Any;
-
 use tm_prop::prelude::*;
 
 use netsim::{ControllerCtx, ControllerLogic, LinkProfile, NetworkSpec, Simulator, TimerId, Trace};
@@ -41,12 +39,6 @@ impl ControllerLogic for PortStatusLog {
         }
     }
     fn on_timer(&mut self, _ctx: &mut ControllerCtx<'_>, _id: TimerId) {}
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// Replays a bounce schedule of (down_at_ms, hold_ms) pairs. Returns the

@@ -193,43 +193,3 @@ pub enum OfMessage {
         ports: Vec<PortStatsEntry>,
     },
 }
-
-impl OfMessage {
-    /// A short name for logging and traces.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            OfMessage::Hello => "Hello",
-            OfMessage::EchoRequest { .. } => "EchoRequest",
-            OfMessage::EchoReply { .. } => "EchoReply",
-            OfMessage::FeaturesRequest => "FeaturesRequest",
-            OfMessage::FeaturesReply { .. } => "FeaturesReply",
-            OfMessage::PacketIn { .. } => "PacketIn",
-            OfMessage::PacketOut { .. } => "PacketOut",
-            OfMessage::FlowMod { .. } => "FlowMod",
-            OfMessage::FlowRemoved { .. } => "FlowRemoved",
-            OfMessage::PortStatus { .. } => "PortStatus",
-            OfMessage::FlowStatsRequest { .. } => "FlowStatsRequest",
-            OfMessage::FlowStatsReply { .. } => "FlowStatsReply",
-            OfMessage::PortStatsRequest { .. } => "PortStatsRequest",
-            OfMessage::PortStatsReply { .. } => "PortStatsReply",
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn kinds_are_distinct_for_logging() {
-        assert_eq!(OfMessage::Hello.kind(), "Hello");
-        assert_eq!(
-            OfMessage::EchoRequest {
-                xid: Xid(1),
-                payload: 0
-            }
-            .kind(),
-            "EchoRequest"
-        );
-    }
-}

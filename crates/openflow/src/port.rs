@@ -25,15 +25,6 @@ pub struct PortDesc {
 }
 
 impl PortDesc {
-    /// Creates an up port description.
-    pub fn up(port_no: PortNo, hw_addr: MacAddr) -> Self {
-        PortDesc {
-            port_no,
-            hw_addr,
-            state: PortLinkState::Up,
-        }
-    }
-
     /// Returns `true` if the link is up.
     pub fn is_up(&self) -> bool {
         self.state == PortLinkState::Up
@@ -45,8 +36,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn up_constructor() {
-        let desc = PortDesc::up(PortNo::new(1), MacAddr::new([1; 6]));
+    fn is_up_reads_the_link_state() {
+        let desc = PortDesc {
+            port_no: PortNo::new(1),
+            hw_addr: MacAddr::new([1; 6]),
+            state: PortLinkState::Up,
+        };
         assert!(desc.is_up());
         let down = PortDesc {
             state: PortLinkState::Down,

@@ -59,12 +59,6 @@ impl MacAddr {
     pub const fn is_unicast(&self) -> bool {
         !self.is_multicast()
     }
-
-    /// Parses from wire bytes. Returns `None` if `bytes` is shorter than 6.
-    pub fn from_slice(bytes: &[u8]) -> Option<Self> {
-        let octets: [u8; 6] = bytes.get(..6)?.try_into().ok()?;
-        Some(MacAddr(octets))
-    }
 }
 
 impl fmt::Display for MacAddr {
@@ -144,12 +138,6 @@ impl IpAddr {
     /// Builds an address from a big-endian `u32`.
     pub const fn from_u32(raw: u32) -> Self {
         IpAddr(raw.to_be_bytes())
-    }
-
-    /// Parses from wire bytes. Returns `None` if `bytes` is shorter than 4.
-    pub fn from_slice(bytes: &[u8]) -> Option<Self> {
-        let octets: [u8; 4] = bytes.get(..4)?.try_into().ok()?;
-        Some(IpAddr(octets))
     }
 }
 
@@ -244,15 +232,5 @@ mod tests {
     #[test]
     fn ip_from_u32_is_big_endian() {
         assert_eq!(IpAddr::from_u32(0xC0A8_012A), IpAddr::new(192, 168, 1, 42));
-    }
-
-    #[test]
-    fn from_slice_requires_enough_bytes() {
-        assert!(MacAddr::from_slice(&[1, 2, 3]).is_none());
-        assert!(IpAddr::from_slice(&[1, 2, 3]).is_none());
-        assert_eq!(
-            MacAddr::from_slice(&[1, 2, 3, 4, 5, 6, 7]),
-            Some(MacAddr::new([1, 2, 3, 4, 5, 6]))
-        );
     }
 }

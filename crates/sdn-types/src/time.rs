@@ -25,11 +25,6 @@ impl SimTime {
         SimTime(ns)
     }
 
-    /// Creates a time from microseconds since the epoch.
-    pub const fn from_micros(us: u64) -> Self {
-        SimTime(us * 1_000)
-    }
-
     /// Creates a time from milliseconds since the epoch.
     pub const fn from_millis(ms: u64) -> Self {
         SimTime(ms * 1_000_000)
@@ -43,11 +38,6 @@ impl SimTime {
     /// Nanoseconds since the epoch.
     pub const fn as_nanos(&self) -> u64 {
         self.0
-    }
-
-    /// Whole milliseconds since the epoch (truncating).
-    pub const fn as_millis(&self) -> u64 {
-        self.0 / 1_000_000
     }
 
     /// Seconds since the epoch as a float.

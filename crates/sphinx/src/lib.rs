@@ -23,13 +23,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::any::Any;
 use std::collections::BTreeMap;
 
 use controller::DirectedLink;
-use controller::{
-    Alert, AlertKind, Command, DefenseModule, HostMove, LinkLatencySample, ModuleCtx,
-};
+use controller::{AlertKind, Command, DefenseModule, HostMove, LinkLatencySample, ModuleCtx};
 use openflow::{FlowStatsEntry, OfMessage};
 use sdn_types::{DatapathId, Duration, MacAddr, SimTime, SwitchPort};
 
@@ -105,12 +102,7 @@ impl Sphinx {
 
     fn alert(&mut self, cx: &mut ModuleCtx<'_>, kind: AlertKind, detail: String) {
         cx.telemetry.counter_inc("sphinx.detections");
-        cx.alerts.raise(Alert {
-            at: cx.now,
-            source: "sphinx",
-            kind,
-            detail,
-        });
+        cx.raise(kind, detail);
     }
 
     /// Checks counter conservation for one flow; returns the divergence
@@ -238,13 +230,6 @@ impl DefenseModule for Sphinx {
             self.port_links.insert(link.dst, link);
         }
         Command::Continue
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

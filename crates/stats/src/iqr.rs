@@ -12,13 +12,22 @@ use std::collections::VecDeque;
 
 use crate::quantile::quantile_sorted;
 
+/// The paper's fixed store size: the 100 most recent verified latencies.
+pub const STORE_CAPACITY: usize = 100;
+
+/// The paper's warm-up: samples collected before the first judgement.
+pub const MIN_SAMPLES: usize = 10;
+
 /// The verdict for one inspected sample.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum IqrVerdict {
     /// Not enough history to judge; the sample was admitted to the store.
     Warmup,
     /// The sample is within `Q3 + k·IQR` and was admitted to the store.
-    Normal,
+    Normal {
+        /// The threshold the sample was compared against.
+        threshold: f64,
+    },
     /// The sample exceeds the threshold; it was *not* admitted to the store
     /// (outliers must not poison the baseline).
     Outlier {
@@ -56,10 +65,11 @@ impl IqrOutlierDetector {
         }
     }
 
-    /// A detector with the paper's parameters: window of 100 verified
-    /// latencies, 10-sample warmup, threshold `Q3 + 3·IQR`.
+    /// A detector with the paper's parameters: window of
+    /// [`STORE_CAPACITY`] verified latencies, [`MIN_SAMPLES`]-sample warmup,
+    /// threshold `Q3 + 3·IQR`.
     pub fn paper_default() -> Self {
-        IqrOutlierDetector::new(100, 10, 3.0)
+        IqrOutlierDetector::new(STORE_CAPACITY, MIN_SAMPLES, 3.0)
     }
 
     /// Number of samples currently in the store.
@@ -95,9 +105,9 @@ impl IqrOutlierDetector {
                 IqrVerdict::Warmup
             }
             Some(threshold) if sample > threshold => IqrVerdict::Outlier { threshold },
-            Some(_) => {
+            Some(threshold) => {
                 self.admit(sample);
-                IqrVerdict::Normal
+                IqrVerdict::Normal { threshold }
             }
         }
     }
@@ -131,7 +141,7 @@ mod tests {
         for i in 0..50 {
             det.inspect(5.0 + (i % 5) as f64 * 0.1);
         }
-        assert_eq!(det.inspect(5.3), IqrVerdict::Normal);
+        assert!(matches!(det.inspect(5.3), IqrVerdict::Normal { .. }));
         // A 15 ms relayed-link latency is far beyond Q3 + 3*IQR.
         match det.inspect(15.0) {
             IqrVerdict::Outlier { threshold } => assert!(threshold < 15.0),
@@ -197,7 +207,17 @@ mod tests {
         assert_eq!(det.threshold(), Some(5.0));
         // Any sample strictly above the constant is an outlier.
         assert!(matches!(det.inspect(5.001), IqrVerdict::Outlier { .. }));
-        assert_eq!(det.inspect(5.0), IqrVerdict::Normal);
+        assert_eq!(det.inspect(5.0), IqrVerdict::Normal { threshold: 5.0 });
+    }
+
+    #[test]
+    fn normal_verdict_carries_the_threshold_it_passed() {
+        let mut det = IqrOutlierDetector::paper_default();
+        for i in 0..30 {
+            det.inspect(5.0 + (i % 7) as f64 * 0.03);
+        }
+        let before = det.threshold().expect("past warmup");
+        assert_eq!(det.inspect(5.1), IqrVerdict::Normal { threshold: before });
     }
 
     #[test]

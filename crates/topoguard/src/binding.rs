@@ -18,10 +18,9 @@
 //! never enters the host-tracking service, so flows are never redirected.
 //! This is the active, non-passive posture the paper argues is necessary.
 
-use std::any::Any;
 use std::collections::BTreeMap;
 
-use controller::{Alert, AlertKind, Command, DefenseModule, HostMove, ModuleCtx};
+use controller::{AlertKind, Command, DefenseModule, HostMove, ModuleCtx};
 use sdn_types::{MacAddr, SwitchPort};
 
 /// One authorized pending migration.
@@ -99,23 +98,14 @@ impl DefenseModule for IdentifierBinding {
             return Command::Continue;
         }
         self.blocked += 1;
-        cx.alerts.raise(Alert {
-            at: cx.now,
-            source: "identifier-binding",
-            kind: AlertKind::HostMigrationPrecondition,
-            detail: format!(
+        cx.raise(
+            AlertKind::HostMigrationPrecondition,
+            format!(
                 "unattested rebind of {} from {} to {} rejected",
                 mv.mac, mv.from, mv.to
             ),
-        });
+        );
         Command::Block
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

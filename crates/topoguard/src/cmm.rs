@@ -7,10 +7,9 @@
 //! involved in the probe (sender, or — retroactively, since the receiver is
 //! not known in advance — the receiving port) raises an alert.
 
-use std::any::Any;
 use std::collections::BTreeMap;
 
-use controller::{Alert, AlertKind, Command, DefenseModule, LldpReceive, ModuleCtx};
+use controller::{AlertKind, Command, DefenseModule, LldpReceive, ModuleCtx};
 use openflow::{PortDesc, PortStatusReason};
 use sdn_types::{DatapathId, Duration, PortNo, SimTime, SwitchPort};
 
@@ -24,9 +23,6 @@ pub struct CmmConfig {
     /// How long port-status events are retained for the retroactive
     /// receiver-side check.
     pub event_retention: Duration,
-    /// Veto link updates whose propagation window contained a port-status
-    /// change (in addition to alerting).
-    pub block_tainted_updates: bool,
 }
 
 impl Default for CmmConfig {
@@ -38,7 +34,6 @@ impl Default for CmmConfig {
             // milliseconds; 500 ms is a generous in-flight budget.
             probe_ttl: Duration::from_millis(500),
             event_retention: Duration::from_secs(30),
-            block_tainted_updates: true,
         }
     }
 }
@@ -64,12 +59,7 @@ impl Cmm {
 
     fn alert(&mut self, cx: &mut ModuleCtx<'_>, detail: String) {
         cx.telemetry.counter_inc("topoguard.cmm.detections");
-        cx.alerts.raise(Alert {
-            at: cx.now,
-            source: "topoguard+/cmm",
-            kind: AlertKind::AnomalousControlMessage,
-            detail,
-        });
+        cx.raise(AlertKind::AnomalousControlMessage, detail);
     }
 
     fn events_in_window(
@@ -129,9 +119,7 @@ impl DefenseModule for Cmm {
                     ev.dst,
                 ),
             );
-            if self.config.block_tainted_updates {
-                return Command::Block;
-            }
+            return Command::Block;
         }
         Command::Continue
     }
@@ -175,12 +163,5 @@ impl DefenseModule for Cmm {
                 .saturating_sub(self.config.event_retention.as_nanos()),
         );
         self.port_events.retain(|(_, at, _)| *at >= event_cutoff);
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }

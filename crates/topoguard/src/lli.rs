@@ -28,37 +28,27 @@
 //! bootstrap no fence is established yet, so every honest trunk warms up
 //! against itself, whatever its tier's latency.
 
-use std::any::Any;
 use std::collections::BTreeMap;
 
 use controller::DirectedLink;
-use controller::{Alert, AlertKind, Command, DefenseModule, LinkLatencySample, ModuleCtx};
+use controller::{AlertKind, Command, DefenseModule, LinkLatencySample, ModuleCtx};
 use sdn_types::SimTime;
+use tm_stats::iqr::{MIN_SAMPLES, STORE_CAPACITY};
 use tm_stats::{IqrOutlierDetector, IqrVerdict};
 
-/// LLI configuration.
+/// LLI configuration. Each trunk's store holds the paper's
+/// [`STORE_CAPACITY`] latencies and judges after [`MIN_SAMPLES`]; an
+/// anomalous update is vetoed (the paper's "may optionally block the
+/// topology update").
 #[derive(Clone, Copy, Debug)]
 pub struct LliConfig {
-    /// Capacity of the verified-latency store (paper: fixed size; we
-    /// default to 100).
-    pub store_capacity: usize,
-    /// Measurements required before judging (warmup).
-    pub min_samples: usize,
     /// The outlier fence multiplier `k` in `Q3 + k·IQR` (paper: 3).
     pub iqr_k: f64,
-    /// Veto link updates whose latency is anomalous ("may optionally block
-    /// the topology update").
-    pub block_anomalous_updates: bool,
 }
 
 impl Default for LliConfig {
     fn default() -> Self {
-        LliConfig {
-            store_capacity: 100,
-            min_samples: 10,
-            iqr_k: 3.0,
-            block_anomalous_updates: true,
-        }
+        LliConfig { iqr_k: 3.0 }
     }
 }
 
@@ -162,19 +152,17 @@ impl DefenseModule for Lli {
             None
         };
         let detector = self.detectors.entry(key).or_insert_with(|| {
-            IqrOutlierDetector::new(
-                self.config.store_capacity,
-                self.config.min_samples,
-                self.config.iqr_k,
-            )
+            IqrOutlierDetector::new(STORE_CAPACITY, MIN_SAMPLES, self.config.iqr_k)
         });
-        let (threshold_before, verdict) = match reference {
-            Some(fence) if latency_ms > fence => {
-                (Some(fence), IqrVerdict::Outlier { threshold: fence })
-            }
-            _ => (detector.threshold(), detector.inspect(latency_ms)),
+        let verdict = match reference {
+            Some(fence) if latency_ms > fence => IqrVerdict::Outlier { threshold: fence },
+            _ => detector.inspect(latency_ms),
         };
-        let flagged = matches!(verdict, IqrVerdict::Outlier { .. });
+        let (threshold_ms, flagged) = match verdict {
+            IqrVerdict::Warmup => (None, false),
+            IqrVerdict::Normal { threshold } => (Some(threshold), false),
+            IqrVerdict::Outlier { threshold } => (Some(threshold), true),
+        };
         cx.telemetry.counter_inc("topoguard.lli.samples");
         // Milliseconds → nanoseconds for the shared latency bucket ladder.
         cx.telemetry
@@ -182,33 +170,22 @@ impl DefenseModule for Lli {
         self.observations.push(LliObservation {
             at: cx.now,
             latency_ms,
-            threshold_ms: threshold_before,
+            threshold_ms,
             flagged,
             link,
         });
 
         if let IqrVerdict::Outlier { threshold } = verdict {
             cx.telemetry.counter_inc("topoguard.lli.detections");
-            cx.alerts.raise(Alert {
-                at: cx.now,
-                source: "topoguard+/lli",
-                kind: AlertKind::AbnormalLinkLatency,
-                detail: format!(
+            cx.raise(
+                AlertKind::AbnormalLinkLatency,
+                format!(
                     "detected suspicious link discovery: an abnormal delay during LLDP propagation; link delay is abnormal. delay:{:.0}ms, threshold:{:.0}ms ({} -> {})",
                     latency_ms, threshold, link.src, link.dst
                 ),
-            });
-            if self.config.block_anomalous_updates {
-                return Command::Block;
-            }
+            );
+            return Command::Block;
         }
         Command::Continue
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }

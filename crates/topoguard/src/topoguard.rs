@@ -1,9 +1,7 @@
 //! The TopoGuard policy enforcer (§III-B), as a controller defense module.
 
-use std::any::Any;
-
 use controller::{
-    Alert, AlertKind, Command, DefenseModule, HostMove, LldpReceive, ModuleCtx, PacketInCtx,
+    AlertKind, Command, DefenseModule, HostMove, LldpReceive, ModuleCtx, PacketInCtx,
 };
 use openflow::{Action, OfMessage, PortDesc, PortStatusReason};
 use sdn_types::packet::{EthernetFrame, IcmpPacket, Ipv4Packet, Payload, Transport};
@@ -14,9 +12,6 @@ use crate::profiler::{PortProfiler, PortType};
 /// TopoGuard configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct TopoGuardConfig {
-    /// Require valid LLDP signatures (alert on invalid/unsigned when the
-    /// controller signs).
-    pub require_signed_lldp: bool,
     /// How long the post-condition reachability probe waits for an answer
     /// from the host's old location before accepting the migration.
     pub reachability_timeout: Duration,
@@ -35,7 +30,6 @@ pub struct TopoGuardConfig {
 impl Default for TopoGuardConfig {
     fn default() -> Self {
         TopoGuardConfig {
-            require_signed_lldp: true,
             reachability_timeout: Duration::from_millis(500),
             precondition_window: Duration::from_secs(60),
             profile_after: Duration::from_millis(300),
@@ -83,12 +77,7 @@ impl TopoGuard {
 
     fn alert(&self, cx: &mut ModuleCtx<'_>, kind: AlertKind, detail: String) {
         cx.telemetry.counter_inc("topoguard.alerts");
-        cx.alerts.raise(Alert {
-            at: cx.now,
-            source: "topoguard",
-            kind,
-            detail,
-        });
+        cx.raise(kind, detail);
     }
 
     fn port_down_seen_since(&self, port: SwitchPort, since: SimTime) -> bool {
@@ -159,22 +148,15 @@ impl DefenseModule for TopoGuard {
     }
 
     fn on_lldp_receive(&mut self, cx: &mut ModuleCtx<'_>, ev: &LldpReceive<'_>) -> Command {
-        // Authenticated LLDP: reject forgeries outright.
-        if self.config.require_signed_lldp {
-            match ev.signature_valid {
-                Some(true) => {}
-                Some(false) => {
-                    self.alert(
-                        cx,
-                        AlertKind::LinkFabrication,
-                        format!("LLDP with invalid signature received at {}", ev.dst),
-                    );
-                    return Command::Block;
-                }
-                None => {
-                    // Controller is not signing; fall through to profiling.
-                }
-            }
+        // Authenticated LLDP: reject forgeries outright. `None` means the
+        // controller is not signing; fall through to profiling.
+        if ev.signature_valid == Some(false) {
+            self.alert(
+                cx,
+                AlertKind::LinkFabrication,
+                format!("LLDP with invalid signature received at {}", ev.dst),
+            );
+            return Command::Block;
         }
 
         // Port Property check on the receiving port.
@@ -286,12 +268,5 @@ impl DefenseModule for TopoGuard {
         // satisfied, nothing to do.
         let now = cx.now;
         self.pending_checks.retain(|c| c.deadline >= now);
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }

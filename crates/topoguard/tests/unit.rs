@@ -63,10 +63,7 @@ fn dataplane_frame(src: MacAddr) -> EthernetFrame {
 #[test]
 fn topoguard_blocks_lldp_at_host_port_and_amnesia_clears_it() {
     let mut h = ModuleHarness::new();
-    let mut tg = TopoGuard::new(TopoGuardConfig {
-        require_signed_lldp: false,
-        ..TopoGuardConfig::default()
-    });
+    let mut tg = TopoGuard::new(TopoGuardConfig::default());
     let attacker_port = sp(2, 1);
 
     // First-hop traffic (after the startup grace period) marks the port
@@ -438,12 +435,9 @@ fn lli_without_evidence_stays_silent() {
 #[test]
 fn lli_observation_log_records_thresholds() {
     let mut h = ModuleHarness::new();
-    let mut lli = Lli::new(LliConfig {
-        min_samples: 3,
-        ..LliConfig::default()
-    });
+    let mut lli = Lli::new(LliConfig::default());
     let link = DirectedLink::new(sp(1, 1), sp(2, 1));
-    for i in 0..5 {
+    for i in 0..11 {
         lli.on_link_update(
             &mut h.ctx(SimTime::from_secs(i)),
             link,
@@ -455,9 +449,9 @@ fn lli_observation_log_records_thresholds() {
             }),
         );
     }
-    assert_eq!(lli.observations.len(), 5);
-    assert!(lli.observations[0].threshold_ms.is_none(), "warmup");
-    assert!(lli.observations[4].threshold_ms.is_some(), "steady state");
+    assert_eq!(lli.observations.len(), 11);
+    assert!(lli.observations[9].threshold_ms.is_none(), "warmup");
+    assert!(lli.observations[10].threshold_ms.is_some(), "steady state");
     assert!(lli.observations.iter().all(|o| !o.flagged));
 }
 
@@ -467,10 +461,7 @@ fn topoguard_does_not_profile_during_startup_grace() {
     // ports that are not yet known to be infrastructure; profiling them
     // would flag the first legitimate LLDP on every trunk.
     let mut h = ModuleHarness::new();
-    let mut tg = TopoGuard::new(TopoGuardConfig {
-        require_signed_lldp: false,
-        ..TopoGuardConfig::default()
-    });
+    let mut tg = TopoGuard::new(TopoGuardConfig::default());
     let trunk = sp(2, 1);
     let frame = dataplane_frame(MacAddr::from_index(7));
     let pin = PacketInCtx {

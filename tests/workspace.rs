@@ -138,6 +138,72 @@ fn facade_reexports_compose() {
     assert!((timeout - 31.63).abs() < 0.1);
 }
 
+/// Alert attribution: each alert a module raises through `ModuleCtx::raise`
+/// carries that module's `name()`, also when two modules raise in one pass
+/// and the first vetoes the update.
+#[test]
+fn alerts_carry_their_raisers_name() {
+    use topomirage::controller::{
+        AlertKind, Command, DefenseModule, DirectedLink, LinkLatencySample, ModuleCtx,
+    };
+
+    struct Raiser {
+        name: &'static str,
+        verdict: Command,
+    }
+    impl DefenseModule for Raiser {
+        fn name(&self) -> &'static str {
+            self.name
+        }
+        fn on_link_update(
+            &mut self,
+            cx: &mut ModuleCtx<'_>,
+            link: DirectedLink,
+            _is_new: bool,
+            _sample: Option<LinkLatencySample>,
+        ) -> Command {
+            let detail = format!("{} saw {} -> {}", self.name, link.src, link.dst);
+            cx.raise(AlertKind::LinkChanged, detail);
+            self.verdict
+        }
+    }
+
+    let (s1, s2) = (DatapathId::new(1), DatapathId::new(2));
+    let mut spec = NetworkSpec::new();
+    spec.add_switch(s1);
+    spec.add_switch(s2);
+    let link = LinkProfile::fixed(Duration::from_millis(5));
+    spec.link_switches(s1, PortNo::new(1), s2, PortNo::new(1), link);
+    let first = Raiser {
+        name: "made-up/first",
+        verdict: Command::Block,
+    };
+    let second = Raiser {
+        name: "made-up/second",
+        verdict: Command::Continue,
+    };
+    spec.set_controller(Box::new(
+        SdnController::new(ControllerConfig::default())
+            .with_module(Box::new(first))
+            .with_module(Box::new(second)),
+    ));
+    let mut sim = Simulator::new(spec, 7);
+    sim.run_for(Duration::from_secs(1));
+
+    let ctrl: &SdnController = sim.controller_as().expect("controller");
+    let alerts = ctrl.alerts().all();
+    assert!(!alerts.is_empty(), "both directions of the trunk update");
+    for pair in alerts.chunks(2) {
+        let [a, b] = pair else {
+            panic!("every update raises one alert per module: {alerts:?}");
+        };
+        assert_eq!((a.source, b.source), ("made-up/first", "made-up/second"));
+        assert_eq!(a.at, b.at, "one pass, one instant");
+    }
+    assert!(alerts.iter().all(|a| a.detail.starts_with(a.source)));
+    assert!(ctrl.topology().is_empty(), "the first module's veto holds");
+}
+
 /// The attack window math of §IV-B2: hijack completion across many seeds
 /// stays far inside a seconds-scale migration window.
 #[test]
