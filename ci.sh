@@ -39,8 +39,8 @@ CARGO_TARGET_DIR=target cargo test -q --release --offline --locked \
 CARGO_TARGET_DIR=target cargo build -q --release --offline --locked \
     --manifest-path benches/topobench/Cargo.toml
 cat >"$tmp/tm_rep_expected.out" <<'PINS'
-load-probe 7d06ae3b24189f4
-flow-churn a96ba58bdbc4d757
+load-probe c19bd9c082fe557f
+flow-churn f8ff9af47e64b7ee
 fabric-soak c0922088aebf7843
 paper-matrix b2b8e7b50fda9650
 PINS
@@ -73,6 +73,18 @@ wall_rows='^LLDP \(Construction\|Processing\) '
 grep -v "$wall_rows" experiments_output.txt >"$tmp/tm_pin_expected.out"
 grep -v "$wall_rows" "$tmp/tm_experiments_all.out" >"$tmp/tm_pin_actual.out"
 diff "$tmp/tm_pin_expected.out" "$tmp/tm_pin_actual.out"
+
+# The relay and fault campaigns, byte for byte: the relay scenario's
+# benign twin under each fault profile (false positives, discovery, fault
+# counters), then the Fig. 1 relay cells. Their BENCH_JSON records are on
+# stdout and pinned with them.
+{
+    cargo run -q --release --offline -p bench --bin experiments -- \
+        campaign faults --seeds 2 --workers 2 2>/dev/null
+    cargo run -q --release --offline -p bench --bin experiments -- \
+        campaign linkfab --seeds 2 --workers 2 2>/dev/null
+} >"$tmp/tm_campaign_pin.out"
+diff campaign_output.txt "$tmp/tm_campaign_pin.out"
 
 # Live determinism check: the smoke campaign (2 cheap scenarios x 3 seeds)
 # must produce byte-identical stdout at --workers 1 and --workers 2. The

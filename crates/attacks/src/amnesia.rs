@@ -8,34 +8,45 @@
 //! enough to generate a Port-Down, resetting its profile to ANY
 //! ("port amnesia").
 //!
-//! * [`OobRelayAttacker`] — relays over an out-of-band channel (Fig. 1's
-//!   802.11 side link). One amnesia per port suffices; afterwards the
-//!   fabricated link marks the ports as infrastructure and the bridge can
-//!   carry man-in-the-middle traffic indefinitely. Evades TopoGuard and
-//!   SPHINX; caught only by TopoGuard+'s Link Latency Inspector (the relay
-//!   cannot avoid adding latency).
-//! * [`InBandRelayAttacker`] — no side channel: the colluding hosts tunnel
+//! One [`RelayAttacker`] runs the attack over either channel, picked by
+//! [`RelayConfig::tunnel`]:
+//!
+//! * out of band (`None`) — relays over a side channel (Fig. 1's 802.11
+//!   side link). One amnesia per port suffices; afterwards the fabricated
+//!   link marks the ports as infrastructure and the bridge can carry
+//!   man-in-the-middle traffic indefinitely. Evades TopoGuard and SPHINX;
+//!   caught only by TopoGuard+'s Link Latency Inspector (the relay cannot
+//!   avoid adding latency).
+//! * in band (`Some(peer)`) — no side channel: the colluding hosts tunnel
 //!   captured LLDP over the SDN dataplane itself (UDP encapsulation).
 //!   Sending their own tunnel traffic re-profiles their ports HOST, so a
 //!   *context switch* (another amnesia) is needed before every injection —
 //!   adding ≥ 16 ms latency per relayed LLDP and producing the Port-Down-
 //!   during-LLDP-propagation signature TopoGuard+'s CMM detects.
+//!
+//! Both channels follow one rule. Injecting LLDP needs the port
+//! SWITCH-profiled, tunnelling needs it HOST-profiled, and a bridged
+//! dataplane frame needs neither; when the relay's belief about its port
+//! conflicts with the next frame, it bounces first and holds every frame
+//! until the port is back up.
 
 use std::collections::VecDeque;
 
 use netsim::{FrameDisposition, HostApp, HostCtx};
-use sdn_types::packet::{EthernetFrame, Ipv4Packet, Payload, Transport, UdpDatagram};
-use sdn_types::{Duration, HostId, IpAddr, MacAddr};
+use sdn_types::packet::{ArpPacket, EthernetFrame, Ipv4Packet, Payload, Transport, UdpDatagram};
+use sdn_types::{Duration, HostId, IpAddr, MacAddr, SimTime};
 
 /// Timer id for the delayed warmup broadcast.
 const TIMER_WARMUP: u64 = 1;
 
+/// When the warmup traffic is sent: after the defenses' startup grace
+/// period, before the attack window.
+const WARMUP_DELAY: Duration = Duration::from_secs(1);
+
 /// UDP port used for the in-band LLDP tunnel.
 pub const INBAND_LLDP_PORT: u16 = 41_414;
-/// UDP port used for the in-band data bridge.
-pub const INBAND_DATA_PORT: u16 = 41_415;
 
-/// Relay configuration (shared by both variants).
+/// Relay configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct RelayConfig {
     /// The colluding peer host.
@@ -47,21 +58,18 @@ pub struct RelayConfig {
     /// Generate some benign traffic so the port begins the scenario
     /// HOST-profiled (Fig. 1's starting state).
     pub warmup_traffic: bool,
-    /// When the warmup traffic is sent (after the defenses' startup grace
-    /// period, before the attack window).
-    pub warmup_delay: Duration,
-    /// Perform the port-amnesia bounce before injecting. A *stealthy*
-    /// out-of-band attacker whose port was never HOST-profiled can skip it
-    /// (and thereby evade the CMM; only the LLI catches it).
+    /// Perform the port-amnesia bounce when the port's class conflicts
+    /// with the next frame. A *stealthy* out-of-band attacker whose port
+    /// was never HOST-profiled never conflicts (and thereby evades the
+    /// CMM; only the LLI catches it).
     pub use_amnesia: bool,
-    /// Bridge non-LLDP dataplane frames across the fabricated link
-    /// (man-in-the-middle mode).
+    /// Bridge non-LLDP dataplane frames to the peer over the out-of-band
+    /// channel (man-in-the-middle mode). A tunnelling relay never bridges.
     pub bridge_dataplane: bool,
-    /// Peer identifiers for the in-band tunnel (ignored by the OOB
-    /// variant).
-    pub peer_ip: IpAddr,
-    /// Peer MAC for the in-band tunnel.
-    pub peer_mac: MacAddr,
+    /// The channel to the peer: `None` relays over the out-of-band
+    /// channel, `Some((mac, ip))` tunnels over UDP to the peer at that
+    /// dataplane identity.
+    pub tunnel: Option<(MacAddr, IpAddr)>,
     /// Ignore LLDP until this much time has elapsed — the paper launches
     /// its attacks one minute after controller bootstrap (§VII-A), after
     /// the defenses' baselines have formed.
@@ -86,9 +94,7 @@ impl RelayConfig {
             warmup_traffic: true,
             use_amnesia: true,
             bridge_dataplane: true,
-            peer_ip: IpAddr::UNSPECIFIED,
-            peer_mac: MacAddr::ZERO,
-            warmup_delay: Duration::from_secs(1),
+            tunnel: None,
             start_after: Duration::ZERO,
             drop_fraction: 0.0,
         }
@@ -109,8 +115,7 @@ impl RelayConfig {
     pub fn in_band(peer: HostId, peer_mac: MacAddr, peer_ip: IpAddr) -> Self {
         RelayConfig {
             bridge_dataplane: false,
-            peer_ip,
-            peer_mac,
+            tunnel: Some((peer_mac, peer_ip)),
             ..RelayConfig::oob(peer)
         }
     }
@@ -139,36 +144,112 @@ pub struct RelayStats {
 /// bogus host migrations and give the game away).
 const BRIDGE_GRACE: Duration = Duration::from_millis(200);
 
-/// Out-of-band Port Amnesia relay (Fig. 1).
-pub struct OobRelayAttacker {
+/// A TopoGuard port class — the state the attacker context-switches
+/// between (§IV-A):
+///
+/// > "the colluding hosts must be seen as switches while originating
+/// > packets sent over the inferred link, but also be seen as hosts while
+/// > sending packets over their secure channel."
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum PortClass {
+    /// Originating host-like traffic (the warmup ARP, the tunnel).
+    Host,
+    /// Injecting LLDP.
+    Switch,
+}
+
+/// A frame awaiting its port class.
+enum Pending {
+    /// Tunnel captured LLDP to the peer (host-like traffic).
+    Tunnel(EthernetFrame),
+    /// Put a frame the peer relayed on the wire.
+    Inject(EthernetFrame),
+}
+
+impl Pending {
+    /// The class the port must show for this frame; `None` for a bridged
+    /// dataplane frame, which fits either and changes neither.
+    fn needs(&self) -> Option<PortClass> {
+        match self {
+            Pending::Tunnel(_) => Some(PortClass::Host),
+            Pending::Inject(frame) => frame.is_lldp().then_some(PortClass::Switch),
+        }
+    }
+}
+
+/// A Port Amnesia relay endpoint over the channel its
+/// [`RelayConfig::tunnel`] picks.
+pub struct RelayAttacker {
     config: RelayConfig,
     /// Statistics.
     pub stats: RelayStats,
-    /// Frames awaiting injection (held while the interface bounces).
-    pending: VecDeque<EthernetFrame>,
-    amnesia_done: bool,
+    /// Frames awaiting their port class (held while the interface bounces).
+    queue: VecDeque<Pending>,
+    /// The class the port last showed; `None` once a Port-Down reset it.
+    belief: Option<PortClass>,
     bouncing: bool,
-    first_injected_at: Option<sdn_types::SimTime>,
+    first_injected_at: Option<SimTime>,
 }
 
-impl OobRelayAttacker {
+impl RelayAttacker {
     /// Creates the relay endpoint.
     pub fn new(config: RelayConfig) -> Self {
-        OobRelayAttacker {
+        RelayAttacker {
             config,
             stats: RelayStats::default(),
-            pending: VecDeque::new(),
-            amnesia_done: false,
+            queue: VecDeque::new(),
+            belief: None,
             bouncing: false,
             first_injected_at: None,
         }
     }
 
-    fn bridge_active(&self, now: sdn_types::SimTime) -> bool {
+    fn bridge_active(&self, now: SimTime) -> bool {
         self.config.bridge_dataplane
             && self
                 .first_injected_at
                 .is_some_and(|t| now.since(t) >= BRIDGE_GRACE)
+    }
+
+    fn enqueue(&mut self, ctx: &mut HostCtx<'_>, frame: Pending) {
+        self.queue.push_back(frame);
+        self.pump(ctx);
+    }
+
+    /// Sends queued frames while the port's class allows them; on a
+    /// conflict, performs a port-amnesia bounce and resumes on
+    /// interface-up.
+    fn pump(&mut self, ctx: &mut HostCtx<'_>) {
+        while !self.bouncing {
+            let Some(needs) = self.queue.front().map(Pending::needs) else {
+                return;
+            };
+            let conflicts = matches!((self.belief, needs), (Some(b), Some(n)) if b != n);
+            if conflicts && self.config.use_amnesia {
+                // Wrong class: context switch via port amnesia.
+                self.bouncing = true;
+                self.stats.amnesia_cycles += 1;
+                ctx.iface_down();
+                ctx.schedule_iface_up(self.config.hold_down, None);
+                return;
+            }
+            match self.queue.pop_front() {
+                Some(Pending::Tunnel(frame)) => self.tunnel(ctx, &frame),
+                Some(Pending::Inject(frame)) => self.inject(ctx, frame),
+                None => return,
+            }
+            self.belief = needs.or(self.belief);
+        }
+    }
+
+    fn tunnel(&self, ctx: &mut HostCtx<'_>, inner: &EthernetFrame) {
+        let Some((peer_mac, peer_ip)) = self.config.tunnel else {
+            return;
+        };
+        let info = ctx.info();
+        let dgram = UdpDatagram::new(INBAND_LLDP_PORT, INBAND_LLDP_PORT, inner.encode());
+        let pkt = Ipv4Packet::new(info.ip, peer_ip, Transport::Udp(dgram));
+        ctx.send_ipv4(peer_mac, pkt);
     }
 
     fn inject(&mut self, ctx: &mut HostCtx<'_>, frame: EthernetFrame) {
@@ -182,34 +263,64 @@ impl OobRelayAttacker {
         }
         ctx.send_frame(frame);
     }
+
+    /// A non-LLDP frame at a tunnelling relay: the peer's tunnelled LLDP
+    /// is decapsulated for injection. The destination check matters: once
+    /// the fabricated link shortcuts the attackers' own dataplane path,
+    /// the controller routes our tunnel packets back out our own port —
+    /// those echoes must be dropped, not decapsulated, or the relay would
+    /// advertise a switch port linked to itself.
+    fn on_tunnel_frame(
+        &mut self,
+        ctx: &mut HostCtx<'_>,
+        frame: &EthernetFrame,
+    ) -> FrameDisposition {
+        let Some(ip) = frame.ipv4() else {
+            return FrameDisposition::Pass;
+        };
+        let Transport::Udp(dgram) = &ip.transport else {
+            return FrameDisposition::Pass;
+        };
+        if dgram.dst_port != INBAND_LLDP_PORT {
+            return FrameDisposition::Pass;
+        }
+        if ip.dst == ctx.info().ip {
+            if let Ok(inner) = EthernetFrame::parse(&dgram.data) {
+                self.enqueue(ctx, Pending::Inject(inner));
+            }
+        }
+        FrameDisposition::Consume
+    }
 }
 
-impl HostApp for OobRelayAttacker {
+impl HostApp for RelayAttacker {
     fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
         // Attackers are quiet hosts: they never answer probes as themselves
         // while acting as a link.
         ctx.set_respond_icmp(false);
         ctx.set_respond_tcp(false);
         if self.config.warmup_traffic {
-            ctx.set_timer(self.config.warmup_delay, TIMER_WARMUP);
+            ctx.set_timer(WARMUP_DELAY, TIMER_WARMUP);
         }
     }
 
     fn on_timer(&mut self, ctx: &mut HostCtx<'_>, id: u64) {
         if id == TIMER_WARMUP {
             // Originate one broadcast so TopoGuard profiles the port HOST —
-            // the paper's starting condition (Fig. 1).
+            // the paper's starting condition (Fig. 1). A tunnelling relay
+            // resolves its peer; an out-of-band one asks for the gateway.
+            let target = self
+                .config
+                .tunnel
+                .map_or(IpAddr::new(10, 0, 0, 254), |(_, ip)| ip);
             let info = ctx.info();
-            let arp = sdn_types::packet::ArpPacket::request(
-                info.mac,
-                info.ip,
-                IpAddr::new(10, 0, 0, 254),
-            );
+            let arp = ArpPacket::request(info.mac, info.ip, target);
             ctx.send_frame(EthernetFrame::new(
                 info.mac,
                 MacAddr::BROADCAST,
                 Payload::Arp(arp),
             ));
+            self.belief = Some(PortClass::Host);
         }
     }
 
@@ -219,10 +330,19 @@ impl HostApp for OobRelayAttacker {
             return FrameDisposition::Pass;
         }
         if frame.is_lldp() {
-            // Step (1)-(2): capture and relay over the side channel.
+            // Step (1)-(2): capture and relay to the peer. Tunnel traffic
+            // is our own first-hop (host-like) traffic, so it waits for a
+            // HOST port — the cost of having no side channel.
             self.stats.lldp_captured += 1;
-            ctx.oob_send(self.config.peer, frame.clone());
+            if self.config.tunnel.is_some() {
+                self.enqueue(ctx, Pending::Tunnel(frame.clone()));
+            } else {
+                ctx.oob_send(self.config.peer, frame.clone());
+            }
             return FrameDisposition::Consume;
+        }
+        if self.config.tunnel.is_some() {
+            return self.on_tunnel_frame(ctx, frame);
         }
         if self.bridge_active(ctx.now()) {
             // Man-in-the-middle: once the fake link is committed,
@@ -242,25 +362,9 @@ impl HostApp for OobRelayAttacker {
     }
 
     fn on_oob_frame(&mut self, ctx: &mut HostCtx<'_>, _from: HostId, frame: EthernetFrame) {
-        let needs_amnesia = self.config.use_amnesia && frame.is_lldp() && !self.amnesia_done;
-        if needs_amnesia {
-            // Step (3): bounce the interface past the pulse window so the
-            // profiler forgets this port was a HOST.
-            self.pending.push_back(frame);
-            if !self.bouncing {
-                self.bouncing = true;
-                self.stats.amnesia_cycles += 1;
-                ctx.iface_down();
-                ctx.schedule_iface_up(self.config.hold_down, None);
-            }
-            return;
-        }
-        if self.bouncing {
-            // Queue everything while the interface is down.
-            self.pending.push_back(frame);
-            return;
-        }
-        self.inject(ctx, frame);
+        // Steps (3)-(4): inject what the peer relayed, bouncing first if
+        // the port's class conflicts.
+        self.enqueue(ctx, Pending::Inject(frame));
     }
 
     fn on_iface_up(&mut self, ctx: &mut HostCtx<'_>) {
@@ -268,206 +372,7 @@ impl HostApp for OobRelayAttacker {
             return;
         }
         self.bouncing = false;
-        self.amnesia_done = true;
-        // Step (4): inject the relayed frames.
-        while let Some(frame) = self.pending.pop_front() {
-            self.inject(ctx, frame);
-        }
-    }
-}
-
-/// The attacker's belief about its port's current TopoGuard class — the
-/// state it must context-switch between (§IV-A):
-///
-/// > "the colluding hosts must be seen as switches while originating
-/// > packets sent over the inferred link, but also be seen as hosts while
-/// > sending packets over their secure channel."
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum PortBelief {
-    /// Freshly reset (after a Port-Down) — anything may be sent next.
-    Any,
-    /// We last originated host-like (tunnel) traffic.
-    Host,
-    /// We last injected LLDP.
-    Switch,
-}
-
-/// A queued action awaiting the right port class.
-enum PendingAction {
-    /// Tunnel `frame` to the peer over UDP `port` (host-like traffic).
-    AsHost(EthernetFrame, u16),
-    /// Inject `frame` raw onto the wire (switch-like traffic).
-    AsSwitch(EthernetFrame),
-}
-
-impl PendingAction {
-    fn required(&self) -> PortBelief {
-        match self {
-            PendingAction::AsHost(..) => PortBelief::Host,
-            PendingAction::AsSwitch(..) => PortBelief::Switch,
-        }
-    }
-}
-
-/// In-band Port Amnesia relay: tunnels LLDP over the SDN dataplane and
-/// context-switches (bounces its port) between HOST and SWITCH roles —
-/// before every LLDP injection *and* before returning to tunnel traffic,
-/// as the paper requires. Each switch costs at least one link-pulse window
-/// (≥ 16 ms), the in-band channel's inherent latency penalty (§V-A).
-pub struct InBandRelayAttacker {
-    config: RelayConfig,
-    /// Statistics.
-    pub stats: RelayStats,
-    queue: VecDeque<PendingAction>,
-    belief: PortBelief,
-    bouncing: bool,
-}
-
-impl InBandRelayAttacker {
-    /// Creates the relay endpoint.
-    pub fn new(config: RelayConfig) -> Self {
-        InBandRelayAttacker {
-            config,
-            stats: RelayStats::default(),
-            queue: VecDeque::new(),
-            belief: PortBelief::Any,
-            bouncing: false,
-        }
-    }
-
-    fn tunnel_now(&mut self, ctx: &mut HostCtx<'_>, inner: &EthernetFrame, port: u16) {
-        let info = ctx.info();
-        let dgram = UdpDatagram::new(port, port, inner.encode());
-        let pkt = Ipv4Packet::new(info.ip, self.config.peer_ip, Transport::Udp(dgram));
-        ctx.send_ipv4(self.config.peer_mac, pkt);
-    }
-
-    /// Executes queued actions whose required class matches the current
-    /// belief; otherwise performs a port-amnesia bounce and retries on
-    /// interface-up.
-    fn pump(&mut self, ctx: &mut HostCtx<'_>) {
-        if self.bouncing {
-            return;
-        }
-        while let Some(front_kind) = self.queue.front().map(|a| a.required()) {
-            if self.belief == PortBelief::Any || self.belief == front_kind {
-                let Some(action) = self.queue.pop_front() else {
-                    break;
-                };
-                match action {
-                    PendingAction::AsHost(frame, port) => {
-                        self.tunnel_now(ctx, &frame, port);
-                        self.belief = PortBelief::Host;
-                    }
-                    PendingAction::AsSwitch(frame) => {
-                        if frame.is_lldp() {
-                            self.stats.lldp_injected += 1;
-                        }
-                        ctx.send_frame(frame);
-                        self.belief = PortBelief::Switch;
-                    }
-                }
-            } else {
-                // Wrong class: context switch via port amnesia.
-                self.bouncing = true;
-                self.stats.amnesia_cycles += 1;
-                ctx.iface_down();
-                ctx.schedule_iface_up(self.config.hold_down, None);
-                return;
-            }
-        }
-    }
-
-    fn enqueue(&mut self, ctx: &mut HostCtx<'_>, action: PendingAction) {
-        self.queue.push_back(action);
-        self.pump(ctx);
-    }
-}
-
-impl HostApp for InBandRelayAttacker {
-    fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
-        ctx.set_respond_icmp(false);
-        ctx.set_respond_tcp(false);
-        if self.config.warmup_traffic {
-            ctx.set_timer(self.config.warmup_delay, TIMER_WARMUP);
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut HostCtx<'_>, id: u64) {
-        if id == TIMER_WARMUP {
-            let info = ctx.info();
-            let arp = sdn_types::packet::ArpPacket::request(info.mac, info.ip, self.config.peer_ip);
-            ctx.send_frame(EthernetFrame::new(
-                info.mac,
-                MacAddr::BROADCAST,
-                Payload::Arp(arp),
-            ));
-            self.belief = PortBelief::Host;
-        }
-    }
-
-    fn on_frame(&mut self, ctx: &mut HostCtx<'_>, frame: &EthernetFrame) -> FrameDisposition {
-        if ctx.now().as_nanos() < self.config.start_after.as_nanos() {
-            return FrameDisposition::Pass;
-        }
-        if frame.is_lldp() {
-            // Capture: tunnel to the peer over the dataplane. Tunnel
-            // traffic is our own first-hop (host-like) traffic, so if the
-            // port is currently profiled SWITCH we must context-switch
-            // first — the cost of having no side channel.
-            self.stats.lldp_captured += 1;
-            self.enqueue(ctx, PendingAction::AsHost(frame.clone(), INBAND_LLDP_PORT));
-            return FrameDisposition::Consume;
-        }
-
-        // Tunnel arrivals addressed to us. The destination check matters:
-        // once the fabricated link shortcuts the attackers' own dataplane
-        // path, the controller routes our tunnel packets back out our own
-        // port — those echoes must be dropped, not decapsulated, or the
-        // relay would advertise a switch port linked to itself.
-        let Some(ip) = frame.ipv4() else {
-            return FrameDisposition::Pass;
-        };
-        if ip.dst != ctx.info().ip {
-            if let Transport::Udp(dgram) = &ip.transport {
-                if dgram.dst_port == INBAND_LLDP_PORT || dgram.dst_port == INBAND_DATA_PORT {
-                    return FrameDisposition::Consume; // our own echoed tunnel traffic
-                }
-            }
-            return FrameDisposition::Pass;
-        }
-        if let Transport::Udp(dgram) = &ip.transport {
-            if dgram.dst_port == INBAND_LLDP_PORT {
-                if let Ok(inner) = EthernetFrame::parse(&dgram.data) {
-                    // Injecting LLDP is switch-like: context-switch if the
-                    // port is currently HOST — every single time.
-                    self.enqueue(ctx, PendingAction::AsSwitch(inner));
-                }
-                return FrameDisposition::Consume;
-            }
-            if dgram.dst_port == INBAND_DATA_PORT {
-                if let Ok(inner) = EthernetFrame::parse(&dgram.data) {
-                    self.stats.bridged_from_peer += 1;
-                    self.enqueue(ctx, PendingAction::AsSwitch(inner));
-                }
-                return FrameDisposition::Consume;
-            }
-        }
-
-        if self.config.bridge_dataplane {
-            self.stats.bridged_to_peer += 1;
-            self.enqueue(ctx, PendingAction::AsHost(frame.clone(), INBAND_DATA_PORT));
-            return FrameDisposition::Consume;
-        }
-        FrameDisposition::Pass
-    }
-
-    fn on_iface_up(&mut self, ctx: &mut HostCtx<'_>) {
-        if !self.bouncing {
-            return;
-        }
-        self.bouncing = false;
-        self.belief = PortBelief::Any;
+        self.belief = None;
         self.pump(ctx);
     }
 }

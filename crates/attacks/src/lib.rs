@@ -32,7 +32,7 @@ pub mod iface;
 pub mod probe;
 pub mod probing;
 
-pub use amnesia::{InBandRelayAttacker, OobRelayAttacker, RelayConfig, RelayStats};
+pub use amnesia::{RelayAttacker, RelayConfig, RelayStats};
 pub use flood::{AlertFloodAttacker, FloodConfig};
 pub use idle::{IdleScanProber, IdleScanResult};
 pub use iface::IdentChangeModel;

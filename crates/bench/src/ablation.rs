@@ -13,7 +13,6 @@ use netsim::Simulator;
 use sdn_types::Duration;
 use tm_core::hijack::{self, HijackScenario};
 use tm_core::linkfab::{self, LinkFabScenario, RelayMode};
-use tm_core::testbed;
 use tm_core::DefenseStack;
 use topoguard::{Cmm, CmmConfig, Lli, LliConfig, TopoGuard, TopoGuardConfig};
 
@@ -43,16 +42,14 @@ pub fn lli_fence_sweep(seed: u64) -> String {
 }
 
 fn run_lli(seed: u64, k: f64, with_attack: bool) -> u64 {
+    // The benign run is the attack's twin: the same testbed, colluders idle.
     let scenario = LinkFabScenario {
+        mode: with_attack.then_some(RelayMode::OutOfBandStealthy),
         run_for: Duration::from_secs(180),
         benign_traffic: false,
         ..LinkFabScenario::paper_eval(RelayMode::OutOfBandStealthy, DefenseStack::None, seed)
     };
-    let (mut spec, ep, _) = if with_attack {
-        linkfab::setup(&scenario)
-    } else {
-        testbed::fig9_spec(DefenseStack::None, ControllerConfig::default())
-    };
+    let (mut spec, ep, _) = linkfab::setup(&scenario);
     // Hand-built stack so we control the LLI's k.
     let controller = SdnController::new(ControllerConfig {
         sign_lldp: true,

@@ -15,7 +15,7 @@ use tm_core::hijack::{self, HijackScenario};
 use tm_core::linkfab::{self, LinkFabScenario, RelayMode};
 use tm_core::load::{self, LoadPattern, LoadScenario, TrafficLoad};
 use tm_core::matrix::{run_cell, Attack, CellOutcome};
-use tm_core::robustness::{self, FaultProfile, RobustnessScenario};
+use tm_core::robustness::FaultProfile;
 use tm_core::scale::{self, ScaleScenario};
 use tm_core::DefenseStack;
 use tm_rand::StdRng;
@@ -106,9 +106,9 @@ fn relay_mode(label: &str) -> Option<RelayMode> {
     }
 }
 
-/// The three fault-robustness campaigns (full Fig. 9 simulations under a
-/// degraded network). Heavier than [`SMOKE_SCENARIOS`]; the CI pipeline
-/// runs them at reduced seed counts.
+/// The three fault-robustness campaigns (full Fig. 9 simulations of the
+/// relay scenario's benign twin under a degraded network). Heavier than
+/// [`SMOKE_SCENARIOS`]; the CI pipeline runs them at reduced seed counts.
 pub const FAULT_SCENARIOS: [&str; 3] = [
     "lli-under-jitter",
     "cmm-under-flaps",
@@ -119,15 +119,30 @@ fn fault_counter(metrics: &tm_telemetry::MetricsSnapshot, name: &str) -> f64 {
     metrics.counter(name).unwrap_or(0) as f64
 }
 
-/// Shared metric block for the robustness campaigns: false-positive
-/// counts plus the `netsim.fault.*` injection counters attributing the
-/// degradation the run actually experienced.
-fn robustness_metrics(outcome: &tm_core::RobustnessOutcome) -> Metrics {
+/// One robustness run: the benign twin of the Fig. 9 evaluation under
+/// TOPOGUARD+ (colluders idle, h1 pinging h2), `run_for` long, with
+/// `profile` degrading the network from `faults_from` to the end. With no
+/// attacker present every alert is a false positive; the metrics add the
+/// `netsim.fault.*` injection counters attributing the degradation the run
+/// actually experienced.
+fn benign_fig9(
+    profile: FaultProfile,
+    seed: u64,
+    run_for: Duration,
+    faults_from: Duration,
+) -> Metrics {
+    let outcome = linkfab::run(&LinkFabScenario {
+        mode: None,
+        run_for,
+        faults: profile,
+        faults_from,
+        ..LinkFabScenario::paper_eval(RelayMode::OutOfBand, DefenseStack::TopoGuardPlus, seed)
+    });
     Metrics::new()
         .with("alerts_total", outcome.alerts_total as f64)
         .with("lli_false_positives", outcome.lli_alerts as f64)
         .with("cmm_false_positives", outcome.cmm_alerts as f64)
-        .with("link_false_positives", outcome.link_alerts as f64)
+        .with("link_false_positives", outcome.fabrication_alerts as f64)
         .with("links_discovered", outcome.links_discovered as f64)
         .with("benign_pings_ok", outcome.benign_pings_ok as f64)
         .with(
@@ -373,14 +388,14 @@ pub fn registry() -> Registry {
         vec![Axis::new("spike_ms", &["0", "2", "5"])],
         |point, seed| {
             let spike_ms: u16 = number(point, "spike_ms");
-            // Defaults: 240 s run, jitter active from 150 s — after the
-            // LLI's 10-sample baseline has formed at the 15 s LLDP cadence.
-            let outcome = robustness::run(&RobustnessScenario::new(
-                DefenseStack::TopoGuardPlus,
+            // A 240 s run, jitter active from 150 s — after the LLI's
+            // 10-sample baseline has formed at the 15 s LLDP cadence.
+            benign_fig9(
                 FaultProfile::TrunkJitter { spike_ms },
                 seed,
-            ));
-            robustness_metrics(&outcome)
+                Duration::from_secs(240),
+                Duration::from_secs(150),
+            )
         },
     ));
 
@@ -392,20 +407,15 @@ pub fn registry() -> Registry {
             let count: u8 = number(point, "flaps");
             // Flaps are fast events; a 60 s run with a 2 s flap cadence
             // from t=20 s exercises them all.
-            let outcome = robustness::run(&RobustnessScenario {
-                run_for: Duration::from_secs(60),
-                fault_from: Duration::from_secs(20),
-                fault_until: Duration::from_secs(60),
-                ..RobustnessScenario::new(
-                    DefenseStack::TopoGuardPlus,
-                    FaultProfile::HostPortFlaps {
-                        count,
-                        period_ms: 2000,
-                    },
-                    seed,
-                )
-            });
-            robustness_metrics(&outcome)
+            benign_fig9(
+                FaultProfile::HostPortFlaps {
+                    count,
+                    period_ms: 2000,
+                },
+                seed,
+                Duration::from_secs(60),
+                Duration::from_secs(20),
+            )
         },
     ));
 
@@ -418,17 +428,12 @@ pub fn registry() -> Registry {
             // Loss starts almost immediately: the question is whether LLDP
             // discovery still converges to the 6 ground-truth directed
             // links by the end of a 60 s run.
-            let outcome = robustness::run(&RobustnessScenario {
-                run_for: Duration::from_secs(60),
-                fault_from: Duration::from_secs(5),
-                fault_until: Duration::from_secs(60),
-                ..RobustnessScenario::new(
-                    DefenseStack::TopoGuardPlus,
-                    FaultProfile::TrunkLoss { pct },
-                    seed,
-                )
-            });
-            robustness_metrics(&outcome)
+            benign_fig9(
+                FaultProfile::TrunkLoss { pct },
+                seed,
+                Duration::from_secs(60),
+                Duration::from_secs(5),
+            )
         },
     ));
 

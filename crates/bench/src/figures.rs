@@ -2,7 +2,7 @@
 //! and the TOPOGUARD+ evaluation series (Figs. 10–13).
 
 use attacks::IdentChangeModel;
-use controller::{AlertKind, ControllerConfig, SdnController};
+use controller::{AlertKind, SdnController};
 use netsim::Simulator;
 use sdn_types::Duration;
 use tm_core::hijack::{self, HijackScenario};
@@ -153,7 +153,7 @@ pub fn figs5_to_8(base_seed: u64, trials: usize) -> String {
 /// Fig. 10: switch-link latencies measured by the LLI on the Fig. 9
 /// testbed (paper: ~5 ms averages with micro-bursts toward 12 ms).
 pub fn fig10(seed: u64, samples: usize) -> String {
-    let (spec, ..) = testbed::fig9_spec(DefenseStack::TopoGuardPlus, ControllerConfig::default());
+    let (spec, ..) = testbed::fig9_spec(DefenseStack::TopoGuardPlus);
     let mut sim = Simulator::new(spec, seed);
     // 6 directed trunk observations per 15 s round.
     let rounds_needed = samples.div_ceil(6) + 2;

@@ -83,12 +83,12 @@ fn link_profile() -> LinkProfile {
     LinkProfile::jittered(Duration::from_millis(5), Duration::from_micros(1000))
 }
 
-/// The controller configuration for fabric runs: `config` with
-/// loop-safe flooding forced on.
-fn fabric_config(config: ControllerConfig) -> ControllerConfig {
+/// The controller configuration for fabric runs: the default with
+/// loop-safe flooding on.
+fn fabric_config() -> ControllerConfig {
     ControllerConfig {
         tree_scoped_flood: true,
-        ..config
+        ..ControllerConfig::default()
     }
 }
 
@@ -122,7 +122,6 @@ pub fn hijack_setup(
     kind: TopoKind,
     stack: DefenseStack,
     seed: u64,
-    config: ControllerConfig,
 ) -> (NetworkSpec, HijackTestbed, ProfileTargets) {
     let topo = kind.generate(seed, 1);
     assert!(
@@ -207,7 +206,7 @@ pub fn hijack_setup(
     // hand-built testbed's second NIC.
     spec.add_host(victim_new, victim.mac, victim.ip);
     spec.attach_host(victim_new, dest_dpid, victim_new_port.port, link);
-    spec.set_controller(Box::new(stack.build_controller(fabric_config(config))));
+    spec.set_controller(Box::new(stack.build_controller(fabric_config())));
     let targets = targets(&topo);
     (spec, ids, targets)
 }
@@ -247,7 +246,6 @@ pub fn relay_setup(
     kind: TopoKind,
     stack: DefenseStack,
     seed: u64,
-    config: ControllerConfig,
 ) -> (NetworkSpec, RelayEndpoints, ProfileTargets) {
     let topo = kind.generate(seed, 2);
     assert!(
@@ -301,7 +299,7 @@ pub fn relay_setup(
         spec.attach_host(b.id, b.dpid, b.port, link);
     }
     spec.add_oob_channel(a.id, b.id, testbed::OOB_CHANNEL.0, testbed::OOB_CHANNEL.1);
-    spec.set_controller(Box::new(stack.build_controller(fabric_config(config))));
+    spec.set_controller(Box::new(stack.build_controller(fabric_config())));
 
     let endpoints = RelayEndpoints {
         attacker_a: a.id,
@@ -330,12 +328,7 @@ mod tests {
 
     #[test]
     fn hijack_roles_are_distinct_and_placed() {
-        let (_, ids, targets) = hijack_setup(
-            fat_tree4(),
-            DefenseStack::None,
-            7,
-            ControllerConfig::default(),
-        );
+        let (_, ids, targets) = hijack_setup(fat_tree4(), DefenseStack::None, 7);
         assert_ne!(ids.victim, ids.attacker);
         assert_ne!(ids.victim, ids.client);
         assert_ne!(ids.attacker, ids.client);
@@ -353,18 +346,8 @@ mod tests {
 
     #[test]
     fn hijack_setup_is_a_pure_function_of_kind_and_seed() {
-        let (_, a, _) = hijack_setup(
-            fat_tree4(),
-            DefenseStack::None,
-            42,
-            ControllerConfig::default(),
-        );
-        let (_, b, _) = hijack_setup(
-            fat_tree4(),
-            DefenseStack::None,
-            42,
-            ControllerConfig::default(),
-        );
+        let (_, a, _) = hijack_setup(fat_tree4(), DefenseStack::None, 42);
+        let (_, b, _) = hijack_setup(fat_tree4(), DefenseStack::None, 42);
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 
@@ -380,12 +363,7 @@ mod tests {
     #[test]
     fn hijack_roles_tolerate_single_host_edges_at_1k_switches() {
         for seed in 0..4 {
-            let (_, ids, targets) = hijack_setup(
-                core_edge_1k(),
-                DefenseStack::None,
-                seed,
-                ControllerConfig::default(),
-            );
+            let (_, ids, targets) = hijack_setup(core_edge_1k(), DefenseStack::None, seed);
             // No placed host shares the attacker's switch, so the victim
             // is synthesized co-located — the paper's same-subnet setting
             // survives single-host edges.
@@ -420,7 +398,6 @@ mod tests {
             },
             DefenseStack::None,
             11,
-            ControllerConfig::default(),
         );
         assert_ne!(ep.port_a.dpid, ep.port_b.dpid);
         assert_ne!(ep.attacker_a, ep.attacker_b);
@@ -429,12 +406,7 @@ mod tests {
     #[test]
     fn relay_endpoints_span_two_switches_at_1k_switches() {
         for seed in 0..4 {
-            let (_, ep, targets) = relay_setup(
-                core_edge_1k(),
-                DefenseStack::None,
-                seed,
-                ControllerConfig::default(),
-            );
+            let (_, ep, targets) = relay_setup(core_edge_1k(), DefenseStack::None, seed);
             assert_ne!(ep.port_a.dpid, ep.port_b.dpid, "seed {seed}");
             assert!(ep.pinger.is_some(), "seed {seed}: 990 benign hosts remain");
             assert_eq!(targets.dpids.len(), 1000);
@@ -451,7 +423,6 @@ mod tests {
                 },
                 DefenseStack::None,
                 seed,
-                ControllerConfig::default(),
             );
             assert_ne!(ep.port_a.dpid, ep.port_b.dpid, "seed {seed}");
             assert!(!ep.bridge_dataplane);

@@ -16,7 +16,7 @@
 //!    oscillation that finally trips anomaly detectors.
 
 use attacks::{PortProbingAttacker, ProbingConfig, ProbingTimeline};
-use controller::{AlertKind, ControllerConfig, SdnController};
+use controller::{AlertKind, SdnController};
 use netsim::apps::PeriodicPinger;
 use netsim::Simulator;
 use sdn_types::{Duration, SimTime};
@@ -187,13 +187,8 @@ pub fn run(scenario: &HijackScenario) -> HijackOutcome {
          `traffic: None` on the hand-built testbed"
     );
     let (mut spec, ids, targets) = match scenario.fabric {
-        None => testbed::hijack_spec(scenario.stack, ControllerConfig::default()),
-        Some(kind) => fabric::hijack_setup(
-            kind,
-            scenario.stack,
-            scenario.seed,
-            ControllerConfig::default(),
-        ),
+        None => testbed::hijack_spec(scenario.stack),
+        Some(kind) => fabric::hijack_setup(kind, scenario.stack, scenario.seed),
     };
     // Fabrics hold host traffic for broadcast safety; the loop-free
     // testbed starts at once.

@@ -10,9 +10,9 @@
 //!   links, 10 ms out-of-band side channel), and the host-location-hijack
 //!   testbed. Each returns the same cast and fault targets as [`fabric`].
 //! * [`linkfab`] — link-fabrication scenarios (out-of-band, stealthy
-//!   out-of-band, in-band, and a naive no-amnesia baseline).
-//!   [`linkfab::setup`] is the one relay wiring, which the figures,
-//!   ablations and examples build on.
+//!   out-of-band, in-band, and a naive no-amnesia baseline), each with a
+//!   benign twin whose colluders stay idle. [`linkfab::setup`] is the one
+//!   relay wiring, which the figures, ablations and examples build on.
 //! * [`hijack`] — the Port Probing / host-location-hijacking scenario with
 //!   the full Fig. 3 timeline instrumentation; [`hijack::run`] is the one
 //!   hijack driver, [`induced`] included.
@@ -24,9 +24,9 @@
 //!   typed [`Attack`] rows, and [`matrix::run_cell`], the one definition of
 //!   a cell on the paper testbeds or any generated fabric.
 //! * [`robustness`] — fault profiles (trunk loss, jitter, flaps, control
-//!   congestion, switch restarts) and benign-traffic false-positive
-//!   scenarios; every scenario in this crate can run under a profile, and
-//!   [`matrix::run_matrix`] runs the whole matrix under one.
+//!   congestion, switch restarts); every scenario in this crate can run
+//!   under a profile, and [`matrix::run_matrix`] runs the whole matrix
+//!   under one.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -50,5 +50,5 @@ pub use hijack::{HijackOutcome, HijackScenario};
 pub use linkfab::{FabTopology, LinkFabOutcome, LinkFabScenario, RelayMode};
 pub use load::{LoadOutcome, LoadPattern, LoadScenario, TrafficLoad};
 pub use matrix::{run_cell, run_matrix, Attack, CellOutcome, MatrixEntry};
-pub use robustness::{FaultProfile, ProfileTargets, RobustnessOutcome, RobustnessScenario};
+pub use robustness::{FaultProfile, ProfileTargets};
 pub use scale::{ScaleOutcome, ScaleScenario};

@@ -11,9 +11,13 @@
 //!   minute after bootstrap as in §VII-A.
 //! * [`FabTopology::Fabric`] — any generated fabric (`tm-topo`): the same
 //!   attack with colluders placed by the spec's forked attacker stream.
+//!
+//! With `mode: None` a scenario is its own benign twin: the same network,
+//! the colluders idle. With no attacker present every alert is a false
+//! positive, which the fault-robustness campaigns count.
 
-use attacks::{InBandRelayAttacker, OobRelayAttacker, RelayConfig, RelayStats};
-use controller::{AlertKind, ControllerConfig, DirectedLink};
+use attacks::{RelayAttacker, RelayConfig, RelayStats};
+use controller::{AlertKind, DirectedLink};
 use netsim::apps::PeriodicPinger;
 use netsim::{HostApp, NetworkSpec, Simulator};
 use sdn_types::{Duration, HostId, IpAddr, MacAddr, SimTime};
@@ -67,8 +71,9 @@ pub enum FabTopology {
 /// Scenario parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct LinkFabScenario {
-    /// The relay variant.
-    pub mode: RelayMode,
+    /// The relay variant. `None` is the benign twin: the colluder hosts
+    /// and their out-of-band channel stay, but no relay app runs on them.
+    pub mode: Option<RelayMode>,
     /// The defense stack.
     pub stack: DefenseStack,
     /// RNG seed.
@@ -86,9 +91,13 @@ pub struct LinkFabScenario {
     /// Start benign cross-network traffic (exercises the MITM bridge in
     /// the Fig. 1 topology).
     pub benign_traffic: bool,
-    /// Network degradation active for the whole run ([`FaultProfile::Clean`]
-    /// leaves the trace byte-identical to the pre-fault-layer simulator).
+    /// Network degradation from [`faults_from`](Self::faults_from) to the
+    /// end of the run ([`FaultProfile::Clean`] leaves the trace
+    /// byte-identical to the pre-fault-layer simulator).
     pub faults: FaultProfile,
+    /// When the fault window opens: zero degrades the whole run, a later
+    /// start lets the defense baselines form first.
+    pub faults_from: Duration,
     /// Flow-level background load riding the fabric for the whole run
     /// (see [`crate::load`]). Only a [`FabTopology::Fabric`] carries it:
     /// `Some` on a hand-built testbed is rejected. `None` leaves the trace
@@ -101,7 +110,7 @@ impl LinkFabScenario {
     /// (the first LLDP round it can relay is at 15.1 s), 40 s run.
     pub fn new(mode: RelayMode, stack: DefenseStack, seed: u64) -> Self {
         LinkFabScenario {
-            mode,
+            mode: Some(mode),
             stack,
             seed,
             topology: FabTopology::Fig1,
@@ -110,6 +119,7 @@ impl LinkFabScenario {
             run_for: Duration::from_secs(40),
             benign_traffic: true,
             faults: FaultProfile::Clean,
+            faults_from: Duration::ZERO,
             traffic: None,
         }
     }
@@ -151,6 +161,9 @@ pub struct LinkFabOutcome {
     pub cmm_alerts: usize,
     /// LLI detections.
     pub lli_alerts: usize,
+    /// Directed links in the controller's topology at the end of the run
+    /// (Fig. 9's ground truth: 6, plus the fabricated pair if it stands).
+    pub links_discovered: usize,
     /// Frames the MITM bridge carried.
     pub bridged_frames: u64,
     /// Benign pings completed across the network.
@@ -184,18 +197,17 @@ impl LinkFabOutcome {
     }
 }
 
-/// Builds the scenario's network with both relays and the benign pinger
-/// installed: the one relay wiring. [`run`] simulates it; a caller that
-/// reads the finished simulator itself passes the spec to
-/// [`Simulator::new`].
+/// Builds the scenario's network with both relays (none in the benign
+/// twin) and the benign pinger installed: the one relay wiring. [`run`]
+/// simulates it; a caller that reads the finished simulator itself passes
+/// the spec to [`Simulator::new`].
 ///
 /// # Panics
 /// On an in-band relay on [`FabTopology::Fig1`], and on `traffic` on a
 /// hand-built testbed.
 pub fn setup(scenario: &LinkFabScenario) -> (NetworkSpec, RelayEndpoints, ProfileTargets) {
-    let in_band = scenario.mode == RelayMode::InBand;
     assert!(
-        !(in_band && scenario.topology == FabTopology::Fig1),
+        !(scenario.mode == Some(RelayMode::InBand) && scenario.topology == FabTopology::Fig1),
         "an in-band relay needs a dataplane path between the colluders, which Fig. 1 \
          lacks: run it on FabTopology::Fig9 or a fabric"
     );
@@ -204,44 +216,38 @@ pub fn setup(scenario: &LinkFabScenario) -> (NetworkSpec, RelayEndpoints, Profil
         "background traffic needs a generated fabric: run on FabTopology::Fabric, or set \
          `traffic: None` on the hand-built testbeds"
     );
-    let config = ControllerConfig::default();
     let (mut spec, endpoints, targets) = match scenario.topology {
-        FabTopology::Fig1 => testbed::fig1_spec(scenario.stack, config),
-        FabTopology::Fig9 => testbed::fig9_spec(scenario.stack, config),
-        FabTopology::Fabric(kind) => {
-            fabric::relay_setup(kind, scenario.stack, scenario.seed, config)
-        }
+        FabTopology::Fig1 => testbed::fig1_spec(scenario.stack),
+        FabTopology::Fig9 => testbed::fig9_spec(scenario.stack),
+        FabTopology::Fabric(kind) => fabric::relay_setup(kind, scenario.stack, scenario.seed),
     };
-    let relay = |peer: HostId, (peer_mac, peer_ip): (MacAddr, IpAddr)| -> Box<dyn HostApp> {
-        let base = match scenario.mode {
-            RelayMode::OutOfBand => RelayConfig::oob(peer),
-            RelayMode::OutOfBandStealthy => RelayConfig::oob_stealthy(peer),
-            RelayMode::NaiveNoAmnesia => RelayConfig {
-                use_amnesia: false,
-                ..RelayConfig::oob(peer)
-            },
-            RelayMode::InBand => RelayConfig::in_band(peer, peer_mac, peer_ip),
+    if let Some(mode) = scenario.mode {
+        let relay = |peer: HostId, (peer_mac, peer_ip): (MacAddr, IpAddr)| -> Box<dyn HostApp> {
+            let base = match mode {
+                RelayMode::OutOfBand => RelayConfig::oob(peer),
+                RelayMode::OutOfBandStealthy => RelayConfig::oob_stealthy(peer),
+                RelayMode::NaiveNoAmnesia => RelayConfig {
+                    use_amnesia: false,
+                    ..RelayConfig::oob(peer)
+                },
+                RelayMode::InBand => RelayConfig::in_band(peer, peer_mac, peer_ip),
+            };
+            Box::new(RelayAttacker::new(RelayConfig {
+                hold_down: scenario.hold_down,
+                start_after: scenario.attack_start,
+                bridge_dataplane: base.bridge_dataplane && endpoints.bridge_dataplane,
+                ..base
+            }))
         };
-        let config = RelayConfig {
-            hold_down: scenario.hold_down,
-            start_after: scenario.attack_start,
-            bridge_dataplane: base.bridge_dataplane && endpoints.bridge_dataplane,
-            ..base
-        };
-        if in_band {
-            Box::new(InBandRelayAttacker::new(config))
-        } else {
-            Box::new(OobRelayAttacker::new(config))
-        }
-    };
-    spec.set_host_app(
-        endpoints.attacker_a,
-        relay(endpoints.attacker_b, endpoints.identity_b),
-    );
-    spec.set_host_app(
-        endpoints.attacker_b,
-        relay(endpoints.attacker_a, endpoints.identity_a),
-    );
+        spec.set_host_app(
+            endpoints.attacker_a,
+            relay(endpoints.attacker_b, endpoints.identity_b),
+        );
+        spec.set_host_app(
+            endpoints.attacker_b,
+            relay(endpoints.attacker_a, endpoints.identity_a),
+        );
+    }
     if let Some((host, _, target_ip)) = endpoints.pinger.filter(|_| scenario.benign_traffic) {
         spec.set_host_app(
             host,
@@ -261,7 +267,9 @@ pub fn run(scenario: &LinkFabScenario) -> LinkFabOutcome {
     let (mut spec, endpoints, targets) = setup(scenario);
     spec.set_telemetry(tm_telemetry::Telemetry::new());
     let run_end = SimTime::ZERO + scenario.run_for;
-    let plan = scenario.faults.plan(&targets, SimTime::ZERO, run_end);
+    let plan = scenario
+        .faults
+        .plan(&targets, SimTime::ZERO + scenario.faults_from, run_end);
     // Flow-level background load opens with the broadcast-safety hold
     // like all fabric traffic.
     let traffic = match (scenario.topology, scenario.traffic) {
@@ -282,13 +290,9 @@ fn collect_outcome(
     endpoints: &RelayEndpoints,
 ) -> LinkFabOutcome {
     let stats = |host| {
-        if scenario.mode == RelayMode::InBand {
-            sim.host_app_as::<InBandRelayAttacker>(host)
-                .map(|a| a.stats)
-        } else {
-            sim.host_app_as::<OobRelayAttacker>(host).map(|a| a.stats)
-        }
-        .unwrap_or_default()
+        sim.host_app_as::<RelayAttacker>(host)
+            .map(|a| a.stats)
+            .unwrap_or_default()
     };
     let (stats_a, stats_b) = (stats(endpoints.attacker_a), stats(endpoints.attacker_b));
     let fake_link = DirectedLink::new(endpoints.port_a, endpoints.port_b);
@@ -304,6 +308,7 @@ fn collect_outcome(
             + alerts.count(AlertKind::LinkChanged),
         cmm_alerts: alerts.count(AlertKind::AnomalousControlMessage),
         lli_alerts: alerts.count(AlertKind::AbnormalLinkLatency),
+        links_discovered: ctrl.topology().len(),
         bridged_frames: stats_a.bridged_to_peer + stats_b.bridged_to_peer,
         benign_pings_ok: endpoints
             .pinger

@@ -1,30 +1,19 @@
-//! Defense robustness under degraded networks: reusable fault profiles and
-//! a benign-traffic scenario that measures false positives.
+//! Defense robustness under degraded networks: reusable fault profiles.
 //!
 //! The paper's TopoGuard+ components are exactly the ones most sensitive to
 //! real-network noise: the LLI's latency fence (§VIII-A) can be tripped by
 //! jitter spikes or control-channel congestion with no attacker present,
-//! and the CMM's port-state tracking reacts to every flap. This module
-//! provides:
-//!
-//! * [`FaultProfile`] — a small, `Copy` vocabulary of degraded-network
-//!   conditions, each expandable into a concrete [`FaultPlan`] for a given
-//!   testbed via [`ProfileTargets`]. Scenario structs carry a profile
-//!   field so the whole detection matrix can be re-run under faults
-//!   (`experiments fault_matrix`).
-//! * [`RobustnessScenario`] / [`run`] — the Fig. 9 testbed with benign
-//!   traffic only (no attackers): every alert the defense raises is by
-//!   construction a false positive, which is what the `lli-under-jitter`,
-//!   `cmm-under-flaps`, and `discovery-under-loss` campaigns measure.
+//! and the CMM's port-state tracking reacts to every flap.
+//! [`FaultProfile`] is a small, `Copy` vocabulary of degraded-network
+//! conditions, each expandable into a concrete [`FaultPlan`] for a given
+//! testbed via [`ProfileTargets`]. Scenario structs carry a profile field
+//! so the whole detection matrix can be re-run under faults
+//! (`experiments fault_matrix`), and the relay scenario's benign twin
+//! ([`crate::linkfab::LinkFabScenario::mode`] `None`) measures the false
+//! positives a degraded but honest network provokes.
 
-use controller::{AlertKind, ControllerConfig, ControllerProfile};
-use netsim::apps::PeriodicPinger;
 use netsim::faults::{FaultPlan, FaultWindow, LossModel};
-use netsim::Simulator;
 use sdn_types::{DatapathId, Duration, PortNo, SimTime};
-
-use crate::defense::{self, DefenseStack};
-use crate::testbed;
 
 /// The fault targets of one testbed topology: which egress directions are
 /// trunk links, which host port to flap, which switches exist. Every
@@ -151,114 +140,11 @@ impl FaultProfile {
     }
 }
 
-/// A benign run of the Fig. 9 testbed under a fault profile: h1 pings h2
-/// every 500 ms, no attackers exist, and the defense stack watches a
-/// network that is degraded but honest.
-#[derive(Clone, Copy, Debug)]
-pub struct RobustnessScenario {
-    /// The defense stack under test.
-    pub stack: DefenseStack,
-    /// The injected condition.
-    pub profile: FaultProfile,
-    /// RNG seed.
-    pub seed: u64,
-    /// Total run length.
-    pub run_for: Duration,
-    /// Fault window start (after the defense baselines have formed).
-    pub fault_from: Duration,
-    /// Fault window end.
-    pub fault_until: Duration,
-}
-
-impl RobustnessScenario {
-    /// Defaults: 4-minute run; faults active from 150 s (after the LLI has
-    /// collected its 10-sample baseline at the 15 s Floodlight cadence) to
-    /// the end of the run.
-    pub fn new(stack: DefenseStack, profile: FaultProfile, seed: u64) -> Self {
-        RobustnessScenario {
-            stack,
-            profile,
-            seed,
-            run_for: Duration::from_secs(240),
-            fault_from: Duration::from_secs(150),
-            fault_until: Duration::from_secs(240),
-        }
-    }
-}
-
-/// Outcome of a benign run: with no attacker present, every alert is a
-/// false positive.
-#[derive(Clone, Debug)]
-pub struct RobustnessOutcome {
-    /// Total alerts (all false positives).
-    pub alerts_total: usize,
-    /// LLI (abnormal link latency) false positives.
-    pub lli_alerts: usize,
-    /// CMM (anomalous control message) false positives.
-    pub cmm_alerts: usize,
-    /// Link-integrity false positives (fabrication / changed / host-port
-    /// traffic).
-    pub link_alerts: usize,
-    /// Directed links in the controller's topology at the end of the run
-    /// (Fig. 9 ground truth: 6).
-    pub links_discovered: usize,
-    /// Benign pings completed.
-    pub benign_pings_ok: u64,
-    /// Telemetry snapshot (includes the `netsim.fault.*` injection
-    /// counters attributing the degradation).
-    pub metrics: tm_telemetry::MetricsSnapshot,
-    /// The simulator's event digest, for determinism checks.
-    pub trace: netsim::Trace,
-}
-
-/// Runs the benign robustness scenario.
-pub fn run(scenario: &RobustnessScenario) -> RobustnessOutcome {
-    let (mut spec, endpoints, targets) = testbed::fig9_spec(
-        scenario.stack,
-        ControllerConfig {
-            profile: ControllerProfile::FLOODLIGHT,
-            ..ControllerConfig::default()
-        },
-    );
-    let pinger = endpoints.pinger.map(|(host, _, target_ip)| {
-        spec.set_host_app(
-            host,
-            Box::new(PeriodicPinger::new(target_ip, Duration::from_millis(500))),
-        );
-        host
-    });
-    spec.set_telemetry(tm_telemetry::Telemetry::new());
-
-    let plan = scenario.profile.plan(
-        &targets,
-        SimTime::ZERO + scenario.fault_from,
-        SimTime::ZERO + scenario.fault_until,
-    );
-    let mut sim = Simulator::with_fault_plan(spec, scenario.seed, plan);
-    sim.run_for(scenario.run_for);
-
-    let ctrl = defense::controller(&sim);
-    let alerts = ctrl.alerts();
-    RobustnessOutcome {
-        alerts_total: alerts.len(),
-        lli_alerts: alerts.count(AlertKind::AbnormalLinkLatency),
-        cmm_alerts: alerts.count(AlertKind::AnomalousControlMessage),
-        link_alerts: alerts.count(AlertKind::LinkFabrication)
-            + alerts.count(AlertKind::LinkChanged)
-            + alerts.count(AlertKind::TrafficFromSwitchPort),
-        links_discovered: ctrl.topology().len(),
-        benign_pings_ok: pinger
-            .and_then(|host| sim.host_app_as::<PeriodicPinger>(host))
-            .map(|p| p.received)
-            .unwrap_or(0),
-        metrics: sim.metrics_snapshot(),
-        trace: *sim.trace(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::defense::DefenseStack;
+    use crate::testbed;
 
     fn window() -> (SimTime, SimTime) {
         (SimTime::from_secs(10), SimTime::from_secs(20))
@@ -272,11 +158,10 @@ mod tests {
         // model with p = 0 would never drop, but would still consume RNG
         // draws and diverge the trace).
         let (from, until) = window();
-        let config = ControllerConfig::default();
         for targets in [
-            testbed::fig9_spec(DefenseStack::None, config).2,
-            testbed::fig1_spec(DefenseStack::None, config).2,
-            testbed::hijack_spec(DefenseStack::None, config).2,
+            testbed::fig9_spec(DefenseStack::None).2,
+            testbed::fig1_spec(DefenseStack::None).2,
+            testbed::hijack_spec(DefenseStack::None).2,
         ] {
             for profile in [
                 FaultProfile::Clean,
@@ -300,7 +185,7 @@ mod tests {
     #[test]
     fn nonzero_profiles_cover_their_targets() {
         let (from, until) = window();
-        let (_, _, targets) = testbed::fig9_spec(DefenseStack::None, ControllerConfig::default());
+        let (_, _, targets) = testbed::fig9_spec(DefenseStack::None);
         let loss = FaultProfile::TrunkLoss { pct: 30 }.plan(&targets, from, until);
         assert_eq!(loss.loss().len(), targets.trunk_egresses.len());
         let jitter = FaultProfile::TrunkJitter { spike_ms: 5 }.plan(&targets, from, until);
@@ -338,27 +223,5 @@ mod tests {
             "congestion-5ms"
         );
         assert_eq!(FaultProfile::SwitchRestarts.label(), "restarts");
-    }
-
-    #[test]
-    fn benign_robustness_run_is_deterministic() {
-        let scenario = RobustnessScenario {
-            run_for: Duration::from_secs(40),
-            fault_from: Duration::from_secs(10),
-            fault_until: Duration::from_secs(40),
-            ..RobustnessScenario::new(
-                DefenseStack::TopoGuardPlus,
-                FaultProfile::TrunkLoss { pct: 30 },
-                7,
-            )
-        };
-        let a = run(&scenario);
-        let b = run(&scenario);
-        assert_eq!(a.trace, b.trace, "same scenario, same seed, same trace");
-        assert_eq!(a.metrics.render(), b.metrics.render());
-        assert!(
-            a.metrics.counter("netsim.fault.loss_drops").unwrap_or(0) > 0,
-            "the loss window must actually drop frames"
-        );
     }
 }

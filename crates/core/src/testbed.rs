@@ -1,7 +1,10 @@
 //! Topology builders for the paper's testbeds. Each returns the network,
 //! the cast the scenario drivers read and its fault targets, exactly as
 //! [`crate::fabric`] does for generated topologies, so `linkfab` and
-//! `hijack` drive a hand-built testbed and a fabric alike.
+//! `hijack` drive a hand-built testbed and a fabric alike. Every testbed
+//! runs the default (Floodlight) controller configuration under its
+//! defense stack; a caller that needs another controller swaps it in after
+//! setup.
 
 use controller::ControllerConfig;
 use netsim::{LinkProfile, NetworkSpec};
@@ -55,10 +58,7 @@ fn add_relay_cast(
 /// benign host on port 2 of each, over 5 ms links. There is **no real
 /// inter-switch link** — if traffic flows between h1 and h2, it flows over
 /// the fabricated link.
-pub fn fig1_spec(
-    stack: DefenseStack,
-    config: ControllerConfig,
-) -> (NetworkSpec, RelayEndpoints, ProfileTargets) {
+pub fn fig1_spec(stack: DefenseStack) -> (NetworkSpec, RelayEndpoints, ProfileTargets) {
     let (s1, s2) = (DatapathId::new(0x1), DatapathId::new(0x2));
     let (p1, p2) = (PortNo::new(1), PortNo::new(2));
     let mut spec = NetworkSpec::new();
@@ -70,7 +70,9 @@ pub fn fig1_spec(
     // dataplane frames across it closes no loop, and is the MITM
     // demonstration itself.
     let endpoints = add_relay_cast(&mut spec, at, link, true);
-    spec.set_controller(Box::new(stack.build_controller(config)));
+    spec.set_controller(Box::new(
+        stack.build_controller(ControllerConfig::default()),
+    ));
     // No real trunk exists, so link-directed faults target the switches'
     // host-facing egresses instead.
     let targets = ProfileTargets {
@@ -86,10 +88,7 @@ pub fn fig1_spec(
 /// behind Fig. 10's latency spikes), compromised hosts on port 10 of the
 /// two end switches joined by the out-of-band channel, and benign hosts
 /// h1 and h2 on port 10 of the middle switches.
-pub fn fig9_spec(
-    stack: DefenseStack,
-    config: ControllerConfig,
-) -> (NetworkSpec, RelayEndpoints, ProfileTargets) {
+pub fn fig9_spec(stack: DefenseStack) -> (NetworkSpec, RelayEndpoints, ProfileTargets) {
     let switches = [0x1, 0x2, 0x3, 0x4].map(DatapathId::new);
     let mut spec = NetworkSpec::new();
     for dpid in switches {
@@ -112,7 +111,9 @@ pub fn fig9_spec(
     // paper's evaluation relays LLDP only here; the MITM bridge demo
     // lives on Fig. 1.
     let endpoints = add_relay_cast(&mut spec, at, edge, false);
-    spec.set_controller(Box::new(stack.build_controller(config)));
+    spec.set_controller(Box::new(
+        stack.build_controller(ControllerConfig::default()),
+    ));
     let targets = ProfileTargets {
         trunk_egresses,
         flap_port: (switches[1], port),
@@ -163,10 +164,7 @@ pub struct HijackTestbed {
 /// `victim` (original location, up initially) and `victim_new` (destination
 /// port, brought up when the migration completes). The scenario driver
 /// scripts the downtime window between them.
-pub fn hijack_spec(
-    stack: DefenseStack,
-    config: ControllerConfig,
-) -> (NetworkSpec, HijackTestbed, ProfileTargets) {
+pub fn hijack_spec(stack: DefenseStack) -> (NetworkSpec, HijackTestbed, ProfileTargets) {
     let s1 = DatapathId::new(0x1);
     let s2 = DatapathId::new(0x2);
     let trunk = PortNo::new(1);
@@ -204,7 +202,9 @@ pub fn hijack_spec(
     spec.attach_host(ids.victim_new, s2, PortNo::new(4), link);
     spec.attach_host(ids.attacker, s1, PortNo::new(5), link);
     spec.attach_host(ids.client, s2, client_port, link);
-    spec.set_controller(Box::new(stack.build_controller(config)));
+    spec.set_controller(Box::new(
+        stack.build_controller(ControllerConfig::default()),
+    ));
     // The one trunk, and the benign client's port as the flap target.
     let targets = ProfileTargets {
         trunk_egresses: vec![(s1, trunk), (s2, trunk)],

@@ -7,9 +7,10 @@
 //! * Port Probing wins the migration race against every stack; alerts only
 //!   appear once the real victim rejoins.
 
+use sdn_types::Duration;
 use tm_core::hijack::{self, HijackScenario};
 use tm_core::linkfab::{self, FabTopology, LinkFabScenario, RelayMode};
-use tm_core::{DefenseStack, TrafficLoad};
+use tm_core::{DefenseStack, FaultProfile, TrafficLoad};
 
 fn fab(mode: RelayMode, stack: DefenseStack, seed: u64) -> tm_core::LinkFabOutcome {
     linkfab::run(&LinkFabScenario::new(mode, stack, seed))
@@ -134,6 +135,59 @@ fn topoguard_plus_cmm_detects_in_band_amnesia() {
 }
 
 #[test]
+fn each_relay_mode_bounces_as_the_one_bounce_rule_says() {
+    // Out of band, the warmup ARP leaves the port HOST-profiled and the
+    // first injected LLDP needs it SWITCH: one amnesia per port suffices,
+    // since nothing host-like follows. The stealthy relay never profiled
+    // its port and the naive one ignores the conflict: neither bounces.
+    for (mode, bounces) in [
+        (RelayMode::OutOfBand, 1),
+        (RelayMode::OutOfBandStealthy, 0),
+        (RelayMode::NaiveNoAmnesia, 0),
+    ] {
+        let out = fab(mode, DefenseStack::TopoGuard, 1);
+        assert_eq!(
+            (out.stats_a.amnesia_cycles, out.stats_b.amnesia_cycles),
+            (bounces, bounces),
+            "{}: {out:?}",
+            mode.name()
+        );
+    }
+    // In band, tunnelling needs HOST and injecting needs SWITCH: each
+    // colluder switches context both ways.
+    let out = linkfab::run(&LinkFabScenario::paper_eval(
+        RelayMode::InBand,
+        DefenseStack::TopoGuard,
+        1,
+    ));
+    assert!(
+        out.stats_a.amnesia_cycles >= 2 && out.stats_b.amnesia_cycles >= 2,
+        "{out:?}"
+    );
+}
+
+#[test]
+fn benign_robustness_run_is_deterministic() {
+    // The relay scenario's benign twin (colluders idle) on Fig. 9 under
+    // TOPOGUARD+, with 30 % trunk loss from 10 s to the end of a 40 s run.
+    let scenario = LinkFabScenario {
+        mode: None,
+        run_for: Duration::from_secs(40),
+        faults: FaultProfile::TrunkLoss { pct: 30 },
+        faults_from: Duration::from_secs(10),
+        ..LinkFabScenario::paper_eval(RelayMode::OutOfBand, DefenseStack::TopoGuardPlus, 7)
+    };
+    let a = linkfab::run(&scenario);
+    let b = linkfab::run(&scenario);
+    assert_eq!(a.trace, b.trace, "same scenario, same seed, same trace");
+    assert_eq!(a.metrics.render(), b.metrics.render());
+    assert!(
+        a.metrics.counter("netsim.fault.loss_drops").unwrap_or(0) > 0,
+        "the loss window must actually drop frames"
+    );
+}
+
+#[test]
 #[should_panic(expected = "run it on FabTopology::Fig9 or a fabric")]
 fn in_band_relay_on_fig1_is_rejected() {
     fab(RelayMode::InBand, DefenseStack::TopoGuard, 10);
@@ -239,14 +293,13 @@ fn sphinx_catches_a_lossy_mitm_bridge() {
     // The flip side of "all packets sent to the link are faithfully
     // transited" (§V-A): a greedy MITM that drops traffic breaks SPHINX's
     // per-flow counter conservation and is detected.
-    use attacks::{OobRelayAttacker, RelayConfig};
-    use controller::{AlertKind, ControllerConfig, SdnController};
+    use attacks::{RelayAttacker, RelayConfig};
+    use controller::{AlertKind, SdnController};
     use netsim::apps::PeriodicPinger;
     use netsim::Simulator;
-    use sdn_types::Duration;
     use tm_core::testbed;
 
-    let (mut spec, ep, _) = testbed::fig1_spec(DefenseStack::Sphinx, ControllerConfig::default());
+    let (mut spec, ep, _) = testbed::fig1_spec(DefenseStack::Sphinx);
     let lossy = |peer| RelayConfig {
         start_after: Duration::from_secs(5),
         drop_fraction: 0.7,
@@ -254,11 +307,11 @@ fn sphinx_catches_a_lossy_mitm_bridge() {
     };
     spec.set_host_app(
         ep.attacker_a,
-        Box::new(OobRelayAttacker::new(lossy(ep.attacker_b))),
+        Box::new(RelayAttacker::new(lossy(ep.attacker_b))),
     );
     spec.set_host_app(
         ep.attacker_b,
-        Box::new(OobRelayAttacker::new(lossy(ep.attacker_a))),
+        Box::new(RelayAttacker::new(lossy(ep.attacker_a))),
     );
     let (h1, _, h2_ip) = ep.pinger.expect("Fig. 1 has a benign ping pair");
     spec.set_host_app(
@@ -330,10 +383,10 @@ fn forged_lldp_without_relay_is_stopped_by_authentication() {
     // A weaker attacker that *forges* LLDP (instead of relaying the
     // controller's signed packets) is exactly what authenticated LLDP
     // stops: the signature cannot be produced without the controller key.
-    use controller::{ControllerConfig, DirectedLink, SdnController};
+    use controller::{DirectedLink, SdnController};
     use netsim::{FrameDisposition, HostApp, HostCtx, Simulator};
     use sdn_types::packet::{EthernetFrame, LldpPacket, Payload};
-    use sdn_types::{DatapathId, Duration, MacAddr, PortNo};
+    use sdn_types::{DatapathId, MacAddr, PortNo};
     use tm_core::testbed;
 
     /// Claims a link from a switch port the attacker does not control by
@@ -367,7 +420,7 @@ fn forged_lldp_without_relay_is_stopped_by_authentication() {
     };
 
     // Without authentication (plain Floodlight): the forgery lands.
-    let (mut spec, ep, _) = testbed::fig1_spec(DefenseStack::None, ControllerConfig::default());
+    let (mut spec, ep, _) = testbed::fig1_spec(DefenseStack::None);
     spec.set_host_app(ep.attacker_b, Box::new(Forger));
     let mut sim = Simulator::new(spec, 71);
     sim.run_for(Duration::from_secs(10));
@@ -379,8 +432,7 @@ fn forged_lldp_without_relay_is_stopped_by_authentication() {
 
     // With TopoGuard's authenticated LLDP: rejected (and the alert names
     // the receiving port).
-    let (mut spec, ep, _) =
-        testbed::fig1_spec(DefenseStack::TopoGuard, ControllerConfig::default());
+    let (mut spec, ep, _) = testbed::fig1_spec(DefenseStack::TopoGuard);
     spec.set_host_app(ep.attacker_b, Box::new(Forger));
     let mut sim = Simulator::new(spec, 71);
     sim.run_for(Duration::from_secs(10));

@@ -358,6 +358,10 @@ pub(crate) fn emit_outputs(
                     },
                 );
             }
+            // A frame never leaves by the port it came in on: OpenFlow 1.0
+            // hairpins only through `OFPP_IN_PORT`, and Open vSwitch drops
+            // an output naming the ingress port.
+            physical if physical == in_port => {}
             physical => emit_on_port(core, net, dpid, physical, frame),
         }
     }
