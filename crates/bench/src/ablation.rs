@@ -8,13 +8,14 @@
 //!   holds below the pulse window minimum never reset the profile and the
 //!   attack reverts to the naive relay TopoGuard catches.
 
-use controller::{AlertKind, ControllerConfig, SdnController};
+use controller::{AlertKind, SdnController};
 use netsim::Simulator;
 use sdn_types::Duration;
 use tm_core::hijack::{self, HijackScenario};
 use tm_core::linkfab::{self, LinkFabScenario, RelayMode};
 use tm_core::DefenseStack;
-use topoguard::{Cmm, CmmConfig, Lli, LliConfig, TopoGuard, TopoGuardConfig};
+
+use crate::figures::{lli_series, recorded_topoguard_plus};
 
 /// LLI fence sweep: run the Fig. 9 testbed (no attack, micro-bursty links)
 /// and a stealthy OOB attack, for several `k` values; report false flags on
@@ -50,24 +51,14 @@ fn run_lli(seed: u64, k: f64, with_attack: bool) -> u64 {
         ..LinkFabScenario::paper_eval(RelayMode::OutOfBandStealthy, DefenseStack::None, seed)
     };
     let (mut spec, ep, _) = linkfab::setup(&scenario);
-    // Hand-built stack so we control the LLI's k.
-    let controller = SdnController::new(ControllerConfig {
-        sign_lldp: true,
-        timestamp_lldp: true,
-        echo_interval: Some(Duration::from_secs(1)),
-        ..ControllerConfig::default()
-    })
-    .with_module(Box::new(TopoGuard::new(TopoGuardConfig::default())))
-    .with_module(Box::new(Cmm::new(CmmConfig::default())))
-    .with_module(Box::new(Lli::new(LliConfig { iqr_k: k })));
-    spec.set_controller(Box::new(controller));
+    // TOPOGUARD+ with this run's k.
+    spec.set_controller(Box::new(recorded_topoguard_plus(k)));
     let mut sim = Simulator::new(spec, seed);
     sim.run_for(scenario.run_for);
     let ctrl: &SdnController = sim.controller_as().expect("controller");
-    let lli: &Lli = ctrl.module_as().expect("lli");
     if with_attack {
         // Count only flags on the fake link.
-        lli.observations
+        lli_series(ctrl)
             .iter()
             .filter(|o| o.flagged && (o.link.src == ep.port_a || o.link.src == ep.port_b))
             .count() as u64

@@ -2,7 +2,10 @@
 //! and the TOPOGUARD+ evaluation series (Figs. 10–13).
 
 use attacks::IdentChangeModel;
-use controller::{AlertKind, SdnController};
+use controller::{
+    AlertKind, Command, ControllerConfig, DefenseModule, DirectedLink, LinkLatencySample,
+    ModuleCtx, SdnController,
+};
 use netsim::Simulator;
 use sdn_types::Duration;
 use tm_core::hijack::{self, HijackScenario};
@@ -11,7 +14,7 @@ use tm_core::testbed;
 use tm_core::DefenseStack;
 use tm_rand::StdRng;
 use tm_stats::Histogram;
-use topoguard::Lli;
+use topoguard::{Cmm, CmmConfig, Lli, LliConfig, LliObservation, TopoGuard, TopoGuardConfig};
 
 /// Fig. 4: distribution of the time taken to change network identifiers
 /// with `ifconfig` (paper: mean 9.94 ms, heavy tail to ~160 ms).
@@ -150,18 +153,73 @@ pub fn figs5_to_8(base_seed: u64, trials: usize) -> String {
     out
 }
 
+/// The LLI with the series Figs. 10/11 and the LLI-fence ablation plot:
+/// every judgement it returns, in order. The LLI itself keeps no history,
+/// so this decorator records it, the way topobench's traced wrappers time
+/// a module without changing what it does.
+struct RecordedLli {
+    lli: Lli,
+    series: Vec<LliObservation>,
+}
+
+impl DefenseModule for RecordedLli {
+    fn name(&self) -> &'static str {
+        self.lli.name()
+    }
+
+    fn on_link_update(
+        &mut self,
+        cx: &mut ModuleCtx<'_>,
+        link: DirectedLink,
+        _is_new: bool,
+        sample: Option<LinkLatencySample>,
+    ) -> Command {
+        let judgement = self.lli.inspect(cx, link, sample);
+        self.series.extend(judgement);
+        match judgement {
+            Some(judgement) if judgement.flagged => Command::Block,
+            _ => Command::Continue,
+        }
+    }
+}
+
+/// The controller `DefenseStack::TopoGuardPlus` builds on
+/// `ControllerConfig::default()`, with the LLI's fence multiplier `k` and
+/// its judgements recorded for [`lli_series`].
+pub(crate) fn recorded_topoguard_plus(k: f64) -> SdnController {
+    SdnController::new(ControllerConfig {
+        sign_lldp: true,
+        timestamp_lldp: true,
+        echo_interval: Some(Duration::from_secs(1)),
+        ..ControllerConfig::default()
+    })
+    .with_module(Box::new(TopoGuard::new(TopoGuardConfig::default())))
+    .with_module(Box::new(Cmm::new(CmmConfig::default())))
+    .with_module(Box::new(RecordedLli {
+        lli: Lli::new(LliConfig { iqr_k: k }),
+        series: Vec::new(),
+    }))
+}
+
+/// The LLI judgements a [`recorded_topoguard_plus`] controller made.
+pub(crate) fn lli_series(ctrl: &SdnController) -> &[LliObservation] {
+    &ctrl
+        .module_as::<RecordedLli>()
+        .expect("recording LLI installed")
+        .series
+}
+
 /// Fig. 10: switch-link latencies measured by the LLI on the Fig. 9
 /// testbed (paper: ~5 ms averages with micro-bursts toward 12 ms).
 pub fn fig10(seed: u64, samples: usize) -> String {
-    let (spec, ..) = testbed::fig9_spec(DefenseStack::TopoGuardPlus);
+    let (mut spec, ..) = testbed::fig9_spec(DefenseStack::TopoGuardPlus);
+    spec.set_controller(Box::new(recorded_topoguard_plus(3.0)));
     let mut sim = Simulator::new(spec, seed);
-    // 6 directed trunk observations per 15 s round.
+    // 6 directed trunk measurements per 15 s round.
     let rounds_needed = samples.div_ceil(6) + 2;
     sim.run_for(Duration::from_secs(15 * rounds_needed as u64));
     let ctrl: &SdnController = sim.controller_as().expect("controller");
-    let lli: &Lli = ctrl.module_as().expect("LLI installed");
-    let latencies: Vec<f64> = lli
-        .observations
+    let latencies: Vec<f64> = lli_series(ctrl)
         .iter()
         .take(samples)
         .map(|o| o.latency_ms)
@@ -190,12 +248,12 @@ pub fn fig11(seed: u64) -> String {
         )
     };
     // Keep the simulator, not the outcome: the LLI's series is the figure.
-    let (spec, ep, _) = linkfab::setup(&scenario);
+    let (mut spec, ep, _) = linkfab::setup(&scenario);
+    spec.set_controller(Box::new(recorded_topoguard_plus(3.0)));
     let mut sim = Simulator::new(spec, seed);
     sim.run_for(scenario.run_for);
 
     let ctrl: &SdnController = sim.controller_as().expect("controller");
-    let lli: &Lli = ctrl.module_as().expect("LLI installed");
 
     let mut out = String::from(
         "FIG 11: measured link latencies and the Q3+3*IQR detection threshold over time\n\
@@ -205,7 +263,7 @@ pub fn fig11(seed: u64) -> String {
         "{:>9} {:>12} {:>12}  {}\n",
         "t (s)", "latency ms", "threshold", "verdict"
     ));
-    for obs in &lli.observations {
+    for obs in lli_series(ctrl) {
         out.push_str(&format!(
             "{:>9.1} {:>12.2} {:>12}  {}{}\n",
             obs.at.as_secs_f64(),
@@ -313,6 +371,50 @@ mod tests {
         let d = run_hijack_trials(u64::MAX, 2, DefenseStack::None);
         assert_eq!(d.trials, 2);
         assert_eq!(d.successes, 2, "an undefended hijack lands at any seed");
+    }
+
+    #[test]
+    fn recorded_controller_is_the_topoguard_plus_stack() {
+        // Figs. 10/11 and the LLI-fence ablation swap this controller in
+        // for the one `DefenseStack::TopoGuardPlus` builds. A change to
+        // that stack the recorder does not copy fails here, not silently
+        // in the figures.
+        let scenario = LinkFabScenario {
+            run_for: Duration::from_secs(120),
+            ..LinkFabScenario::paper_eval(
+                RelayMode::OutOfBandStealthy,
+                DefenseStack::TopoGuardPlus,
+                0xD5_2018,
+            )
+        };
+        let run = |recorded: bool| {
+            let (mut spec, ..) = linkfab::setup(&scenario);
+            if recorded {
+                spec.set_controller(Box::new(recorded_topoguard_plus(3.0)));
+            }
+            spec.set_telemetry(tm_telemetry::Telemetry::new());
+            let mut sim = Simulator::new(spec, scenario.seed);
+            sim.run_for(scenario.run_for);
+            sim
+        };
+        let (built, recorded) = (run(false), run(true));
+        assert_eq!(built.trace(), recorded.trace());
+        let metrics = recorded.metrics_snapshot();
+        assert_eq!(built.metrics_snapshot().render(), metrics.render());
+        fn ctrl(sim: &Simulator) -> &SdnController {
+            sim.controller_as().expect("controller")
+        }
+        let alerts = ctrl(&recorded).alerts();
+        assert_eq!(ctrl(&built).alerts().all(), alerts.all());
+
+        let series = lli_series(ctrl(&recorded));
+        assert_eq!(
+            Some(series.len() as u64),
+            metrics.counter("topoguard.lli.samples")
+        );
+        let flagged = series.iter().filter(|j| j.flagged).count();
+        assert!(flagged > 0, "the relay is judged and flagged");
+        assert_eq!(flagged, alerts.count(AlertKind::AbnormalLinkLatency));
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub struct Cmm {
     config: CmmConfig,
     /// Probes in flight: emitting port → emission time.
     in_flight: BTreeMap<SwitchPort, SimTime>,
-    /// Recent Port-Up/Down observations: `(port, at, went_up)`.
+    /// Recent Port-Up/Down events: `(port, at, went_up)`.
     port_events: Vec<(SwitchPort, SimTime, bool)>,
 }
 

@@ -52,7 +52,9 @@ impl Default for LliConfig {
     }
 }
 
-/// One recorded latency inspection, for regenerating Figs. 10 and 11.
+/// One judgement of the LLI: a measured latency, the fence it was judged
+/// against and the verdict. [`Lli::inspect`] returns it; the LLI keeps no
+/// history of them (Figs. 10 and 11 record their own series).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LliObservation {
     /// When the measurement completed.
@@ -72,8 +74,6 @@ pub struct Lli {
     config: LliConfig,
     /// One verified-latency store per undirected trunk (see module docs).
     detectors: BTreeMap<DirectedLink, IqrOutlierDetector>,
-    /// Full measurement history (Figs. 10/11 series).
-    pub observations: Vec<LliObservation>,
 }
 
 /// The canonical orientation of a trunk: both directions of the same
@@ -88,7 +88,6 @@ impl Lli {
         Lli {
             config,
             detectors: BTreeMap::new(),
-            observations: Vec::new(),
         }
     }
 
@@ -118,25 +117,21 @@ impl Lli {
                 Some(acc.map_or(t, |a| a.max(t)))
             })
     }
-}
 
-impl DefenseModule for Lli {
-    fn name(&self) -> &'static str {
-        "topoguard+/lli"
-    }
-
-    fn on_link_update(
+    /// Inspects one link update: measures its latency and judges it
+    /// against the trunk's fence; a sample that passes joins the trunk's
+    /// store. Returns `None` without timestamp evidence, and the judgement
+    /// otherwise. A flagged judgement has already raised its alert;
+    /// [`DefenseModule::on_link_update`] turns it into a veto.
+    pub fn inspect(
         &mut self,
         cx: &mut ModuleCtx<'_>,
         link: DirectedLink,
-        _is_new: bool,
         sample: Option<LinkLatencySample>,
-    ) -> Command {
+    ) -> Option<LliObservation> {
         // No timestamp evidence (LLI disabled controller-side, or control
         // latency not yet measured): nothing to judge.
-        let Some(latency_ms) = sample.and_then(|s| s.link_latency_ms()) else {
-            return Command::Continue;
-        };
+        let latency_ms = sample.and_then(|s| s.link_latency_ms())?;
 
         let key = trunk_key(link);
         // No verified history for this trunk yet: judge against the
@@ -167,13 +162,6 @@ impl DefenseModule for Lli {
         // Milliseconds → nanoseconds for the shared latency bucket ladder.
         cx.telemetry
             .observe_ns("topoguard.lli.link_latency_ns", (latency_ms * 1e6) as u64);
-        self.observations.push(LliObservation {
-            at: cx.now,
-            latency_ms,
-            threshold_ms,
-            flagged,
-            link,
-        });
 
         if let IqrVerdict::Outlier { threshold } = verdict {
             cx.telemetry.counter_inc("topoguard.lli.detections");
@@ -184,8 +172,32 @@ impl DefenseModule for Lli {
                     latency_ms, threshold, link.src, link.dst
                 ),
             );
-            return Command::Block;
         }
-        Command::Continue
+        Some(LliObservation {
+            at: cx.now,
+            latency_ms,
+            threshold_ms,
+            flagged,
+            link,
+        })
+    }
+}
+
+impl DefenseModule for Lli {
+    fn name(&self) -> &'static str {
+        "topoguard+/lli"
+    }
+
+    fn on_link_update(
+        &mut self,
+        cx: &mut ModuleCtx<'_>,
+        link: DirectedLink,
+        _is_new: bool,
+        sample: Option<LinkLatencySample>,
+    ) -> Command {
+        match self.inspect(cx, link, sample) {
+            Some(judgement) if judgement.flagged => Command::Block,
+            _ => Command::Continue,
+        }
     }
 }

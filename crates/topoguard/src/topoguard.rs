@@ -52,7 +52,7 @@ pub struct TopoGuard {
     config: TopoGuardConfig,
     /// The behavioral profiler.
     pub profiler: PortProfiler,
-    /// Recent Port-Down observations: `(port, at)`.
+    /// Recent Port-Down events: `(port, at)`.
     recent_port_downs: Vec<(SwitchPort, SimTime)>,
     pending_checks: Vec<PendingReachabilityCheck>,
     probe_seq: u16,

@@ -9,7 +9,7 @@ use controller::{
 use openflow::{OfMessage, PortDesc, PortLinkState, PortStatusReason};
 use sdn_types::packet::{EthernetFrame, LldpPacket, Payload};
 use sdn_types::{DatapathId, Duration, IpAddr, MacAddr, PortNo, SimTime, SwitchPort};
-use topoguard::{Cmm, CmmConfig, Lli, LliConfig, TopoGuard, TopoGuardConfig};
+use topoguard::{Cmm, CmmConfig, Lli, LliConfig, LliObservation, TopoGuard, TopoGuardConfig};
 
 fn sp(d: u64, p: u16) -> SwitchPort {
     SwitchPort::new(DatapathId::new(d), PortNo::new(p))
@@ -316,7 +316,7 @@ fn lli_flags_and_blocks_anomalous_latency() {
         })
     };
 
-    // Baseline: 30 honest ~5 ms observations.
+    // Baseline: 30 honest ~5 ms samples.
     for i in 0..30 {
         let v = lli.on_link_update(
             &mut h.ctx(SimTime::from_secs(i)),
@@ -362,7 +362,7 @@ fn lli_keeps_per_trunk_baselines_for_heterogeneous_fabrics() {
         })
     };
 
-    // Interleaved honest observations from two distinct populations.
+    // Interleaved honest samples from two distinct populations.
     for i in 0..40_u64 {
         let v = lli.on_link_update(
             &mut h.ctx(SimTime::from_millis(100 * i)),
@@ -417,42 +417,49 @@ fn lli_without_evidence_stays_silent() {
     // No timestamp/control-latency evidence: nothing to judge.
     let v = lli.on_link_update(&mut h.ctx(SimTime::from_secs(1)), link, true, None);
     assert_eq!(v, Command::Continue);
+    let half_measured = Some(LinkLatencySample {
+        t_lldp: Duration::from_millis(7),
+        t_sw_src: None,
+        t_sw_dst: Some(Duration::from_millis(1)),
+    });
     let v = lli.on_link_update(
         &mut h.ctx(SimTime::from_secs(2)),
         link,
         false,
-        Some(LinkLatencySample {
-            t_lldp: Duration::from_millis(7),
-            t_sw_src: None,
-            t_sw_dst: Some(Duration::from_millis(1)),
-        }),
+        half_measured,
     );
     assert_eq!(v, Command::Continue);
+    assert_eq!(
+        lli.inspect(&mut h.ctx(SimTime::from_secs(3)), link, half_measured),
+        None
+    );
     assert!(h.alerts.is_empty());
-    assert!(lli.observations.is_empty());
+    assert_eq!(lli.trunks_tracked(), 0, "no evidence, no store");
 }
 
 #[test]
-fn lli_observation_log_records_thresholds() {
+fn lli_judgements_carry_their_thresholds() {
     let mut h = ModuleHarness::new();
     let mut lli = Lli::new(LliConfig::default());
     let link = DirectedLink::new(sp(1, 1), sp(2, 1));
-    for i in 0..11 {
-        lli.on_link_update(
-            &mut h.ctx(SimTime::from_secs(i)),
-            link,
-            i == 0,
-            Some(LinkLatencySample {
-                t_lldp: Duration::from_millis(7),
-                t_sw_src: Some(Duration::from_millis(1)),
-                t_sw_dst: Some(Duration::from_millis(1)),
-            }),
-        );
-    }
-    assert_eq!(lli.observations.len(), 11);
-    assert!(lli.observations[9].threshold_ms.is_none(), "warmup");
-    assert!(lli.observations[10].threshold_ms.is_some(), "steady state");
-    assert!(lli.observations.iter().all(|o| !o.flagged));
+    let judgements: Vec<LliObservation> = (0..11)
+        .map(|i| {
+            lli.inspect(
+                &mut h.ctx(SimTime::from_secs(i)),
+                link,
+                Some(LinkLatencySample {
+                    t_lldp: Duration::from_millis(7),
+                    t_sw_src: Some(Duration::from_millis(1)),
+                    t_sw_dst: Some(Duration::from_millis(1)),
+                }),
+            )
+            .expect("fully measured sample")
+        })
+        .collect();
+    assert!(judgements[9].threshold_ms.is_none(), "warmup");
+    assert!(judgements[10].threshold_ms.is_some(), "steady state");
+    assert!(judgements.iter().all(|j| !j.flagged && j.link == link));
+    assert_eq!(judgements[10].at, SimTime::from_secs(10));
 }
 
 #[test]
