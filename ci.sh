@@ -39,9 +39,9 @@ CARGO_TARGET_DIR=target cargo test -q --release --offline --locked \
 CARGO_TARGET_DIR=target cargo build -q --release --offline --locked \
     --manifest-path benches/topobench/Cargo.toml
 cat >"$tmp/tm_rep_expected.out" <<'PINS'
-load-probe c19bd9c082fe557f
-flow-churn f8ff9af47e64b7ee
-fabric-soak c0922088aebf7843
+load-probe 6860783a693945b8
+flow-churn d132ab420b76f544
+fabric-soak 9d6dcaddf1bf6f6a
 paper-matrix b2b8e7b50fda9650
 PINS
 : >"$tmp/tm_rep_actual.out"

@@ -365,15 +365,15 @@ fn replay(args: &Args) {
             eprintln!("warning: {file} has a damaged tail; incomplete cells will be rejected");
         }
     }
-    let (header, records) = runlog::merge(&logs).unwrap_or_else(|e| fail(CMD, e));
+    let log_count = logs.len();
+    let (header, records) = runlog::merge(logs).unwrap_or_else(|e| fail(CMD, e));
     let report =
         aggregate_stream(&header.meta, &header.grid(), records).unwrap_or_else(|e| fail(CMD, e));
 
     print_report(&report);
     eprintln!(
-        "replayed {} runs from {} log(s) without re-simulating",
+        "replayed {} runs from {log_count} log(s) without re-simulating",
         report.total_runs(),
-        logs.len()
     );
     write_json(CMD, json, campaign::summary_json(&report));
 }

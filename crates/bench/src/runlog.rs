@@ -313,12 +313,13 @@ pub fn resume(path: &Path, header: &RunLogHeader) -> Result<Resume, String> {
 /// with incomplete coverage is an error naming it. The returned header
 /// carries `Shard::full()` when the merge covers the whole grid (the
 /// merged stream *is* the unsharded campaign); a partial replay keeps
-/// the first log's shard label.
-pub fn merge(logs: &[RunLog]) -> Result<(RunLogHeader, Vec<RunRecord>), String> {
+/// the first log's shard label. The logs are consumed: their records move
+/// into the stream, so no record is held twice.
+pub fn merge(logs: Vec<RunLog>) -> Result<(RunLogHeader, Vec<RunRecord>), String> {
     let first = logs
         .first()
         .ok_or_else(|| "no run-logs to merge".to_string())?;
-    for log in &logs[1..] {
+    for log in logs.iter().skip(1) {
         if !first.header.same_campaign(&log.header) {
             let (a, b) = (&first.header.meta, &log.header.meta);
             return Err(format!(
@@ -327,7 +328,8 @@ pub fn merge(logs: &[RunLog]) -> Result<(RunLogHeader, Vec<RunRecord>), String> 
             ));
         }
     }
-    let seeds = first.header.meta.seeds;
+    let mut header = first.header.clone();
+    let seeds = header.meta.seeds;
     if seeds == 0 {
         return Err("run-log header has zero seeds per cell".to_string());
     }
@@ -335,12 +337,12 @@ pub fn merge(logs: &[RunLog]) -> Result<(RunLogHeader, Vec<RunRecord>), String> 
     // Runs per covered cell, counted as they are merged.
     let mut covered: BTreeMap<usize, usize> = BTreeMap::new();
     for log in logs {
-        for record in &log.records {
+        for record in log.records {
             let k = record.cell * seeds + record.seed_index;
-            if by_k.insert(k, record.clone()).is_some() {
+            if let Some(dup) = by_k.insert(k, record) {
                 return Err(format!(
                     "duplicate run for cell {} seed-index {} across the merged logs",
-                    record.cell, record.seed_index
+                    dup.cell, dup.seed_index
                 ));
             }
             *covered.entry(k / seeds).or_default() += 1;
@@ -354,15 +356,12 @@ pub fn merge(logs: &[RunLog]) -> Result<(RunLogHeader, Vec<RunRecord>), String> 
              (missing shard or truncated log?)"
         ));
     }
-    let mut header = first.header.clone();
     // A complete merge is the unsharded campaign; a partial replay (one
     // shard's log on its own) keeps that shard's label so the rendered
     // header cannot be mistaken for the merged result.
-    header.meta.shard = if covered.len() == header.grid().len() {
-        Shard::full()
-    } else {
-        first.header.meta.shard
-    };
+    if covered.len() == header.grid().len() {
+        header.meta.shard = Shard::full();
+    }
     Ok((header, by_k.into_values().collect()))
 }
 

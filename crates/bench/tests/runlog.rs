@@ -106,7 +106,7 @@ fn shard_logs_merge_into_the_unsharded_stream() {
         runlog::read(&p0).expect("shard 0"),
         runlog::read(&p1).expect("shard 1"),
     ];
-    let (header, records) = runlog::merge(&logs).expect("merge");
+    let (header, records) = runlog::merge(logs.clone()).expect("merge");
     assert!(
         header.meta.shard.is_full(),
         "complete merge is the unsharded campaign"
@@ -124,14 +124,14 @@ fn shard_logs_merge_into_the_unsharded_stream() {
         runlog::read(&p0).expect("shard 0"),
         runlog::read(&p0).expect("shard 0 again"),
     ];
-    assert!(runlog::merge(&dup).unwrap_err().contains("duplicate"));
+    assert!(runlog::merge(dup).unwrap_err().contains("duplicate"));
     // A lone shard log still merges (partial replay keeps its shard label)…
-    let (lone_header, _) = runlog::merge(&logs[..1]).expect("single log");
+    let (lone_header, _) = runlog::merge(logs[..1].to_vec()).expect("single log");
     assert_eq!(lone_header.meta.shard, Shard { index: 0, count: 2 });
     // …but a log with a run chopped out mid-cell reports the gap.
     let mut cut = runlog::read(&p0).expect("shard 0");
     cut.records.remove(1);
-    assert!(runlog::merge(&[cut]).unwrap_err().contains("of 4 runs"));
+    assert!(runlog::merge(vec![cut]).unwrap_err().contains("of 4 runs"));
     // With gaps in two cells, the lower cell is named, whatever the order
     // the records arrive in.
     let mut gappy = runlog::read(&whole_path).expect("whole log");
@@ -139,7 +139,7 @@ fn shard_logs_merge_into_the_unsharded_stream() {
     gappy.records.retain(|r| (r.cell, r.seed_index) != (1, 2));
     gappy.records.reverse();
     assert_eq!(
-        runlog::merge(&[gappy]).unwrap_err(),
+        runlog::merge(vec![gappy]).unwrap_err(),
         "cell 1 has 3 of 4 runs across the merged logs (missing shard or truncated log?)"
     );
     let _ = fs::remove_dir_all(&dir);
@@ -152,7 +152,7 @@ fn mismatched_logs_refuse_to_merge() {
     let mut other = runlog::read(&path).expect("read");
     other.header.meta.base_seed ^= 1;
     let same = runlog::read(&path).expect("read again");
-    assert!(runlog::merge(&[same, other])
+    assert!(runlog::merge(vec![same, other])
         .unwrap_err()
         .contains("disagree"));
     let _ = fs::remove_dir_all(&dir);

@@ -15,8 +15,43 @@ pub const SAMPLES_AVERAGED: usize = 3;
 /// Tracks per-switch control-channel round-trip times.
 #[derive(Clone, Debug, Default)]
 pub struct CtrlLatencyTracker {
-    rtts: BTreeMap<DatapathId, VecDeque<Duration>>,
-    outstanding: BTreeMap<u64, (DatapathId, SimTime)>,
+    rtts: BTreeMap<DatapathId, RttWindow>,
+    /// Echoes awaiting a reply as `(xid, switch, sent)`, ascending by xid.
+    /// xids come from one counter, so a send appends and the oldest reply
+    /// is due at the front.
+    outstanding: VecDeque<(u64, DatapathId, SimTime)>,
+}
+
+/// The latest [`SAMPLES_AVERAGED`] RTTs of one switch, as a ring. Only
+/// their sum is read, so the ring's order does not matter.
+#[derive(Clone, Copy, Debug, Default)]
+struct RttWindow {
+    samples: [Duration; SAMPLES_AVERAGED],
+    /// Slots filled so far, at most [`SAMPLES_AVERAGED`].
+    len: usize,
+    /// The slot the next RTT overwrites.
+    next: usize,
+}
+
+impl RttWindow {
+    fn push(&mut self, rtt: Duration) {
+        if let Some(slot) = self.samples.get_mut(self.next) {
+            *slot = rtt;
+        }
+        self.next = (self.next + 1) % SAMPLES_AVERAGED;
+        self.len = (self.len + 1).min(SAMPLES_AVERAGED);
+    }
+
+    /// The mean RTT, rounded to the nearest nanosecond; `None` when empty.
+    fn mean(&self) -> Option<Duration> {
+        // Unfilled slots hold zero, so summing every slot sums the filled.
+        let total: u64 = self.samples.iter().map(|d| d.as_nanos()).sum();
+        let len = self.len as u64;
+        total
+            .checked_add(len / 2)?
+            .checked_div(len)
+            .map(Duration::from_nanos)
+    }
 }
 
 impl CtrlLatencyTracker {
@@ -26,29 +61,43 @@ impl CtrlLatencyTracker {
     }
 
     /// Records that an echo with transaction id `xid` was sent to `dpid`.
+    /// Re-sending an outstanding xid replaces its entry.
     pub fn echo_sent(&mut self, xid: u64, dpid: DatapathId, at: SimTime) {
-        self.outstanding.insert(xid, (dpid, at));
+        let entry = (xid, dpid, at);
+        if self.outstanding.back().is_none_or(|&(last, ..)| last < xid) {
+            self.outstanding.push_back(entry);
+            return;
+        }
+        match self.outstanding.binary_search_by_key(&xid, |&(x, ..)| x) {
+            Ok(i) => {
+                if let Some(slot) = self.outstanding.get_mut(i) {
+                    *slot = entry;
+                }
+            }
+            Err(i) => self.outstanding.insert(i, entry),
+        }
     }
 
     /// Records an echo reply; returns the measured RTT if the xid was known.
     pub fn echo_received(&mut self, xid: u64, now: SimTime) -> Option<Duration> {
-        let (dpid, sent) = self.outstanding.remove(&xid)?;
+        let i = self
+            .outstanding
+            .binary_search_by_key(&xid, |&(x, ..)| x)
+            .ok()?;
+        let (_, dpid, sent) = self.outstanding.remove(i)?;
         let rtt = now.since(sent);
-        let window = self.rtts.entry(dpid).or_default();
-        if window.len() == SAMPLES_AVERAGED {
-            window.pop_front();
-        }
-        window.push_back(rtt);
+        self.rtts.entry(dpid).or_default().push(rtt);
         Some(rtt)
     }
 
     /// Forgets outstanding echoes sent before `now − horizon` and returns
     /// how many were dropped. Lost or reordered replies would otherwise pin
-    /// their entries forever, growing the map without bound over a long run.
+    /// their entries forever, growing the queue without bound over a long
+    /// run.
     pub fn prune_stale(&mut self, now: SimTime, horizon: Duration) -> usize {
         let cutoff = SimTime::from_nanos(now.as_nanos().saturating_sub(horizon.as_nanos()));
         let before = self.outstanding.len();
-        self.outstanding.retain(|_, (_, sent)| *sent >= cutoff);
+        self.outstanding.retain(|&(_, _, sent)| sent >= cutoff);
         before - self.outstanding.len()
     }
 
@@ -62,13 +111,7 @@ impl CtrlLatencyTracker {
     /// truncation would bias `T_SW` low, and therefore the LLI's
     /// `T_LLDP − T_SW1 − T_SW2` estimate high.
     pub fn avg_rtt(&self, dpid: DatapathId) -> Option<Duration> {
-        let window = self.rtts.get(&dpid)?;
-        if window.is_empty() {
-            return None;
-        }
-        let total: u64 = window.iter().map(|d| d.as_nanos()).sum();
-        let len = window.len() as u64;
-        Some(Duration::from_nanos((total + len / 2) / len))
+        self.rtts.get(&dpid)?.mean()
     }
 
     /// The estimated one-way control-link delay (`T_SW`): half the averaged
@@ -79,7 +122,8 @@ impl CtrlLatencyTracker {
 
     /// Number of switches with at least one completed measurement.
     pub fn measured_switches(&self) -> usize {
-        self.rtts.values().filter(|w| !w.is_empty()).count()
+        // A window is created by its first measurement.
+        self.rtts.len()
     }
 }
 

@@ -41,4 +41,7 @@ pub use devices::{Device, DeviceTable, HostMove};
 pub use latency::CtrlLatencyTracker;
 pub use module::{Command, DefenseModule, LinkLatencySample, LldpReceive, ModuleCtx, PacketInCtx};
 pub use profile::ControllerProfile;
+/// Metric handles a module resolves once from [`ModuleCtx::telemetry`] and
+/// then writes without a by-name lookup.
+pub use tm_telemetry::{CounterHandle, HistogramHandle};
 pub use topology::{DirectedLink, LinkState, Topology};

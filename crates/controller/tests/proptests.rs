@@ -2,12 +2,16 @@
 //! arbitrary observation sequences, topology expiry invariants,
 //! shortest-path sanity, and the topology's derived index against
 //! from-scratch computations.
+//!
+//! The echo tracker is checked against the map-based implementation it
+//! replaced.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use tm_prop::prelude::*;
 
-use controller::{DeviceTable, DirectedLink, Topology};
+use controller::latency::SAMPLES_AVERAGED;
+use controller::{CtrlLatencyTracker, DeviceTable, DirectedLink, Topology};
 use sdn_types::{DatapathId, Duration, MacAddr, PortNo, SimTime, SwitchPort};
 
 fn sp(d: u8, p: u8) -> SwitchPort {
@@ -91,6 +95,41 @@ fn bfs_spanning_tree(topo: &Topology) -> BTreeSet<SwitchPort> {
         }
     }
     tree
+}
+
+/// The echo tracker as it was before its xid-ordered queue and inline
+/// RTT rings: a map of outstanding xids and a deque of RTTs per switch.
+#[derive(Default)]
+struct EchoModel {
+    rtts: BTreeMap<DatapathId, VecDeque<Duration>>,
+    outstanding: BTreeMap<u64, (DatapathId, SimTime)>,
+}
+
+impl EchoModel {
+    fn echo_received(&mut self, xid: u64, now: SimTime) -> Option<Duration> {
+        let (dpid, sent) = self.outstanding.remove(&xid)?;
+        let rtt = now.since(sent);
+        let window = self.rtts.entry(dpid).or_default();
+        if window.len() == SAMPLES_AVERAGED {
+            window.pop_front();
+        }
+        window.push_back(rtt);
+        Some(rtt)
+    }
+
+    fn prune_stale(&mut self, now: SimTime, horizon: Duration) -> usize {
+        let cutoff = SimTime::from_nanos(now.as_nanos().saturating_sub(horizon.as_nanos()));
+        let before = self.outstanding.len();
+        self.outstanding.retain(|_, (_, sent)| *sent >= cutoff);
+        before - self.outstanding.len()
+    }
+
+    fn avg_rtt(&self, dpid: DatapathId) -> Option<Duration> {
+        let window = self.rtts.get(&dpid)?;
+        let total: u64 = window.iter().map(|d| d.as_nanos()).sum();
+        let len = window.len() as u64;
+        Some(Duration::from_nanos((total + len / 2) / len))
+    }
 }
 
 tm_prop! {
@@ -255,6 +294,67 @@ tm_prop! {
                         "step {i}: {from} -> {to}"
                     );
                 }
+            }
+        }
+    }
+
+    /// The tracker agrees with the map model on every return value and
+    /// every estimate, whatever order echoes go out and come back in:
+    /// fresh xids from a counter, re-sent and out-of-order xids, replies
+    /// to unknown, answered or pruned xids, and four switches interleaved.
+    #[test]
+    fn echo_tracker_matches_the_map_model(
+        ops in collection::vec((0u8..6, 0u8..24, 0u16..2_000), 0..300),
+    ) {
+        let mut tracker = CtrlLatencyTracker::new();
+        let mut model = EchoModel::default();
+        let mut next_xid = 1u64;
+        let mut now = SimTime::ZERO;
+        for (i, &(kind, a, b)) in ops.iter().enumerate() {
+            now += Duration::from_micros(u64::from(b));
+            let dpid = DatapathId::new(u64::from(a % 4) + 1);
+            match kind {
+                // The controller's path: the next xid from the counter.
+                0 | 1 => {
+                    tracker.echo_sent(next_xid, dpid, now);
+                    model.outstanding.insert(next_xid, (dpid, now));
+                    next_xid += 1;
+                }
+                // An xid at or below the counter: a re-send, or one that
+                // lands between outstanding xids.
+                2 => {
+                    let xid = u64::from(a);
+                    tracker.echo_sent(xid, dpid, now);
+                    model.outstanding.insert(xid, (dpid, now));
+                }
+                // A reply to one of the last few xids, known or not.
+                3 | 4 => {
+                    let xid = next_xid.saturating_sub(u64::from(a % 8) + 1);
+                    prop_assert_eq!(
+                        tracker.echo_received(xid, now),
+                        model.echo_received(xid, now),
+                        "step {i}: reply to xid {xid}"
+                    );
+                }
+                _ => {
+                    let horizon = Duration::from_micros(u64::from(b) * 4);
+                    prop_assert_eq!(
+                        tracker.prune_stale(now, horizon),
+                        model.prune_stale(now, horizon),
+                        "step {i}: prune"
+                    );
+                }
+            }
+            prop_assert_eq!(tracker.outstanding_count(), model.outstanding.len(), "step {i}");
+            prop_assert_eq!(tracker.measured_switches(), model.rtts.len(), "step {i}");
+            for d in 1..=4 {
+                let d = DatapathId::new(d);
+                prop_assert_eq!(tracker.avg_rtt(d), model.avg_rtt(d), "step {i}: {d}");
+                prop_assert_eq!(
+                    tracker.one_way(d),
+                    model.avg_rtt(d).map(|rtt| rtt.div(2)),
+                    "step {i}: {d}"
+                );
             }
         }
     }

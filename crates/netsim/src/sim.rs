@@ -253,9 +253,6 @@ impl Simulator {
                     msg: OfMessage::FeaturesReply { dpid: *dpid, ports },
                 })),
             );
-            let tick = sw.expiry_tick;
-            sim.core
-                .schedule(tick, Event::SwitchExpiryTick { dpid: *dpid });
         }
 
         // Controller start hook.
@@ -696,7 +693,8 @@ impl Simulator {
                     return;
                 };
                 // The restart wipes all installed state; in-flight traffic
-                // starts table-missing into PacketIns immediately.
+                // starts table-missing into PacketIns immediately. A pending
+                // expiry scan finds the table empty and does not re-arm.
                 sw.table = openflow::FlowTable::new();
                 self.core
                     .telemetry

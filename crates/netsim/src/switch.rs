@@ -15,6 +15,10 @@ use crate::link::LinkProfile;
 use crate::sim::NetState;
 use crate::trace::TraceEvent;
 
+/// The flow-expiry scan grid: a switch that holds rules rescans its table
+/// at every multiple of this period since time zero.
+pub(crate) const EXPIRY_TICK: Duration = Duration::from_secs(1);
+
 /// What is plugged into a switch port.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum Peer {
@@ -79,7 +83,10 @@ pub(crate) struct SwitchState {
     pub(crate) ctrl_latency: Duration,
     /// Fixed processing delay for echo replies (models switch CPU).
     pub(crate) echo_processing: Duration,
-    pub(crate) expiry_tick: Duration,
+    /// Whether an expiry scan is scheduled. One is pending exactly while
+    /// the table holds a rule: a FlowMod Add arms it, and a scan that
+    /// leaves the table empty does not re-arm.
+    pub(crate) expiry_armed: bool,
 }
 
 impl SwitchState {
@@ -90,7 +97,7 @@ impl SwitchState {
             ports: BTreeMap::new(),
             ctrl_latency,
             echo_processing: Duration::from_micros(50),
-            expiry_tick: Duration::from_secs(1),
+            expiry_armed: false,
         }
     }
 
@@ -315,17 +322,17 @@ pub(crate) fn emit_on_port(
     }
 }
 
-/// Resolves an output port list (which may contain FLOOD / ALL /
-/// CONTROLLER) into emissions.
+/// Resolves output ports (which may include FLOOD / ALL / CONTROLLER)
+/// into emissions, in order.
 pub(crate) fn emit_outputs(
     core: &mut SimCore,
     net: &mut NetState,
     dpid: DatapathId,
     in_port: PortNo,
-    outputs: &[PortNo],
+    outputs: impl IntoIterator<Item = PortNo>,
     frame: &EthernetFrame,
 ) {
-    for &out in outputs {
+    for out in outputs {
         match out {
             PortNo::FLOOD | PortNo::ALL => {
                 let ports: Vec<PortNo> = match net.switches.get(&dpid) {
@@ -423,7 +430,7 @@ pub(crate) fn handle_frame(
 
     match outcome {
         MatchOutcome::Forward { ports } => {
-            emit_outputs(core, net, dpid, in_port, &ports, &frame);
+            emit_outputs(core, net, dpid, in_port, ports, &frame);
         }
         MatchOutcome::Miss => {
             core.metrics.switch_table_miss.inc();
@@ -451,8 +458,8 @@ pub(crate) fn handle_ctrl(
             actions,
             frame,
         } => {
-            let outputs: Vec<PortNo> = actions.iter().map(|&Action::Output(p)| p).collect();
-            emit_outputs(core, net, dpid, in_port, &outputs, &frame);
+            let outputs = actions.iter().map(|&Action::Output(p)| p);
+            emit_outputs(core, net, dpid, in_port, outputs, &frame);
         }
         OfMessage::FlowMod {
             command,
@@ -481,7 +488,12 @@ pub(crate) fn handle_ctrl(
                             entry.with_hard_timeout(Duration::from_secs(hard_timeout_secs.into()));
                     }
                     sw.table.insert(entry, now);
+                    let arm = !sw.expiry_armed;
+                    sw.expiry_armed = true;
                     net.trace.push(TraceEvent::FlowInstalled { at: now, dpid });
+                    if arm {
+                        core.schedule_at(next_expiry_scan(now), Event::SwitchExpiryTick { dpid });
+                    }
                 }
                 FlowModCommand::Delete => {
                     let removed = sw.table.delete(&flow_match);
@@ -550,14 +562,26 @@ pub(crate) fn handle_ctrl(
     }
 }
 
-/// Periodic flow expiry scan.
+/// The first scan instant on the [`EXPIRY_TICK`] grid strictly after
+/// `now`: where a scan chain running since time zero would next fire.
+fn next_expiry_scan(now: SimTime) -> SimTime {
+    const TICK_NS: u64 = EXPIRY_TICK.as_nanos();
+    SimTime::from_nanos((now.as_nanos() / TICK_NS + 1) * TICK_NS)
+}
+
+/// Periodic flow expiry scan: evicts expired rules and re-arms only while
+/// the table still holds one, since a scan of an empty table changes
+/// nothing. A rule past its deadline never matches before its scan
+/// ([`FlowTable::process`] refuses it), so eviction only notifies.
 pub(crate) fn handle_expiry_tick(core: &mut SimCore, net: &mut NetState, dpid: DatapathId) {
     let now = core.now();
-    let (removed, tick) = {
+    let (removed, rearm) = {
         let Some(sw) = net.switches.get_mut(&dpid) else {
             return;
         };
-        (sw.table.expire(now), sw.expiry_tick)
+        let removed = sw.table.expire(now);
+        sw.expiry_armed = !sw.table.is_empty();
+        (removed, sw.expiry_armed)
     };
     for r in removed {
         send_to_controller(
@@ -573,7 +597,9 @@ pub(crate) fn handle_expiry_tick(core: &mut SimCore, net: &mut NetState, dpid: D
             },
         );
     }
-    core.schedule(tick, Event::SwitchExpiryTick { dpid });
+    if rearm {
+        core.schedule(EXPIRY_TICK, Event::SwitchExpiryTick { dpid });
+    }
 }
 
 /// When a `SimTime`-stamped pulse deadline fires: if the attached host's

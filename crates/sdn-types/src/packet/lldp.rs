@@ -157,7 +157,7 @@ impl LldpPacket {
     /// byte-exact relay of the whole packet remains valid.
     pub fn signed(mut self, key: Key) -> Self {
         let mac = Hmac::new(key);
-        self.auth_tag = Some(mac.tag(&self.signing_bytes()));
+        self.auth_tag = Some(self.with_signing_bytes(|data| mac.tag(data)));
         self
     }
 
@@ -165,21 +165,26 @@ impl LldpPacket {
     /// unsigned or the tag does not match.
     pub fn verify(&self, key: Key) -> bool {
         match self.auth_tag {
-            Some(tag) => Hmac::new(key).verify(&self.signing_bytes(), tag),
+            Some(tag) => self.with_signing_bytes(|data| Hmac::new(key).verify(data, tag)),
             None => false,
         }
     }
 
-    fn signing_bytes(&self) -> Vec<u8> {
-        let mut data = Vec::with_capacity(32);
-        data.extend_from_slice(&self.dpid.to_bytes());
-        data.extend_from_slice(&self.port.raw().to_be_bytes());
-        data.extend_from_slice(&self.ttl_secs.to_be_bytes());
-        if let Some(ts) = self.timestamp {
-            data.extend_from_slice(&ts.nonce.to_be_bytes());
-            data.extend_from_slice(&ts.sealed.to_be_bytes());
+    /// Runs `f` over the bytes the tag covers: DPID, port and TTL, then the
+    /// sealed timestamp if present. At most 28 bytes, built on the stack.
+    fn with_signing_bytes<T>(&self, f: impl FnOnce(&[u8]) -> T) -> T {
+        let mut data = [0u8; 28];
+        data[..8].copy_from_slice(&self.dpid.to_bytes());
+        data[8..10].copy_from_slice(&self.port.raw().to_be_bytes());
+        data[10..12].copy_from_slice(&self.ttl_secs.to_be_bytes());
+        match self.timestamp {
+            Some(ts) => {
+                data[12..20].copy_from_slice(&ts.nonce.to_be_bytes());
+                data[20..].copy_from_slice(&ts.sealed.to_be_bytes());
+                f(&data)
+            }
+            None => f(&data[..12]),
         }
-        data
     }
 
     /// The encoded length in bytes, without encoding. Each TLV is a 2-byte

@@ -8,9 +8,9 @@
 //! > in the SDN controller, the LLI inspects the computed latency value with
 //! > the threshold (Q3 + 3·IQR)."
 
-use std::collections::VecDeque;
+use std::cmp::Ordering;
 
-use crate::quantile::quantile_sorted;
+use crate::quantile::quantile_by_rank;
 
 /// The paper's fixed store size: the 100 most recent verified latencies.
 pub const STORE_CAPACITY: usize = 100;
@@ -37,9 +37,20 @@ pub enum IqrVerdict {
 }
 
 /// A sliding-window IQR outlier detector.
+///
+/// The store is a ring of samples plus a rank index: one byte per sample,
+/// listing ring slots in ascending [`f64::total_cmp`] order (NaN-total, so
+/// a NaN sample cannot panic or reorder the store), equal samples oldest
+/// first. The quartiles are then two rank reads, and a sample enters and
+/// leaves the index by binary search, with no sorted copy.
 #[derive(Clone, Debug)]
 pub struct IqrOutlierDetector {
-    window: VecDeque<f64>,
+    /// The ring: slot `next` holds the oldest sample once it is full.
+    samples: Vec<f64>,
+    /// Ring slots by ascending sample, equal samples oldest first.
+    ranks: Vec<u8>,
+    /// The ring slot the next admitted sample takes.
+    next: u8,
     capacity: usize,
     min_samples: usize,
     k: f64,
@@ -52,13 +63,17 @@ impl IqrOutlierDetector {
     /// The paper uses `k = 3` (a "far outlier" fence).
     ///
     /// # Panics
-    /// Panics if `capacity == 0`, `min_samples == 0`, or `k < 0`.
+    /// Panics if `capacity == 0`, `capacity > 256` (the rank index holds
+    /// one byte per slot), `min_samples == 0`, or `k < 0`.
     pub fn new(capacity: usize, min_samples: usize, k: f64) -> Self {
         assert!(capacity > 0, "capacity must be positive");
+        assert!(capacity <= 256, "capacity must be at most 256");
         assert!(min_samples > 0, "min_samples must be positive");
         assert!(k >= 0.0, "k must be non-negative");
         IqrOutlierDetector {
-            window: VecDeque::with_capacity(capacity),
+            samples: Vec::with_capacity(capacity),
+            ranks: Vec::with_capacity(capacity),
+            next: 0,
             capacity,
             min_samples: min_samples.min(capacity),
             k,
@@ -74,26 +89,31 @@ impl IqrOutlierDetector {
 
     /// Number of samples currently in the store.
     pub fn len(&self) -> usize {
-        self.window.len()
+        self.samples.len()
     }
 
     /// Returns `true` if no samples have been admitted yet.
     pub fn is_empty(&self) -> bool {
-        self.window.is_empty()
+        self.samples.is_empty()
     }
 
     /// The current `Q3 + k·IQR` threshold, or `None` during warmup.
     pub fn threshold(&self) -> Option<f64> {
-        if self.window.len() < self.min_samples {
+        if self.samples.len() < self.min_samples {
             return None;
         }
-        let mut sorted: Vec<f64> = self.window.iter().copied().collect();
-        // total_cmp: NaN-total and deterministic, unlike partial_cmp
-        // (a NaN sample must not be able to panic or reorder the store).
-        sorted.sort_by(f64::total_cmp);
-        let q1 = quantile_sorted(&sorted, 0.25)?;
-        let q3 = quantile_sorted(&sorted, 0.75)?;
+        let q1 = self.quantile(0.25)?;
+        let q3 = self.quantile(0.75)?;
         Some(q3 + self.k * (q3 - q1))
+    }
+
+    /// The `q`-quantile of the store, exactly as [`crate::quantile_sorted`]
+    /// computes it over a `total_cmp`-sorted copy.
+    fn quantile(&self, q: f64) -> Option<f64> {
+        quantile_by_rank(self.ranks.len(), q, |rank| {
+            let slot = *self.ranks.get(rank)?;
+            self.samples.get(usize::from(slot)).copied()
+        })
     }
 
     /// Inspects `sample`: judges it against the current threshold, then
@@ -112,11 +132,40 @@ impl IqrOutlierDetector {
         }
     }
 
+    /// The first rank whose sample is not `below` `value` in
+    /// [`f64::total_cmp`] order.
+    fn rank_of(&self, value: f64, below: impl Fn(Ordering) -> bool) -> usize {
+        self.ranks.partition_point(|&slot| {
+            self.samples
+                .get(usize::from(slot))
+                .is_some_and(|s| below(s.total_cmp(&value)))
+        })
+    }
+
     fn admit(&mut self, sample: f64) {
-        if self.window.len() == self.capacity {
-            self.window.pop_front();
+        let slot = self.next;
+        match self.samples.get(usize::from(slot)).copied() {
+            // Full: the slot holds the oldest sample, which ranks first
+            // among its equals.
+            Some(oldest) => {
+                let rank = self.rank_of(oldest, Ordering::is_lt);
+                if rank < self.ranks.len() {
+                    self.ranks.remove(rank);
+                }
+                if let Some(s) = self.samples.get_mut(usize::from(slot)) {
+                    *s = sample;
+                }
+            }
+            None => self.samples.push(sample),
         }
-        self.window.push_back(sample);
+        // The newest sample ranks after its equals.
+        let rank = self.rank_of(sample, Ordering::is_le);
+        self.ranks.insert(rank, slot);
+        self.next = if usize::from(slot) + 1 < self.capacity {
+            slot + 1
+        } else {
+            0
+        };
     }
 }
 
@@ -224,5 +273,11 @@ mod tests {
     #[should_panic(expected = "capacity")]
     fn zero_capacity_rejected() {
         let _ = IqrOutlierDetector::new(0, 1, 3.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 256")]
+    fn capacity_beyond_the_rank_byte_rejected() {
+        let _ = IqrOutlierDetector::new(257, 1, 3.0);
     }
 }

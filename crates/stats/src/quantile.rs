@@ -14,17 +14,25 @@
 /// # Panics
 /// Does not verify sortedness; results on unsorted input are meaningless.
 pub fn quantile_sorted(sorted: &[f64], q: f64) -> Option<f64> {
-    if sorted.is_empty() || !(0.0..=1.0).contains(&q) {
+    quantile_by_rank(sorted.len(), q, |rank| sorted.get(rank).copied())
+}
+
+/// [`quantile_sorted`] over `n` values read by rank: `at(r)` returns the
+/// `r`-th smallest. The same arithmetic, so the same bits, for stores that
+/// keep a rank index instead of a sorted copy.
+pub(crate) fn quantile_by_rank(n: usize, q: f64, at: impl Fn(usize) -> Option<f64>) -> Option<f64> {
+    if n == 0 || !(0.0..=1.0).contains(&q) {
         return None;
     }
-    if sorted.len() == 1 {
-        return Some(sorted[0]);
+    if n == 1 {
+        return at(0);
     }
-    let pos = q * (sorted.len() - 1) as f64;
+    let pos = q * (n - 1) as f64;
     let lower = pos.floor() as usize;
     let upper = pos.ceil() as usize;
     let frac = pos - lower as f64;
-    Some(sorted[lower] + frac * (sorted[upper] - sorted[lower]))
+    let (low, high) = (at(lower)?, at(upper)?);
+    Some(low + frac * (high - low))
 }
 
 /// Convenience: sorts a copy of `samples` and computes the `q`-quantile.

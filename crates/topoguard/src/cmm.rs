@@ -9,7 +9,7 @@
 
 use std::collections::BTreeMap;
 
-use controller::{AlertKind, Command, DefenseModule, LldpReceive, ModuleCtx};
+use controller::{AlertKind, Command, CounterHandle, DefenseModule, LldpReceive, ModuleCtx};
 use openflow::{PortDesc, PortStatusReason};
 use sdn_types::{DatapathId, Duration, PortNo, SimTime, SwitchPort};
 
@@ -45,6 +45,9 @@ pub struct Cmm {
     in_flight: BTreeMap<SwitchPort, SimTime>,
     /// Recent Port-Up/Down events: `(port, at, went_up)`.
     port_events: Vec<(SwitchPort, SimTime, bool)>,
+    /// `topoguard.cmm.probes_tracked`, resolved from the run's telemetry
+    /// on the first probe.
+    probes_tracked: Option<CounterHandle>,
 }
 
 impl Cmm {
@@ -54,6 +57,7 @@ impl Cmm {
             config,
             in_flight: BTreeMap::new(),
             port_events: Vec::new(),
+            probes_tracked: None,
         }
     }
 
@@ -82,7 +86,9 @@ impl DefenseModule for Cmm {
     }
 
     fn on_lldp_emit(&mut self, cx: &mut ModuleCtx<'_>, dpid: DatapathId, port: PortNo) {
-        cx.telemetry.counter_inc("topoguard.cmm.probes_tracked");
+        self.probes_tracked
+            .get_or_insert_with(|| cx.telemetry.counter_handle("topoguard.cmm.probes_tracked"))
+            .inc();
         self.in_flight.insert(SwitchPort::new(dpid, port), cx.now);
     }
 

@@ -31,8 +31,10 @@
 use std::collections::BTreeMap;
 
 use controller::DirectedLink;
-use controller::{AlertKind, Command, DefenseModule, LinkLatencySample, ModuleCtx};
-use sdn_types::SimTime;
+use controller::{
+    AlertKind, Command, CounterHandle, DefenseModule, HistogramHandle, LinkLatencySample, ModuleCtx,
+};
+use sdn_types::{Duration, SimTime};
 use tm_stats::iqr::{MIN_SAMPLES, STORE_CAPACITY};
 use tm_stats::{IqrOutlierDetector, IqrVerdict};
 
@@ -74,6 +76,9 @@ pub struct Lli {
     config: LliConfig,
     /// One verified-latency store per undirected trunk (see module docs).
     detectors: BTreeMap<DirectedLink, IqrOutlierDetector>,
+    /// `topoguard.lli.samples` and `topoguard.lli.link_latency_ns`,
+    /// resolved from the run's telemetry on the first judgement.
+    metrics: Option<(CounterHandle, HistogramHandle)>,
 }
 
 /// The canonical orientation of a trunk: both directions of the same
@@ -88,6 +93,7 @@ impl Lli {
         Lli {
             config,
             detectors: BTreeMap::new(),
+            metrics: None,
         }
     }
 
@@ -134,34 +140,37 @@ impl Lli {
         let latency_ms = sample.and_then(|s| s.link_latency_ms())?;
 
         let key = trunk_key(link);
-        // No verified history for this trunk yet: judge against the
-        // fabric reference fence (see module docs) before letting the
-        // sample seed the trunk's own store.
-        let newborn = self
-            .detectors
-            .get(&key)
-            .is_none_or(IqrOutlierDetector::is_empty);
-        let reference = if newborn {
-            self.reference_threshold_ms(key)
-        } else {
-            None
-        };
-        let detector = self.detectors.entry(key).or_insert_with(|| {
-            IqrOutlierDetector::new(STORE_CAPACITY, MIN_SAMPLES, self.config.iqr_k)
-        });
-        let verdict = match reference {
-            Some(fence) if latency_ms > fence => IqrVerdict::Outlier { threshold: fence },
-            _ => detector.inspect(latency_ms),
+        let verdict = match self.detectors.get_mut(&key) {
+            Some(detector) if !detector.is_empty() => detector.inspect(latency_ms),
+            // No verified history for this trunk yet: judge against the
+            // fabric reference fence (see module docs) before letting the
+            // sample seed the trunk's own store.
+            _ => {
+                let reference = self.reference_threshold_ms(key);
+                let detector = self.detectors.entry(key).or_insert_with(|| {
+                    IqrOutlierDetector::new(STORE_CAPACITY, MIN_SAMPLES, self.config.iqr_k)
+                });
+                match reference {
+                    Some(fence) if latency_ms > fence => IqrVerdict::Outlier { threshold: fence },
+                    _ => detector.inspect(latency_ms),
+                }
+            }
         };
         let (threshold_ms, flagged) = match verdict {
             IqrVerdict::Warmup => (None, false),
             IqrVerdict::Normal { threshold } => (Some(threshold), false),
             IqrVerdict::Outlier { threshold } => (Some(threshold), true),
         };
-        cx.telemetry.counter_inc("topoguard.lli.samples");
+        let (samples, latencies) = self.metrics.get_or_insert_with(|| {
+            (
+                cx.telemetry.counter_handle("topoguard.lli.samples"),
+                cx.telemetry
+                    .histogram_handle("topoguard.lli.link_latency_ns"),
+            )
+        });
+        samples.inc();
         // Milliseconds → nanoseconds for the shared latency bucket ladder.
-        cx.telemetry
-            .observe_ns("topoguard.lli.link_latency_ns", (latency_ms * 1e6) as u64);
+        latencies.observe(Duration::from_nanos((latency_ms * 1e6) as u64));
 
         if let IqrVerdict::Outlier { threshold } = verdict {
             cx.telemetry.counter_inc("topoguard.lli.detections");

@@ -263,3 +263,29 @@ fn fat_tree_scale_soak_boots_and_discovers() {
         "a benign fabric must not trip TopoGuard+"
     );
 }
+
+#[test]
+fn a_soak_without_traffic_scans_no_flow_table() {
+    use topomirage::scenarios::scale::{self, ScaleScenario};
+    use topomirage::topo::TopoKind;
+
+    // With no host traffic the controller installs no rule, so no switch
+    // has anything to expire and none may schedule an expiry scan.
+    let out = scale::run(&ScaleScenario {
+        run_for: Duration::from_secs(60),
+        ..ScaleScenario::new(
+            TopoKind::FatTree { k: 4 },
+            DefenseStack::TopoGuardPlus,
+            0xD5_2018,
+        )
+    });
+    assert_eq!(out.alerts_total, 0, "a benign soak raises no alert");
+    assert_eq!(out.links_discovered, 64, "every trunk, both directions");
+    assert_eq!(
+        out.metrics
+            .counter("netsim.event.switch_expiry_tick")
+            .unwrap_or(0),
+        0,
+        "an empty flow table schedules no expiry scan"
+    );
+}
