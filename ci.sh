@@ -62,6 +62,10 @@ while read -r workload _; do
 done <"$tmp/tm_rep_expected.out"
 diff "$tmp/tm_rep_expected.out" "$tmp/tm_rep_actual.out"
 cargo test -q --offline --workspace
+# The event queue's lanes against a one-heap reference, over many more
+# generated programs than the debug suite draws.
+TM_PROP_CASES=2000 cargo test -q --release --offline -p netsim --lib \
+    lanes_pop_exactly_what_one_heap_pops
 # The in-house benches (bench::harness, 25 samples each): built and run
 # here, their stderr BENCH_JSON records kept for BENCH_topomirage.json.
 cargo bench --offline -p bench 2>"$tmp/tm_bench.err"

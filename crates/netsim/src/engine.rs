@@ -1,6 +1,6 @@
 //! The discrete-event core: clock, deterministic event queue, RNG.
 
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use tm_rand::StdRng;
 use tm_telemetry::Telemetry;
@@ -85,10 +85,11 @@ pub(crate) struct IfaceUp {
 /// An event in the simulation.
 ///
 /// Variants whose payload exceeds a couple of machine words (frames,
-/// OpenFlow messages, identity tuples) carry it boxed: every pending event
-/// is moved repeatedly by heap sifts, so the inline size of this enum —
-/// not the payload size — is what the scheduler pays per comparison. See
-/// the `scheduled_entries_are_sift_cheap` test for the enforced bound.
+/// OpenFlow messages, identity tuples) carry it boxed: every event in the
+/// heap is moved repeatedly by sifts, and every event in a lane is copied
+/// in and out of a block, so the inline size of this enum — not the
+/// payload size — is what the scheduler pays per move. See the
+/// `scheduled_entries_are_sift_cheap` test for the enforced bound.
 #[derive(Debug)]
 pub(crate) enum Event {
     /// A dataplane frame arrives at a switch port.
@@ -192,6 +193,17 @@ struct Scheduled {
     event: Event,
 }
 
+impl Scheduled {
+    fn key(&self) -> u128 {
+        key(self.at, self.seq)
+    }
+}
+
+/// `(at, seq)` packed into one integer that orders the same way.
+fn key(at: SimTime, seq: u64) -> u128 {
+    u128::from(at.as_nanos()) << 64 | u128::from(seq)
+}
+
 impl PartialEq for Scheduled {
     fn eq(&self, other: &Self) -> bool {
         self.at == other.at && self.seq == other.seq
@@ -208,6 +220,119 @@ impl Ord for Scheduled {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         // BinaryHeap is a max-heap; reverse to pop the earliest (time, seq).
         (other.at, other.seq).cmp(&(self.at, self.seq))
+    }
+}
+
+/// The key of an empty lane. No event carries it: seqs stay below
+/// `u64::MAX`.
+const EMPTY: u128 = u128::MAX;
+
+/// How many FIFO lanes the queue keeps in front of its heap.
+const LANES: usize = 8;
+
+/// Events per lane block.
+const BLOCK: usize = 256;
+
+/// The delay of a lane no event has claimed yet.
+const UNKEYED: u64 = u64::MAX;
+
+/// FIFO lanes, each holding events scheduled with one delay.
+///
+/// An event scheduled `d` after the clock fires at `clock + d`, and the
+/// clock never goes back, so events that share `d` arrive in ascending
+/// `(at, seq)` order: a lane is a FIFO that needs no sifting. Each lane
+/// holds its events in blocks of at most [`BLOCK`], drawn from one pool
+/// that every lane shares and returned to it when drained, so a lane's
+/// memory follows its backlog.
+struct Lanes {
+    /// The delay, in ns, of every event each lane holds.
+    delays: [u64; LANES],
+    /// The key of each lane's front event, [`EMPTY`] for an empty lane: a
+    /// pop compares these without touching lane memory.
+    fronts: [u128; LANES],
+    /// Each lane's blocks, oldest first. An empty lane holds none.
+    queues: [VecDeque<VecDeque<Scheduled>>; LANES],
+    /// Drained blocks.
+    pool: Vec<VecDeque<Scheduled>>,
+}
+
+impl Lanes {
+    fn new() -> Self {
+        Lanes {
+            delays: [UNKEYED; LANES],
+            fronts: [EMPTY; LANES],
+            queues: std::array::from_fn(|_| VecDeque::new()),
+            pool: Vec::new(),
+        }
+    }
+
+    /// Appends `entry` to the lane keyed `delay`. If no lane is, and
+    /// `repeat` says the delay went to the heap last time too, an empty
+    /// lane is keyed `delay` first. Hands `entry` back if no lane takes it.
+    fn offer(&mut self, delay: u64, repeat: bool, entry: Scheduled) -> Option<Scheduled> {
+        let lane = match self.delays.iter().position(|&d| d == delay) {
+            Some(lane) => lane,
+            None if repeat => match self.fronts.iter().position(|&k| k == EMPTY) {
+                Some(lane) => lane,
+                None => return Some(entry),
+            },
+            None => return Some(entry),
+        };
+        let (Some(d), Some(front), Some(queue)) = (
+            self.delays.get_mut(lane),
+            self.fronts.get_mut(lane),
+            self.queues.get_mut(lane),
+        ) else {
+            return Some(entry);
+        };
+        debug_assert!(
+            queue
+                .back()
+                .and_then(VecDeque::back)
+                .is_none_or(|last| last.key() < entry.key()),
+            "lane for delay {delay} ns out of order"
+        );
+        *d = delay;
+        if *front == EMPTY {
+            *front = entry.key();
+        }
+        match queue.back_mut() {
+            Some(block) if block.len() < BLOCK => block.push_back(entry),
+            _ => {
+                let mut block = self
+                    .pool
+                    .pop()
+                    .unwrap_or_else(|| VecDeque::with_capacity(BLOCK));
+                block.push_back(entry);
+                queue.push_back(block);
+            }
+        }
+        None
+    }
+
+    /// The lane whose front event pops first, with that event's key
+    /// ([`EMPTY`] if every lane is empty).
+    fn first(&self) -> (usize, u128) {
+        self.fronts.iter().enumerate().fold(
+            (0, EMPTY),
+            |best, (lane, &k)| if k < best.1 { (lane, k) } else { best },
+        )
+    }
+
+    /// Pops `lane`'s front event, returning a drained block to the pool.
+    fn pop(&mut self, lane: usize) -> Option<Scheduled> {
+        let queue = self.queues.get_mut(lane)?;
+        let block = queue.front_mut()?;
+        let entry = block.pop_front()?;
+        let mut next = block.front().map(Scheduled::key);
+        if next.is_none() {
+            self.pool.extend(queue.pop_front());
+            next = queue.front().and_then(VecDeque::front).map(Scheduled::key);
+        }
+        if let Some(front) = self.fronts.get_mut(lane) {
+            *front = next.unwrap_or(EMPTY);
+        }
+        Some(entry)
     }
 }
 
@@ -247,11 +372,20 @@ impl PopInvariants {
 }
 
 /// Clock + queue + RNG. Shared mutably by every dispatch path.
+///
+/// The queue is the heap plus the lanes, and pops in strictly ascending
+/// `(time, seq)` order: the least of the heap's top and the lanes' fronts.
+/// A delay gets a lane once it goes to the heap twice in a row, so the
+/// heap orders only delays that do not repeat.
 pub(crate) struct SimCore {
     clock: SimTime,
     seq: u64,
-    /// Pending events; pops in strictly ascending `(time, seq)` order.
-    queue: BinaryHeap<Scheduled>,
+    heap: BinaryHeap<Scheduled>,
+    lanes: Lanes,
+    /// The delay, in ns, of the last event that went to the heap.
+    heap_delay: u64,
+    /// Events pending in the heap and the lanes together.
+    pending: usize,
     pub(crate) rng: StdRng,
     /// Shared metrics handle (disabled by default: every publish is a no-op).
     pub(crate) telemetry: Telemetry,
@@ -271,7 +405,10 @@ impl SimCore {
         SimCore {
             clock: SimTime::ZERO,
             seq: 0,
-            queue: BinaryHeap::new(),
+            heap: BinaryHeap::new(),
+            lanes: Lanes::new(),
+            heap_delay: UNKEYED,
+            pending: 0,
             rng: StdRng::seed_from_u64(seed),
             metrics: HotMetrics::resolve(&telemetry),
             telemetry,
@@ -302,20 +439,34 @@ impl SimCore {
         // the next integer); overflow would wrap ties back to the front.
         debug_assert!(seq < u64::MAX, "seq counter exhausted");
         self.seq += 1;
-        self.queue.push(Scheduled { at, seq, event });
+        let delay = at.as_nanos() - self.clock.as_nanos();
+        let entry = Scheduled { at, seq, event };
+        if let Some(entry) = self.lanes.offer(delay, delay == self.heap_delay, entry) {
+            self.heap_delay = delay;
+            self.heap.push(entry);
+        }
         self.events_scheduled += 1;
-        if self.queue.len() > self.queue_highwater {
-            self.queue_highwater = self.queue.len();
+        self.pending += 1;
+        if self.pending > self.queue_highwater {
+            self.queue_highwater = self.pending;
         }
     }
 
     /// Pops the next event if it fires at or before `horizon`, advancing the
     /// clock to the event time.
     pub(crate) fn pop_until(&mut self, horizon: SimTime) -> Option<Event> {
-        if self.queue.peek()?.at > horizon {
+        let (lane, lane_key) = self.lanes.first();
+        let heap_key = self.heap.peek().map_or(EMPTY, Scheduled::key);
+        let next = lane_key.min(heap_key);
+        if next == EMPTY || next > key(horizon, u64::MAX) {
             return None;
         }
-        let s = self.queue.pop()?;
+        let s = if lane_key < heap_key {
+            self.lanes.pop(lane)?
+        } else {
+            self.heap.pop()?
+        };
+        self.pending -= 1;
         #[cfg(debug_assertions)]
         self.invariants.check(s.at, s.seq, self.clock);
         self.clock = s.at;
@@ -350,7 +501,7 @@ impl SimCore {
     /// Number of pending events.
     #[cfg_attr(not(test), allow(dead_code))]
     pub(crate) fn pending(&self) -> usize {
-        self.queue.len()
+        self.pending
     }
 
     /// Pushes a raw `(at, seq)` entry, bypassing the monotonic clamp and
@@ -358,20 +509,23 @@ impl SimCore {
     /// Exists only so tests can prove the invariant checker catches it.
     #[cfg(test)]
     pub(crate) fn push_raw_for_test(&mut self, at: SimTime, seq: u64, event: Event) {
-        self.queue.push(Scheduled { at, seq, event });
+        self.heap.push(Scheduled { at, seq, event });
+        self.pending += 1;
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use tm_prop::prelude::*;
+
     use super::*;
 
     #[test]
     fn scheduled_entries_are_sift_cheap() {
-        // Every pending event is moved by heap sifts; boxing the fat
-        // payloads keeps each move to at most four machine words: `at` +
-        // `seq` + a 16-byte `Event` (tag plus one aligned word). A
-        // regression here means someone inlined a payload.
+        // Every pending event is moved by heap sifts or lane copies;
+        // boxing the fat payloads keeps each move to at most four machine
+        // words: `at` + `seq` + a 16-byte `Event` (tag plus one aligned
+        // word). A regression here means someone inlined a payload.
         assert!(
             std::mem::size_of::<Event>() <= 16,
             "Event grew to {} bytes — box the new payload",
@@ -493,5 +647,182 @@ mod tests {
         core.advance_to(SimTime::from_millis(20));
         core.advance_to(SimTime::from_millis(10));
         assert_eq!(core.now(), SimTime::from_millis(20));
+    }
+
+    fn lane_backlog(core: &SimCore) -> usize {
+        core.lanes.queues.iter().flatten().map(VecDeque::len).sum()
+    }
+
+    #[test]
+    fn a_delay_repeated_at_the_heap_takes_a_lane_until_none_is_empty() {
+        let mut core = core();
+        // Each delay's first event goes to the heap and its second takes
+        // an empty lane; the ninth delay finds none.
+        for ms in 1..=9 {
+            for _ in 0..2 {
+                core.schedule(Duration::from_millis(ms), Event::ControllerTimer { id: ms });
+            }
+        }
+        assert_eq!(lane_backlog(&core), 8);
+        assert_eq!(core.heap.len(), 10);
+        assert_eq!(core.pending(), 18);
+        let mut ids = Vec::new();
+        while let Some(Event::ControllerTimer { id }) = core.pop_until(SimTime::from_secs(1)) {
+            ids.push(id);
+        }
+        let expected: Vec<u64> = (1..=9).flat_map(|ms| [ms, ms]).collect();
+        assert_eq!(ids, expected);
+        assert_eq!(core.pending(), 0);
+        // Drained lanes hold no blocks: every block is back in the pool.
+        assert_eq!(lane_backlog(&core), 0);
+        assert!(core.lanes.queues.iter().all(VecDeque::is_empty));
+        assert_eq!(core.lanes.pool.len(), 8);
+    }
+
+    /// Delays a generated program repeats: more than [`LANES`] of them,
+    /// small enough that events of different lanes and the heap tie.
+    const REPEATED: [u64; 12] = [
+        0, 1, 2, 3, 5, 8, 50, 1_000, 1_050, 50_000, 1_000_000, 1_050_000,
+    ];
+
+    /// One step of a generated queue program.
+    #[derive(Clone, Debug)]
+    enum Op {
+        /// Schedules this many events, each `REPEATED[k]` after the clock.
+        Repeat(usize, u16),
+        /// Schedules one event this many ns after the clock.
+        OneOff(u64),
+        /// Schedules one event this many ns before the clock (clamped).
+        Past(u64),
+        /// Pops every event up to this many ns past the clock, then
+        /// advances the clock there, as `run_until` does.
+        RunFor(u64),
+        /// Pops at most one event up to this many ns past the clock.
+        PopOne(u64),
+        /// Advances the clock up to this many ns without popping, but not
+        /// past the next pending event.
+        Advance(u64),
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (0usize..REPEATED.len(), 1u16..300).prop_map(|(k, n)| Op::Repeat(k, n)),
+            (0u64..3_000_000).prop_map(Op::OneOff),
+            (0u64..5_000).prop_map(Op::Past),
+            (0u64..2_000_000).prop_map(Op::RunFor),
+            (0u64..100_000).prop_map(Op::PopOne),
+            (0u64..500_000).prop_map(Op::Advance),
+        ]
+    }
+
+    /// The queue the lanes replaced: one heap over `(at, seq)`.
+    #[derive(Default)]
+    struct Reference {
+        clock: SimTime,
+        seq: u64,
+        heap: BinaryHeap<std::cmp::Reverse<(SimTime, u64)>>,
+        highwater: usize,
+    }
+
+    impl Reference {
+        fn schedule_at(&mut self, at: SimTime) {
+            self.heap
+                .push(std::cmp::Reverse((at.max(self.clock), self.seq)));
+            self.seq += 1;
+            self.highwater = self.highwater.max(self.heap.len());
+        }
+
+        fn pop_until(&mut self, horizon: SimTime) -> Option<(SimTime, u64)> {
+            let std::cmp::Reverse((at, seq)) = *self.heap.peek()?;
+            if at > horizon {
+                return None;
+            }
+            self.heap.pop();
+            self.clock = at;
+            Some((at, seq))
+        }
+    }
+
+    /// Runs `program` on a core and on the reference, checking every pop,
+    /// the pending count and the high-water mark after every step, and
+    /// that the pool never holds more blocks than the lanes' backlogs
+    /// need: a lane's events span at most one block more than they fill,
+    /// so the pool holds at most `Σ ⌈peak backlog / BLOCK⌉ + LANES`.
+    fn check_against_reference(program: &[Op]) {
+        let mut core = core();
+        let mut reference = Reference::default();
+        let mut peaks = [0usize; LANES];
+        let pop = |core: &mut SimCore, reference: &mut Reference, horizon: SimTime| {
+            let expected = reference.pop_until(horizon);
+            let got = core.pop_until(horizon).map(|event| match event {
+                Event::ControllerTimer { id } => (core.now(), id),
+                other => panic!("unexpected event {other:?}"),
+            });
+            assert_eq!(got, expected, "pop up to {horizon:?}");
+            got.is_some()
+        };
+        for step in program {
+            let now = core.now();
+            let mut schedule = |core: &mut SimCore, at: SimTime| {
+                core.schedule_at(at, Event::ControllerTimer { id: reference.seq });
+                reference.schedule_at(at);
+            };
+            match *step {
+                Op::Repeat(k, n) => {
+                    for _ in 0..n {
+                        schedule(&mut core, now + Duration::from_nanos(REPEATED[k]));
+                    }
+                }
+                Op::OneOff(ns) => schedule(&mut core, now + Duration::from_nanos(ns)),
+                Op::Past(ns) => schedule(
+                    &mut core,
+                    SimTime::from_nanos(now.as_nanos().saturating_sub(ns)),
+                ),
+                Op::RunFor(ns) => {
+                    let horizon = now + Duration::from_nanos(ns);
+                    while pop(&mut core, &mut reference, horizon) {}
+                    core.advance_to(horizon);
+                    reference.clock = reference.clock.max(horizon);
+                }
+                Op::PopOne(ns) => {
+                    pop(&mut core, &mut reference, now + Duration::from_nanos(ns));
+                }
+                Op::Advance(ns) => {
+                    let next = reference.heap.peek().map(|r| r.0 .0);
+                    let horizon = next.map_or(now + Duration::from_nanos(ns), |next| {
+                        next.min(now + Duration::from_nanos(ns))
+                    });
+                    core.advance_to(horizon);
+                    reference.clock = reference.clock.max(horizon);
+                }
+            }
+            assert_eq!(core.now(), reference.clock);
+            assert_eq!(core.pending(), reference.heap.len());
+            assert_eq!(core.queue_highwater, reference.highwater);
+            for (peak, queue) in peaks.iter_mut().zip(&core.lanes.queues) {
+                *peak = (*peak).max(queue.iter().map(VecDeque::len).sum());
+            }
+            let blocks =
+                core.lanes.pool.len() + core.lanes.queues.iter().map(VecDeque::len).sum::<usize>();
+            let bound = peaks.iter().map(|p| p.div_ceil(BLOCK)).sum::<usize>() + LANES;
+            assert!(
+                blocks <= bound,
+                "{blocks} blocks for peak lane backlogs {peaks:?}"
+            );
+        }
+        while pop(&mut core, &mut reference, SimTime::from_nanos(u64::MAX)) {}
+        assert_eq!(core.pending(), 0);
+    }
+
+    tm_prop::tm_prop! {
+        /// The heap plus lanes pops exactly what one heap over `(at, seq)`
+        /// pops, whatever mix of repeated, one-off, zero and past delays
+        /// is scheduled and however the pops are sliced.
+        #[test]
+        fn lanes_pop_exactly_what_one_heap_pops(
+            program in tm_prop::collection::vec(op(), 1..60),
+        ) {
+            check_against_reference(&program);
+        }
     }
 }

@@ -12,7 +12,7 @@ use crate::engine::{CtrlDelivery, Event, SimCore};
 use crate::faults::{FaultPlan, FaultState, FaultWindowKind};
 use crate::host::{deliver_frame, HostApp, HostCtx, HostInfo, HostState};
 use crate::link::LinkProfile;
-use crate::switch::{self, Peer, SwitchState};
+use crate::switch::{self, Peer, SwitchState, SwitchTable};
 use crate::trace::{Trace, TraceEvent};
 use crate::traffic::{self, TrafficPlan, TrafficState};
 
@@ -28,7 +28,7 @@ pub(crate) struct OobChannel {
 
 /// All network state (switches, hosts, channels, trace).
 pub(crate) struct NetState {
-    pub(crate) switches: BTreeMap<DatapathId, SwitchState>,
+    pub(crate) switches: SwitchTable,
     pub(crate) hosts: BTreeMap<HostId, HostState>,
     pub(crate) oob_channels: Vec<OobChannel>,
     pub(crate) trace: Trace,
@@ -55,7 +55,7 @@ impl NetworkSpec {
     pub fn new() -> Self {
         NetworkSpec {
             net: NetState {
-                switches: BTreeMap::new(),
+                switches: SwitchTable::default(),
                 hosts: BTreeMap::new(),
                 oob_channels: Vec::new(),
                 trace: Trace::default(),
@@ -91,11 +91,11 @@ impl NetworkSpec {
         dpid: DatapathId,
         ctrl_latency: Duration,
     ) -> &mut Self {
-        let prev = self
+        let added = self
             .net
             .switches
-            .insert(dpid, SwitchState::new(dpid, ctrl_latency));
-        assert!(prev.is_none(), "duplicate switch {dpid}");
+            .insert(SwitchState::new(dpid, ctrl_latency));
+        assert!(added, "duplicate switch {dpid}");
         self
     }
 
@@ -234,23 +234,22 @@ impl Simulator {
         };
 
         // Switch handshake: each switch announces itself.
-        let dpids: Vec<DatapathId> = sim.net.switches.keys().copied().collect();
-        for dpid in &dpids {
-            let sw = &sim.net.switches[dpid];
+        for sw in sim.net.switches.values() {
+            let dpid = sw.dpid;
             let latency = sw.ctrl_latency;
             let ports = sw.port_descs();
             sim.core.schedule(
                 latency,
                 Event::CtrlToController(Box::new(CtrlDelivery {
-                    dpid: *dpid,
+                    dpid,
                     msg: OfMessage::Hello,
                 })),
             );
             sim.core.schedule(
                 latency,
                 Event::CtrlToController(Box::new(CtrlDelivery {
-                    dpid: *dpid,
-                    msg: OfMessage::FeaturesReply { dpid: *dpid, ports },
+                    dpid,
+                    msg: OfMessage::FeaturesReply { dpid, ports },
                 })),
             );
         }

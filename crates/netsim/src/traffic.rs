@@ -43,8 +43,6 @@
 //!
 //! [`Simulator::with_traffic_plan`]: crate::Simulator::with_traffic_plan
 
-use std::collections::BTreeMap;
-
 use tm_rand::{stream_seed, Rng, StdRng};
 
 use sdn_types::packet::{ArpPacket, EthernetFrame, Ipv4Packet, Payload, Transport, UdpDatagram};
@@ -125,8 +123,10 @@ pub(crate) struct TrafficState {
     total_hosts: u32,
     /// Which virtual hosts have announced themselves (gratuitous ARP).
     announced: Vec<bool>,
-    /// Warm (source-group, destination-group) flow aggregates → expiry.
-    flows: BTreeMap<(u32, u32), SimTime>,
+    /// When each (source-group, destination-group) flow aggregate goes
+    /// cold, row-major by source group; `SimTime::ZERO` for one that never
+    /// carried a flow.
+    flows: Vec<SimTime>,
 }
 
 impl TrafficState {
@@ -151,11 +151,11 @@ impl TrafficState {
         }
         TrafficState {
             plan,
-            groups,
             base,
             total_hosts: total,
             announced: vec![false; total as usize],
-            flows: BTreeMap::new(),
+            flows: vec![SimTime::ZERO; groups.len() * groups.len()],
+            groups,
         }
     }
 
@@ -292,10 +292,11 @@ pub(crate) fn on_arrival(core: &mut SimCore, net: &mut NetState, group: u32, epo
         // Boundary 2: a cold (source-edge, destination-edge) aggregate ⇒
         // the flow's first packet enters for real and table-misses into a
         // PacketIn; a warm aggregate rides the installed rules.
-        debug_assert!(dst_group < ts.plan.groups().len());
-        let key = (group, dst_group as u32);
-        let warm = ts.flows.get(&key).is_some_and(|&expires| now < expires);
-        ts.flows.insert(key, now + FLOW_IDLE);
+        let pair = group as usize * ts.groups.len() + dst_group;
+        let warm = ts
+            .flows
+            .get_mut(pair)
+            .is_some_and(|expires| now < std::mem::replace(expires, now + FLOW_IDLE));
         let first_packet = !warm;
         if first_packet {
             let udp = UdpDatagram::new(src_port_udp, 443, Vec::new());

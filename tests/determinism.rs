@@ -8,10 +8,15 @@
 //! stream misuse) fails loudly rather than silently skewing reproduced
 //! numbers.
 
+use topomirage::controller::{ControllerConfig, ControllerProfile};
+use topomirage::netsim::{LinkProfile, Simulator, TrafficWindow};
+use topomirage::scenarios::fabric::TRAFFIC_START;
 use topomirage::scenarios::hijack::{self, HijackScenario};
 use topomirage::scenarios::linkfab::{self, LinkFabScenario, RelayMode};
-use topomirage::scenarios::DefenseStack;
-use topomirage::types::Duration;
+use topomirage::scenarios::{DefenseStack, TrafficLoad};
+use topomirage::telemetry::Telemetry;
+use topomirage::topo::TopoKind;
+use topomirage::types::{Duration, SimTime};
 
 fn hijack_scenario(seed: u64) -> HijackScenario {
     HijackScenario {
@@ -189,4 +194,91 @@ fn topo_matrix_render_is_reproducible() {
     };
     let (a, b) = (run(), run());
     assert_eq!(matrix::render(&a), matrix::render(&b));
+}
+
+/// A fat-tree-4 TOPOGUARD+ soak under steady flow-level load, built as
+/// `tm_core::load` builds it. Its control messages share a few fixed
+/// delays, and its flow arrivals draw their gaps, so the event queue's
+/// lanes and its heap both carry events.
+fn loaded_soak(until: SimTime) -> Simulator {
+    let kind = TopoKind::FatTree { k: 4 };
+    let seed = 0xD5_2018;
+    let mut spec = kind.generate(seed, 0).build_network(
+        LinkProfile::fixed(Duration::from_micros(50)),
+        LinkProfile::fixed(Duration::from_millis(1)),
+    );
+    spec.set_controller(Box::new(DefenseStack::TopoGuardPlus.build_controller(
+        ControllerConfig {
+            profile: ControllerProfile::FLOODLIGHT,
+            tree_scoped_flood: true,
+            ..ControllerConfig::default()
+        },
+    )));
+    spec.set_telemetry(Telemetry::new());
+    let window = TrafficWindow::new(SimTime::ZERO + TRAFFIC_START, until);
+    let plan = TrafficLoad::steady(50, 2.0).plan_for(kind, window);
+    Simulator::with_traffic_plan(spec, seed, plan)
+}
+
+#[test]
+fn a_run_sliced_at_uneven_deadlines_replays_the_whole_run() {
+    let end = SimTime::from_secs(12);
+    let mut whole = loaded_soak(end);
+    whole.run_until(end);
+
+    let events = |sim: &Simulator| {
+        sim.metrics_snapshot()
+            .counter("netsim.engine.events_processed")
+            .unwrap_or(0)
+    };
+    // Deadlines that fall exactly on event times: the handshake arrives
+    // 1 ms after start, the traffic window opens at TRAFFIC_START, and
+    // flow-expiry scans run on the whole-second grid once rules exist.
+    // The slice ends 1 ns earlier first, so each deadline's events are
+    // the first ones run_until must still pop.
+    let on_events = [
+        SimTime::from_millis(1),
+        SimTime::ZERO + TRAFFIC_START,
+        SimTime::from_secs(3),
+        SimTime::from_secs(7),
+    ];
+    let between = [
+        SimTime::from_nanos(1_000_001),
+        SimTime::from_nanos(3_700_000),
+        SimTime::from_nanos(1_000_999_999),
+        SimTime::from_nanos(2_500_000_333),
+        SimTime::from_nanos(4_123_456_789),
+        SimTime::from_nanos(6_000_000_001),
+        SimTime::from_nanos(9_500_000_000),
+        SimTime::from_nanos(11_999_999_999),
+    ];
+    let mut sliced = loaded_soak(end);
+    let mut deadlines: Vec<(SimTime, bool)> = on_events
+        .iter()
+        .map(|&t| (t, true))
+        .chain(between.iter().map(|&t| (t, false)))
+        .collect();
+    deadlines.sort();
+    for (deadline, on_event) in deadlines {
+        if on_event {
+            sliced.run_until(SimTime::from_nanos(deadline.as_nanos() - 1));
+            let before = events(&sliced);
+            sliced.run_until(deadline);
+            assert!(
+                events(&sliced) > before,
+                "no event fires exactly at {deadline:?}"
+            );
+        } else {
+            sliced.run_until(deadline);
+        }
+        assert_eq!(sliced.now(), deadline);
+    }
+    sliced.run_until(end);
+
+    assert!(whole.trace().total() > 0);
+    assert_eq!(whole.trace(), sliced.trace());
+    assert_eq!(
+        whole.metrics_snapshot().render(),
+        sliced.metrics_snapshot().render()
+    );
 }
