@@ -66,6 +66,9 @@ cargo test -q --offline --workspace
 # generated programs than the debug suite draws.
 TM_PROP_CASES=2000 cargo test -q --release --offline -p netsim --lib \
     lanes_pop_exactly_what_one_heap_pops
+# The shared switch, port and host table against a BTreeMap model, over
+# as many generated operation sequences.
+TM_PROP_CASES=2000 cargo test -q --release --offline -p sdn-types --test table
 # The in-house benches (bench::harness, 25 samples each): built and run
 # here, their stderr BENCH_JSON records kept for BENCH_topomirage.json.
 cargo bench --offline -p bench 2>"$tmp/tm_bench.err"

@@ -2,13 +2,11 @@
 //! `netsim`, hosting the link-discovery, host-tracking, forwarding, and
 //! latency services plus the defense-module pipeline.
 
-use std::collections::BTreeMap;
-
 use netsim::{ControllerCtx, ControllerLogic, TimerId};
 use openflow::{Action, OfMessage, PortDesc, Xid};
 use sdn_types::crypto::Key;
 use sdn_types::packet::{EthernetFrame, Payload};
-use sdn_types::{DatapathId, Duration, IpAddr, MacAddr, PortNo, SwitchPort};
+use sdn_types::{DatapathId, Duration, IpAddr, MacAddr, PortNo, SwitchPort, Table};
 use tm_telemetry::{CounterHandle, HistogramHandle, Telemetry};
 
 use crate::alerts::AlertSink;
@@ -111,7 +109,9 @@ pub struct SdnController {
     latency: CtrlLatencyTracker,
     alerts: AlertSink,
     modules: Vec<Box<dyn DefenseModule>>,
-    switch_ports: BTreeMap<DatapathId, Vec<PortDesc>>,
+    /// Each connected switch's ports, by dpid: the LLDP emission order
+    /// and the echo order.
+    switch_ports: Table<DatapathId, Vec<PortDesc>>,
     next_xid: u64,
     /// The run's metrics handle; disabled until `on_start` clones the
     /// simulation-wide handle out of the context.
@@ -130,7 +130,7 @@ impl SdnController {
             latency: CtrlLatencyTracker::new(),
             alerts: AlertSink::new(),
             modules: Vec::new(),
-            switch_ports: BTreeMap::new(),
+            switch_ports: Table::new(),
             next_xid: 1,
             telemetry: Telemetry::disabled(),
             metrics: HotMetrics::default(),
@@ -224,7 +224,7 @@ impl SdnController {
                 ports
                     .iter()
                     .filter(|p| p.port_no.is_physical() && p.is_up())
-                    .map(|p| (*dpid, *p))
+                    .map(move |p| (dpid, *p))
             })
             .collect();
         for (dpid, port) in targets {
@@ -372,7 +372,7 @@ impl SdnController {
                         // Stale rules still point at the old attachment:
                         // flush flows touching the moved MAC everywhere, as
                         // Floodlight's Forwarding module does on deviceMoved.
-                        let dpids: Vec<DatapathId> = self.switch_ports.keys().copied().collect();
+                        let dpids: Vec<DatapathId> = self.switch_ports.keys().collect();
                         for target in dpids {
                             for pattern in [
                                 openflow::FlowMatch::new().with_eth_dst(frame.src),
@@ -524,7 +524,7 @@ impl ControllerLogic for SdnController {
                 ctx.set_timer(self.config.profile.link_discovery_interval, TIMER_DISCOVERY);
             }
             TIMER_ECHO => {
-                let dpids: Vec<DatapathId> = self.switch_ports.keys().copied().collect();
+                let dpids: Vec<DatapathId> = self.switch_ports.keys().collect();
                 let now = ctx.now();
                 // An echo whose reply is lost or reordered would otherwise
                 // stay in the outstanding map forever; drop anything older
@@ -553,7 +553,7 @@ impl ControllerLogic for SdnController {
                 ctx.set_timer(TICK_INTERVAL, TIMER_TICK);
             }
             TIMER_STATS => {
-                let dpids: Vec<DatapathId> = self.switch_ports.keys().copied().collect();
+                let dpids: Vec<DatapathId> = self.switch_ports.keys().collect();
                 for dpid in dpids {
                     let xid = self.fresh_xid();
                     ctx.send(dpid, OfMessage::FlowStatsRequest { xid });

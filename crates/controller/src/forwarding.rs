@@ -108,7 +108,7 @@ fn flood_actions(
         .filter(|p| p.port_no.is_physical() && p.is_up() && p.port_no != in_port)
         .filter(|p| {
             let sp = SwitchPort::new(dpid, p.port_no);
-            !topology.is_infrastructure_port(sp) || tree.contains(&sp)
+            !topology.is_infrastructure_port(sp) || tree.contains_key(&sp)
         })
         .map(|p| Action::Output(p.port_no))
         .collect()

@@ -5,9 +5,9 @@
 //! average of the latest three latency measurements of the control links in
 //! order to minimize variance."
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
-use sdn_types::{DatapathId, Duration, SimTime};
+use sdn_types::{DatapathId, Duration, SimTime, Table};
 
 /// How many recent RTTs the paper averages.
 pub const SAMPLES_AVERAGED: usize = 3;
@@ -15,7 +15,8 @@ pub const SAMPLES_AVERAGED: usize = 3;
 /// Tracks per-switch control-channel round-trip times.
 #[derive(Clone, Debug, Default)]
 pub struct CtrlLatencyTracker {
-    rtts: BTreeMap<DatapathId, RttWindow>,
+    /// Each measured switch's latest RTTs, by dpid.
+    rtts: Table<DatapathId, RttWindow>,
     /// Echoes awaiting a reply as `(xid, switch, sent)`, ascending by xid.
     /// xids come from one counter, so a send appends and the oldest reply
     /// is due at the front.
@@ -80,13 +81,20 @@ impl CtrlLatencyTracker {
 
     /// Records an echo reply; returns the measured RTT if the xid was known.
     pub fn echo_received(&mut self, xid: u64, now: SimTime) -> Option<Duration> {
-        let i = self
-            .outstanding
-            .binary_search_by_key(&xid, |&(x, ..)| x)
-            .ok()?;
+        // Replies come back in the order their echoes went out wherever
+        // every switch has the same control latency: the front first.
+        let i = match self.outstanding.front() {
+            Some(&(front, ..)) if front == xid => 0,
+            _ => self
+                .outstanding
+                .binary_search_by_key(&xid, |&(x, ..)| x)
+                .ok()?,
+        };
         let (_, dpid, sent) = self.outstanding.remove(i)?;
         let rtt = now.since(sent);
-        self.rtts.entry(dpid).or_default().push(rtt);
+        self.rtts
+            .get_or_insert_with(dpid, RttWindow::default)
+            .push(rtt);
         Some(rtt)
     }
 

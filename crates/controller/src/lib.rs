@@ -44,4 +44,4 @@ pub use profile::ControllerProfile;
 /// Metric handles a module resolves once from [`ModuleCtx::telemetry`] and
 /// then writes without a by-name lookup.
 pub use tm_telemetry::{CounterHandle, HistogramHandle};
-pub use topology::{DirectedLink, LinkState, Topology};
+pub use topology::{DirectedLink, LinkState, LinkTable, Topology};

@@ -13,7 +13,7 @@
 use std::cell::OnceCell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use sdn_types::{DatapathId, Duration, SimTime, SwitchPort};
+use sdn_types::{DatapathId, Duration, SimTime, SwitchPort, SwitchPortSet, SwitchPortTable, Table};
 
 /// A directed link from one switch port to another, as inferred from one
 /// LLDP traversal (probe emitted at `src`, received at `dst`).
@@ -52,34 +52,142 @@ pub struct LinkState {
     pub last_latency_ms: Option<f64>,
 }
 
+/// A map from directed links to values, iterated in link order: a row of
+/// links per source port, sorted by destination. A source port usually
+/// carries one link, and a row holds exactly the links it has; one carries
+/// several when, say, a relayed probe is heard at two receivers.
+#[derive(Clone, Debug)]
+pub struct LinkTable<V> {
+    rows: SwitchPortTable<Vec<(SwitchPort, V)>>,
+    /// The links over every row.
+    len: usize,
+}
+
+impl<V> LinkTable<V> {
+    /// Creates an empty table.
+    pub const fn new() -> Self {
+        LinkTable {
+            rows: SwitchPortTable::new(),
+            len: 0,
+        }
+    }
+
+    /// The number of links.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Returns `true` if the table holds no link.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The entries in link order: by source port, then destination.
+    pub fn iter(&self) -> impl Iterator<Item = (DirectedLink, &V)> + '_ {
+        self.rows.iter().flat_map(|(src, row)| {
+            row.iter()
+                .map(move |(dst, value)| (DirectedLink::new(src, *dst), value))
+        })
+    }
+
+    /// The links in link order.
+    pub fn keys(&self) -> impl Iterator<Item = DirectedLink> + '_ {
+        self.iter().map(|(link, _)| link)
+    }
+
+    /// The value of `link`.
+    pub fn get(&self, link: &DirectedLink) -> Option<&V> {
+        let row = self.rows.get(&link.src)?;
+        let at = row.binary_search_by_key(&link.dst, |(dst, _)| *dst).ok()?;
+        row.get(at).map(|(_, value)| value)
+    }
+
+    /// The value of `link`, mutable.
+    pub fn get_mut(&mut self, link: &DirectedLink) -> Option<&mut V> {
+        let row = self.rows.get_mut(&link.src)?;
+        let at = row.binary_search_by_key(&link.dst, |(dst, _)| *dst).ok()?;
+        row.get_mut(at).map(|(_, value)| value)
+    }
+
+    /// The value of `link`, set to `make()` first if it has none.
+    pub fn get_or_insert_with(&mut self, link: DirectedLink, make: impl FnOnce() -> V) -> &mut V {
+        let row = self.rows.get_or_insert_with(link.src, Vec::new);
+        let at = match row.binary_search_by_key(&link.dst, |(dst, _)| *dst) {
+            Ok(at) => at,
+            Err(at) => {
+                row.reserve_exact(1);
+                row.insert(at, (link.dst, make()));
+                self.len += 1;
+                at
+            }
+        };
+        debug_assert!(at < row.len(), "the row holds the link");
+        &mut row[at].1
+    }
+
+    /// Removes the value of `link` and returns it.
+    pub fn remove(&mut self, link: &DirectedLink) -> Option<V> {
+        let row = self.rows.get_mut(&link.src)?;
+        let at = row.binary_search_by_key(&link.dst, |(dst, _)| *dst).ok()?;
+        let (_, value) = row.remove(at);
+        if row.is_empty() {
+            self.rows.remove(&link.src);
+        }
+        self.len -= 1;
+        Some(value)
+    }
+
+    /// Keeps the entries `keep` approves, visiting them in link order.
+    /// Links come off the wire, and a forged probe can name any port, so
+    /// the ports left with no link give up their slots once they outnumber
+    /// those with one (see [`SwitchPortTable::compact`]).
+    pub fn retain(&mut self, mut keep: impl FnMut(DirectedLink, &mut V) -> bool) {
+        let mut len = 0;
+        self.rows.retain(|src, row| {
+            row.retain_mut(|(dst, value)| keep(DirectedLink::new(src, *dst), value));
+            len += row.len();
+            !row.is_empty()
+        });
+        self.rows.compact();
+        self.len = len;
+    }
+}
+
+impl<V> Default for LinkTable<V> {
+    fn default() -> Self {
+        LinkTable::new()
+    }
+}
+
 /// What the queries need from one link set, derived from it in one pass.
 #[derive(Clone, Debug)]
 struct Index {
     /// Every port that is an endpoint of some link.
-    endpoints: BTreeSet<SwitchPort>,
+    endpoints: SwitchPortSet,
     /// Outgoing links per switch, in link order.
-    out: BTreeMap<DatapathId, Vec<DirectedLink>>,
+    out: Table<DatapathId, Vec<DirectedLink>>,
     /// The ports on the BFS spanning tree (see [`Topology::spanning_tree`]).
-    tree: BTreeSet<SwitchPort>,
+    tree: SwitchPortSet,
 }
 
 impl Index {
-    fn build(links: &BTreeMap<DirectedLink, LinkState>) -> Self {
-        let mut endpoints = BTreeSet::new();
-        let mut out: BTreeMap<DatapathId, Vec<DirectedLink>> = BTreeMap::new();
+    fn build(links: &LinkTable<LinkState>) -> Self {
+        let endpoints = links
+            .keys()
+            .flat_map(|link| [(link.src, ()), (link.dst, ())])
+            .collect();
+        let mut out: Table<DatapathId, Vec<DirectedLink>> = Table::new();
         // Undirected adjacency: dpid -> links out of it (either direction).
         let mut undirected: BTreeMap<DatapathId, Vec<DirectedLink>> = BTreeMap::new();
         for link in links.keys() {
-            endpoints.insert(link.src);
-            endpoints.insert(link.dst);
-            out.entry(link.src.dpid).or_default().push(*link);
-            undirected.entry(link.src.dpid).or_default().push(*link);
+            out.get_or_insert_with(link.src.dpid, Vec::new).push(link);
+            undirected.entry(link.src.dpid).or_default().push(link);
             undirected
                 .entry(link.dst.dpid)
                 .or_default()
                 .push(link.reversed());
         }
-        let mut tree = BTreeSet::new();
+        let mut tree = Vec::new();
         let mut visited: BTreeSet<DatapathId> = BTreeSet::new();
         for &root in undirected.keys() {
             if !visited.insert(root) {
@@ -89,8 +197,8 @@ impl Index {
             while let Some(node) = queue.pop_front() {
                 for link in undirected.get(&node).into_iter().flatten() {
                     if visited.insert(link.dst.dpid) {
-                        tree.insert(link.src);
-                        tree.insert(link.dst);
+                        tree.push((link.src, ()));
+                        tree.push((link.dst, ()));
                         queue.push_back(link.dst.dpid);
                     }
                 }
@@ -99,7 +207,7 @@ impl Index {
         Index {
             endpoints,
             out,
-            tree,
+            tree: tree.into_iter().collect(),
         }
     }
 }
@@ -107,7 +215,7 @@ impl Index {
 /// The link table.
 #[derive(Clone, Debug, Default)]
 pub struct Topology {
-    links: BTreeMap<DirectedLink, LinkState>,
+    links: LinkTable<LinkState>,
     /// Derived from `links` on first use; reset whenever a link is added,
     /// removed or expired.
     index: OnceCell<Index>,
@@ -126,27 +234,20 @@ impl Topology {
     /// Records (or refreshes) a link observation. Returns `true` if the
     /// link is new.
     pub fn observe(&mut self, link: DirectedLink, now: SimTime, latency_ms: Option<f64>) -> bool {
-        match self.links.get_mut(&link) {
-            Some(state) => {
-                state.last_seen = now;
-                if latency_ms.is_some() {
-                    state.last_latency_ms = latency_ms;
-                }
-                false
+        if let Some(state) = self.links.get_mut(&link) {
+            state.last_seen = now;
+            if latency_ms.is_some() {
+                state.last_latency_ms = latency_ms;
             }
-            None => {
-                self.links.insert(
-                    link,
-                    LinkState {
-                        first_seen: now,
-                        last_seen: now,
-                        last_latency_ms: latency_ms,
-                    },
-                );
-                self.index.take();
-                true
-            }
+            return false;
         }
+        self.links.get_or_insert_with(link, || LinkState {
+            first_seen: now,
+            last_seen: now,
+            last_latency_ms: latency_ms,
+        });
+        self.index.take();
+        true
     }
 
     /// Removes a link explicitly. Returns `true` if it existed.
@@ -158,17 +259,17 @@ impl Topology {
         existed
     }
 
-    /// Expires links not re-verified within `timeout`, returning them.
+    /// Expires links not re-verified within `timeout`, returning them in
+    /// link order.
     pub fn expire(&mut self, now: SimTime, timeout: Duration) -> Vec<DirectedLink> {
-        let expired: Vec<DirectedLink> = self
-            .links
-            .iter()
-            .filter(|(_, s)| now.since(s.last_seen) >= timeout)
-            .map(|(l, _)| *l)
-            .collect();
-        for l in &expired {
-            self.links.remove(l);
-        }
+        let mut expired = Vec::new();
+        self.links.retain(|link, state| {
+            let fresh = now.since(state.last_seen) < timeout;
+            if !fresh {
+                expired.push(link);
+            }
+            fresh
+        });
         if !expired.is_empty() {
             self.index.take();
         }
@@ -192,18 +293,18 @@ impl Topology {
 
     /// Returns `true` if the link is currently known.
     pub fn contains(&self, link: &DirectedLink) -> bool {
-        self.links.contains_key(link)
+        self.links.get(link).is_some()
     }
 
-    /// Iterates all links.
-    pub fn links(&self) -> impl Iterator<Item = (&DirectedLink, &LinkState)> {
+    /// Iterates all links in link order.
+    pub fn links(&self) -> impl Iterator<Item = (DirectedLink, &LinkState)> + '_ {
         self.links.iter()
     }
 
     /// Returns `true` if `port` is an endpoint of any known link — an
     /// "infrastructure port" from which host learning is suppressed.
     pub fn is_infrastructure_port(&self, port: SwitchPort) -> bool {
-        self.index().endpoints.contains(&port)
+        self.index().endpoints.contains_key(&port)
     }
 
     /// Shortest path (by hop count, BFS) from switch `from` to switch `to`.
@@ -255,7 +356,7 @@ impl Topology {
     /// link — delivers a broadcast to every switch exactly once even when
     /// the physical fabric has cycles (fat-tree, ring), which is how real
     /// controllers avoid broadcast storms without STP on the switches.
-    pub fn spanning_tree(&self) -> &BTreeSet<SwitchPort> {
+    pub fn spanning_tree(&self) -> &SwitchPortSet {
         &self.index().tree
     }
 }
@@ -390,13 +491,13 @@ mod tests {
         // one ring segment (2 ports) is excluded.
         assert_eq!(tree.len(), 6, "{tree:?}");
         // Every switch is on the tree.
-        let dpids: BTreeSet<u64> = tree.iter().map(|p| p.dpid.raw()).collect();
+        let dpids: BTreeSet<u64> = tree.keys().map(|p| p.dpid.raw()).collect();
         assert_eq!(dpids, BTreeSet::from([1, 2, 3, 4]));
         // Deterministic: the same links observed in another order yield
         // the same tree.
         let mut again = Topology::new();
         for (l, _) in t.links().collect::<Vec<_>>().into_iter().rev() {
-            again.observe(*l, now, None);
+            again.observe(l, now, None);
         }
         assert_eq!(again.spanning_tree(), tree);
     }
@@ -406,8 +507,8 @@ mod tests {
         let t = line();
         let tree = t.spanning_tree();
         assert_eq!(
-            tree,
-            &BTreeSet::from([sp(1, 2), sp(2, 1), sp(2, 2), sp(3, 1)])
+            tree.keys().collect::<Vec<_>>(),
+            [sp(1, 2), sp(2, 1), sp(2, 2), sp(3, 1)]
         );
     }
 }

@@ -3,15 +3,15 @@
 //! shortest-path sanity, and the topology's derived index against
 //! from-scratch computations.
 //!
-//! The echo tracker is checked against the map-based implementation it
-//! replaced.
+//! The echo tracker and the topology's link table are checked against the
+//! map-based implementations they replaced.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use tm_prop::prelude::*;
 
 use controller::latency::SAMPLES_AVERAGED;
-use controller::{CtrlLatencyTracker, DeviceTable, DirectedLink, Topology};
+use controller::{CtrlLatencyTracker, DeviceTable, DirectedLink, LinkState, Topology};
 use sdn_types::{DatapathId, Duration, MacAddr, PortNo, SimTime, SwitchPort};
 
 fn sp(d: u8, p: u8) -> SwitchPort {
@@ -42,7 +42,7 @@ fn bfs_shortest_path(
     }
     let mut adj: BTreeMap<DatapathId, Vec<DirectedLink>> = BTreeMap::new();
     for (link, _) in topo.links() {
-        adj.entry(link.src.dpid).or_default().push(*link);
+        adj.entry(link.src.dpid).or_default().push(link);
     }
     let mut prev: BTreeMap<DatapathId, DirectedLink> = BTreeMap::new();
     let mut visited: BTreeSet<DatapathId> = BTreeSet::from([from]);
@@ -74,7 +74,7 @@ fn bfs_shortest_path(
 fn bfs_spanning_tree(topo: &Topology) -> BTreeSet<SwitchPort> {
     let mut adj: BTreeMap<DatapathId, Vec<DirectedLink>> = BTreeMap::new();
     for (link, _) in topo.links() {
-        adj.entry(link.src.dpid).or_default().push(*link);
+        adj.entry(link.src.dpid).or_default().push(link);
         adj.entry(link.dst.dpid).or_default().push(link.reversed());
     }
     let mut tree = BTreeSet::new();
@@ -198,7 +198,7 @@ tm_prop! {
         // Recompute expected from final last_seen values.
         let snapshot: Vec<(DirectedLink, SimTime)> = topo
             .links()
-            .map(|(l, s)| (*l, s.last_seen))
+            .map(|(l, s)| (l, s.last_seen))
             .collect();
         for (link, last_seen) in &snapshot {
             if SimTime::from_secs(now_s).since(*last_seen) < Duration::from_secs(timeout_s) {
@@ -260,7 +260,7 @@ tm_prop! {
         let mut topo = Topology::new();
         for (i, (op, (sd, spp), (dd, dp), arg)) in steps.iter().enumerate() {
             let now = SimTime::from_secs(i as u64);
-            let known: Vec<DirectedLink> = topo.links().map(|(l, _)| *l).collect();
+            let known: Vec<DirectedLink> = topo.links().map(|(l, _)| l).collect();
             let pick = known.get((usize::from(*sd) * 8 + usize::from(*spp)) % known.len().max(1));
             match (op, pick) {
                 (0, _) => {
@@ -284,7 +284,11 @@ tm_prop! {
                     "step {i}: port {port}"
                 );
             }
-            prop_assert_eq!(topo.spanning_tree(), &bfs_spanning_tree(&topo), "step {i}");
+            prop_assert_eq!(
+                topo.spanning_tree().keys().collect::<BTreeSet<_>>(),
+                bfs_spanning_tree(&topo),
+                "step {i}"
+            );
             for from in 1..=4 {
                 for to in 1..=4 {
                     let (from, to) = (DatapathId::new(from), DatapathId::new(to));
@@ -295,6 +299,68 @@ tm_prop! {
                     );
                 }
             }
+        }
+    }
+
+    /// The link table agrees with a `BTreeMap<DirectedLink, LinkState>`
+    /// model after every step of any sequence of new links, refreshes with
+    /// and without a latency, removals and expiries: the same links in the
+    /// same order, expiries returned in link order, and the same lookups.
+    /// Sources come from 12 ports and destinations from 32, so most
+    /// source ports carry several links.
+    #[test]
+    fn topology_links_match_the_btreemap_model(
+        steps in collection::vec((0u8..6, (0u8..4, 0u8..3), (0u8..4, 0u8..8), 0u64..8), 1..80)
+    ) {
+        let mut topo = Topology::new();
+        let mut model: BTreeMap<DirectedLink, LinkState> = BTreeMap::new();
+        for (i, &(op, (sd, spp), (dd, dp), arg)) in steps.iter().enumerate() {
+            let now = SimTime::from_secs(i as u64);
+            let link = DirectedLink::new(sp(sd, spp), sp(dd, dp));
+            match op {
+                0..=2 => {
+                    let latency_ms = (arg % 2 == 1).then_some(arg as f64);
+                    let is_new = match model.get_mut(&link) {
+                        Some(state) => {
+                            state.last_seen = now;
+                            if latency_ms.is_some() {
+                                state.last_latency_ms = latency_ms;
+                            }
+                            false
+                        }
+                        None => {
+                            let state = LinkState {
+                                first_seen: now,
+                                last_seen: now,
+                                last_latency_ms: latency_ms,
+                            };
+                            model.insert(link, state);
+                            true
+                        }
+                    };
+                    prop_assert_eq!(topo.observe(link, now, latency_ms), is_new, "step {i}");
+                }
+                3 => prop_assert_eq!(topo.remove(&link), model.remove(&link).is_some(), "step {i}"),
+                4 => {
+                    let timeout = Duration::from_secs(arg);
+                    let expired: Vec<DirectedLink> = model
+                        .iter()
+                        .filter(|(_, s)| now.since(s.last_seen) >= timeout)
+                        .map(|(l, _)| *l)
+                        .collect();
+                    model.retain(|_, s| now.since(s.last_seen) < timeout);
+                    prop_assert_eq!(topo.expire(now, timeout), expired, "step {i}");
+                }
+                _ => {
+                    prop_assert_eq!(topo.get(&link), model.get(&link), "step {i}");
+                    prop_assert_eq!(topo.contains(&link), model.contains_key(&link), "step {i}");
+                }
+            }
+            prop_assert_eq!(topo.len(), model.len(), "step {i}");
+            prop_assert_eq!(topo.is_empty(), model.is_empty(), "step {i}");
+            let links: Vec<(DirectedLink, LinkState)> = topo.links().map(|(l, s)| (l, *s)).collect();
+            let expected: Vec<(DirectedLink, LinkState)> = model.iter().map(|(l, s)| (*l, *s)).collect();
+            prop_assert_eq!(links, expected, "step {i}");
         }
     }
 

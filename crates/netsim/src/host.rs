@@ -164,11 +164,21 @@ impl HostCtx<'_> {
 
     /// Snapshot of this host's state.
     pub fn info(&self) -> HostInfo {
+        let host = self.net.hosts.get(&self.host);
         debug_assert!(
-            self.net.hosts.contains_key(&self.host),
+            host.is_some(),
             "HostCtx is only built for hosts already in the map"
         );
-        self.net.hosts[&self.host].info()
+        host.map_or(
+            HostInfo {
+                id: self.host,
+                mac: MacAddr::new([0; 6]),
+                ip: IpAddr::UNSPECIFIED,
+                attachment: None,
+                iface_up: false,
+            },
+            HostState::info,
+        )
     }
 
     fn state(&mut self) -> &mut HostState {
@@ -407,14 +417,12 @@ pub(crate) fn deliver_frame(
 /// TCP (SYN → SYN-ACK or RST; stray SYN-ACK → RST, which is the idle-scan
 /// side effect).
 fn default_stack(core: &mut SimCore, net: &mut NetState, host: HostId, frame: &EthernetFrame) {
-    debug_assert!(
-        net.hosts.contains_key(&host),
-        "deliver_frame resolved this host"
-    );
-    let (my_mac, my_ip, respond_arp, respond_icmp, respond_tcp) = {
-        let h = &net.hosts[&host];
-        (h.mac, h.ip, h.respond_arp, h.respond_icmp, h.respond_tcp)
+    // deliver_frame resolved this host.
+    let Some(h) = net.hosts.get(&host) else {
+        return;
     };
+    let (my_mac, my_ip, respond_arp, respond_icmp, respond_tcp) =
+        (h.mac, h.ip, h.respond_arp, h.respond_icmp, h.respond_tcp);
 
     let for_me = frame.dst == my_mac || frame.dst.is_broadcast() || frame.dst.is_multicast();
     if !for_me {
@@ -439,7 +447,10 @@ fn default_stack(core: &mut SimCore, net: &mut NetState, host: HostId, frame: &E
                 if !respond_tcp {
                     return;
                 }
-                let listening = net.hosts[&host].tcp_listeners.contains(&tcp.dst_port);
+                let listening = net
+                    .hosts
+                    .get(&host)
+                    .is_some_and(|h| h.tcp_listeners.contains(&tcp.dst_port));
                 let reply_seg = if tcp.is_syn() {
                     if listening {
                         let isn = core.rng.gen::<u32>();

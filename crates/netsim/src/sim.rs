@@ -1,10 +1,8 @@
 //! The top-level simulator: network construction and the event loop.
 
-use std::collections::BTreeMap;
-
 use openflow::OfMessage;
 use sdn_types::packet::EthernetFrame;
-use sdn_types::{DatapathId, Duration, HostId, IpAddr, MacAddr, PortNo, SimTime};
+use sdn_types::{DatapathId, Duration, HostId, IpAddr, MacAddr, PortNo, SimTime, Table};
 use tm_telemetry::{MetricsSnapshot, Telemetry};
 
 use crate::controller_api::{ControllerCtx, ControllerLogic, NullController};
@@ -12,7 +10,7 @@ use crate::engine::{CtrlDelivery, Event, SimCore};
 use crate::faults::{FaultPlan, FaultState, FaultWindowKind};
 use crate::host::{deliver_frame, HostApp, HostCtx, HostInfo, HostState};
 use crate::link::LinkProfile;
-use crate::switch::{self, Peer, SwitchState, SwitchTable};
+use crate::switch::{self, Peer, SwitchState};
 use crate::trace::{Trace, TraceEvent};
 use crate::traffic::{self, TrafficPlan, TrafficState};
 
@@ -28,8 +26,10 @@ pub(crate) struct OobChannel {
 
 /// All network state (switches, hosts, channels, trace).
 pub(crate) struct NetState {
-    pub(crate) switches: SwitchTable,
-    pub(crate) hosts: BTreeMap<HostId, HostState>,
+    /// The switches in dpid order, found by dpid in one step.
+    pub(crate) switches: Table<DatapathId, SwitchState>,
+    /// The hosts in id order, found by id in one step.
+    pub(crate) hosts: Table<HostId, HostState>,
     pub(crate) oob_channels: Vec<OobChannel>,
     pub(crate) trace: Trace,
     /// Runtime state of the installed fault plan (empty by default:
@@ -55,8 +55,8 @@ impl NetworkSpec {
     pub fn new() -> Self {
         NetworkSpec {
             net: NetState {
-                switches: SwitchTable::default(),
-                hosts: BTreeMap::new(),
+                switches: Table::new(),
+                hosts: Table::new(),
                 oob_channels: Vec::new(),
                 trace: Trace::default(),
                 faults: FaultState::default(),
@@ -91,11 +91,13 @@ impl NetworkSpec {
         dpid: DatapathId,
         ctrl_latency: Duration,
     ) -> &mut Self {
-        let added = self
-            .net
+        assert!(
+            !self.net.switches.contains_key(&dpid),
+            "duplicate switch {dpid}"
+        );
+        self.net
             .switches
-            .insert(SwitchState::new(dpid, ctrl_latency));
-        assert!(added, "duplicate switch {dpid}");
+            .insert(dpid, SwitchState::new(dpid, ctrl_latency));
         self
     }
 
@@ -258,7 +260,7 @@ impl Simulator {
         sim.with_controller(|logic, ctx| logic.on_start(ctx));
 
         // Host app start hooks.
-        let hosts: Vec<HostId> = sim.net.hosts.keys().copied().collect();
+        let hosts: Vec<HostId> = sim.net.hosts.keys().collect();
         for host in hosts {
             sim.with_host_app(host, |app, ctx| app.on_start(ctx));
         }

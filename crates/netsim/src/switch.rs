@@ -6,7 +6,7 @@ use openflow::{
     PortStatsEntry, PortStatusReason,
 };
 use sdn_types::packet::EthernetFrame;
-use sdn_types::{DatapathId, Duration, HostId, MacAddr, PortNo, SimTime};
+use sdn_types::{DatapathId, Duration, HostId, MacAddr, PortNo, SimTime, Table};
 
 use crate::engine::{CtrlDelivery, Event, HostDelivery, SimCore, SwitchDelivery};
 use crate::link::LinkProfile;
@@ -73,130 +73,12 @@ impl PortState {
     }
 }
 
-/// A switch's ports in port-number order, found by number in one step.
-#[derive(Default)]
-pub(crate) struct PortTable {
-    /// Every port, ascending by number.
-    slots: Vec<(PortNo, PortState)>,
-    /// The slot of each port number plus one, 0 for a number with no port.
-    /// It runs to the highest attached number: at most 64 Ki entries of
-    /// two bytes.
-    index: Vec<u16>,
-}
-
-impl PortTable {
-    fn slot(&self, no: PortNo) -> Option<usize> {
-        let mark = *self.index.get(usize::from(no.raw()))?;
-        usize::from(mark).checked_sub(1)
-    }
-
-    pub(crate) fn get(&self, no: &PortNo) -> Option<&PortState> {
-        let slot = self.slot(*no)?;
-        self.slots.get(slot).map(|(_, p)| p)
-    }
-
-    pub(crate) fn get_mut(&mut self, no: &PortNo) -> Option<&mut PortState> {
-        let slot = self.slot(*no)?;
-        self.slots.get_mut(slot).map(|(_, p)| p)
-    }
-
-    pub(crate) fn contains_key(&self, no: &PortNo) -> bool {
-        self.slot(*no).is_some()
-    }
-
-    /// The ports in ascending number order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (&PortNo, &PortState)> {
-        self.slots.iter().map(|(no, p)| (no, p))
-    }
-
-    /// Adds port `no`, which the switch must not have yet. A port numbered
-    /// above every other is appended and indexed alone, so a switch
-    /// attached in port order builds in linear time; any other port shifts
-    /// the ports above it and re-indexes only those.
-    fn insert(&mut self, no: PortNo, state: PortState) {
-        debug_assert!(!self.contains_key(&no), "port {no} attached twice");
-        assert!(
-            self.slots.len() < usize::from(u16::MAX),
-            "a switch holds at most 65,535 ports"
-        );
-        let at = self.slots.partition_point(|(n, _)| *n < no);
-        self.slots.insert(at, (no, state));
-        let len = usize::from(no.raw()) + 1;
-        if self.index.len() < len {
-            // One allocation indexes every port number below 64: every
-            // generated switch but core-edge's core switches.
-            if self.index.capacity() == 0 {
-                self.index.reserve(len.max(64));
-            }
-            self.index.resize(len, 0);
-        }
-        for (slot, (n, _)) in self.slots.iter().enumerate().skip(at) {
-            if let (Some(mark), Ok(next)) = (
-                self.index.get_mut(usize::from(n.raw())),
-                u16::try_from(slot + 1),
-            ) {
-                *mark = next;
-            }
-        }
-    }
-}
-
-/// Every switch in ascending dpid order.
-#[derive(Default)]
-pub(crate) struct SwitchTable {
-    slots: Vec<SwitchState>,
-}
-
-impl SwitchTable {
-    /// Tries the slot `dpid` holds when dpids run on from the first without
-    /// gaps, as every generated fabric and testbed numbers them, then
-    /// falls back to a binary search.
-    fn slot(&self, dpid: DatapathId) -> Option<usize> {
-        let first = self.slots.first()?.dpid;
-        let guess = dpid
-            .raw()
-            .checked_sub(first.raw())
-            .and_then(|offset| usize::try_from(offset).ok());
-        if let Some(slot) = guess {
-            if self.slots.get(slot).is_some_and(|sw| sw.dpid == dpid) {
-                return Some(slot);
-            }
-        }
-        self.slots.binary_search_by_key(&dpid, |sw| sw.dpid).ok()
-    }
-
-    pub(crate) fn get(&self, dpid: &DatapathId) -> Option<&SwitchState> {
-        let slot = self.slot(*dpid)?;
-        self.slots.get(slot)
-    }
-
-    pub(crate) fn get_mut(&mut self, dpid: &DatapathId) -> Option<&mut SwitchState> {
-        let slot = self.slot(*dpid)?;
-        self.slots.get_mut(slot)
-    }
-
-    /// The switches in ascending dpid order.
-    pub(crate) fn values(&self) -> impl Iterator<Item = &SwitchState> {
-        self.slots.iter()
-    }
-
-    /// Adds `sw`; returns `false`, changing nothing, if its dpid is taken.
-    pub(crate) fn insert(&mut self, sw: SwitchState) -> bool {
-        match self.slots.binary_search_by_key(&sw.dpid, |s| s.dpid) {
-            Ok(_) => false,
-            Err(at) => {
-                self.slots.insert(at, sw);
-                true
-            }
-        }
-    }
-}
-
 /// A simulated switch.
 pub(crate) struct SwitchState {
     pub(crate) dpid: DatapathId,
     pub(crate) table: FlowTable,
-    pub(crate) ports: PortTable,
+    /// The ports in number order, found by number in one step.
+    pub(crate) ports: Table<PortNo, PortState>,
     pub(crate) ctrl_latency: Duration,
     /// Fixed processing delay for echo replies (models switch CPU).
     pub(crate) echo_processing: Duration,
@@ -211,7 +93,7 @@ impl SwitchState {
         SwitchState {
             dpid,
             table: FlowTable::new(),
-            ports: PortTable::default(),
+            ports: Table::new(),
             ctrl_latency,
             echo_processing: Duration::from_micros(50),
             expiry_armed: false,
@@ -242,14 +124,14 @@ impl SwitchState {
     }
 
     pub(crate) fn port_descs(&self) -> Vec<PortDesc> {
-        self.ports.iter().map(|(no, p)| p.desc(*no)).collect()
+        self.ports.iter().map(|(no, p)| p.desc(no)).collect()
     }
 
     pub(crate) fn port_stats(&self) -> Vec<PortStatsEntry> {
         self.ports
             .iter()
             .map(|(no, p)| PortStatsEntry {
-                port_no: *no,
+                port_no: no,
                 rx_packets: p.rx_packets,
                 tx_packets: p.tx_packets,
                 rx_bytes: p.rx_bytes,
@@ -456,8 +338,8 @@ pub(crate) fn emit_outputs(
                     Some(sw) => sw
                         .ports
                         .iter()
-                        .filter(|(no, p)| p.is_up() && (out == PortNo::ALL || **no != in_port))
-                        .map(|(no, _)| *no)
+                        .filter(|(no, p)| p.is_up() && (out == PortNo::ALL || *no != in_port))
+                        .map(|(no, _)| no)
                         .collect(),
                     None => continue,
                 };

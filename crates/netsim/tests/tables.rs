@@ -1,6 +1,6 @@
-//! The switch and port tables: a network runs the same whatever order its
-//! spec was built in, sparse dpids and port numbers resolve, and unknown
-//! ones resolve to nothing.
+//! The switch, port and host tables: a network runs the same whatever
+//! order its spec was built in, sparse dpids, port numbers and host ids
+//! resolve, and unknown ones resolve to nothing.
 
 use netsim::{
     ControllerCtx, ControllerLogic, DemandProfile, LinkProfile, NetworkSpec, Simulator, TimerId,
@@ -8,7 +8,7 @@ use netsim::{
 };
 use openflow::{Action, FlowMatch, FlowModCommand, OfMessage, PortLinkState, Xid};
 use sdn_types::packet::Payload;
-use sdn_types::{DatapathId, Duration, HostId, IpAddr, MacAddr, PortNo, SimTime};
+use sdn_types::{DatapathId, Duration, HostId, IpAddr, MacAddr, PortNo, SimTime, SwitchPort};
 use tm_telemetry::Telemetry;
 
 /// Sparse dpids, in ascending order.
@@ -22,8 +22,9 @@ const DPIDS: [DatapathId; 4] = [
 /// The chain 7 — 9 — 0x2a — 0x99, as `(a, port_a, b, port_b)`.
 const LINKS: [(u64, u16, u64, u16); 3] = [(7, 1, 9, 1), (9, 2, 0x2a, 1), (0x2a, 2, 0x99, 1)];
 
-/// Hosts as `(id, dpid, port)`; ports 5 and 40 sit past a gap.
-const HOSTS: [(u32, u64, u16); 3] = [(1, 7, 5), (2, 9, 3), (3, 0x99, 40)];
+/// Hosts as `(id, dpid, port)`, ascending by id. The ids start past 1
+/// and skip, and ports 5, 7 and 40 sit past a gap.
+const HOSTS: [(u32, u64, u16); 4] = [(2, 7, 5), (5, 9, 3), (0x40, 0x2a, 7), (0x41, 0x99, 40)];
 
 /// Traffic groups park `AGG_MARGIN` ports past each edge's highest port,
 /// as the fabric load plans do.
@@ -74,7 +75,7 @@ fn spec(shuffled: bool) -> NetworkSpec {
         for link in &mut links {
             *link = (link.2, link.3, link.0, link.1);
         }
-        hosts.reverse();
+        hosts = [HOSTS[2], HOSTS[0], HOSTS[3], HOSTS[1]];
     }
     for dpid in dpids {
         spec.add_switch(dpid);
@@ -279,6 +280,17 @@ fn sparse_dpids_and_ports_resolve_and_unknown_ones_do_not() {
         let dpid = DatapathId::new(raw);
         assert_eq!(sim.flow_count(dpid), None, "{dpid}");
         assert!(sim.port_stats(dpid).is_none(), "{dpid}");
+    }
+
+    // Hosts resolve by id, wherever their ids sit.
+    for (id, dpid, port) in HOSTS {
+        let info = sim.host_info(HostId::new(id)).expect("a known host");
+        assert_eq!(info.mac, MacAddr::from_index(id), "h{id}");
+        let at = SwitchPort::new(DatapathId::new(dpid), PortNo::new(port));
+        assert_eq!(info.attachment, Some(at), "h{id}");
+    }
+    for raw in [0, 1, 3, 4, 6, 0x3f, 0x42, u32::MAX] {
+        assert!(sim.host_info(HostId::new(raw)).is_none(), "h{raw}");
     }
 
     // Admin changes on unknown switches or ports change nothing.

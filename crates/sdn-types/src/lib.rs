@@ -11,6 +11,8 @@
 //! * LLDP Type-Length-Value structures including the two custom TLVs the
 //!   paper's defenses rely on: an HMAC authentication TLV (TopoGuard) and an
 //!   encrypted departure-timestamp TLV (TopoGuard+'s Link Latency Inspector).
+//! * [`Table`] and [`SwitchPortTable`] — maps keyed by those identifiers
+//!   that find a key in one step and iterate in key order.
 //!
 //! All packet types encode to and parse from big-endian wire bytes. The
 //! simulation passes frames as typed values and builds those images only
@@ -40,9 +42,11 @@ pub mod crypto;
 mod error;
 mod ids;
 pub mod packet;
+pub mod table;
 pub mod time;
 
 pub use addr::{IpAddr, MacAddr};
 pub use error::ParseError;
 pub use ids::{DatapathId, HostId, PortNo, SwitchPort};
+pub use table::{SwitchPortSet, SwitchPortTable, Table, TableKey};
 pub use time::{Duration, SimTime};

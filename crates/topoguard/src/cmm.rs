@@ -7,11 +7,9 @@
 //! involved in the probe (sender, or — retroactively, since the receiver is
 //! not known in advance — the receiving port) raises an alert.
 
-use std::collections::BTreeMap;
-
 use controller::{AlertKind, Command, CounterHandle, DefenseModule, LldpReceive, ModuleCtx};
 use openflow::{PortDesc, PortStatusReason};
-use sdn_types::{DatapathId, Duration, PortNo, SimTime, SwitchPort};
+use sdn_types::{DatapathId, Duration, PortNo, SimTime, SwitchPort, SwitchPortTable};
 
 /// CMM configuration.
 #[derive(Clone, Copy, Debug)]
@@ -41,8 +39,13 @@ impl Default for CmmConfig {
 /// The Control Message Monitor.
 pub struct Cmm {
     config: CmmConfig,
-    /// Probes in flight: emitting port → emission time.
-    in_flight: BTreeMap<SwitchPort, SimTime>,
+    /// Probes in flight: emitting port → emission time. A port's slot
+    /// outlives its probe, so every round reuses the slots of the last.
+    in_flight: SwitchPortTable<SimTime>,
+    /// No probe in flight was emitted before this; `None` while none is
+    /// in flight. `on_tick` scans `in_flight` only once it falls past the
+    /// probe TTL: once per discovery round.
+    oldest: Option<SimTime>,
     /// Recent Port-Up/Down events: `(port, at, went_up)`.
     port_events: Vec<(SwitchPort, SimTime, bool)>,
     /// `topoguard.cmm.probes_tracked`, resolved from the run's telemetry
@@ -55,7 +58,8 @@ impl Cmm {
     pub fn new(config: CmmConfig) -> Self {
         Cmm {
             config,
-            in_flight: BTreeMap::new(),
+            in_flight: SwitchPortTable::new(),
+            oldest: None,
             port_events: Vec::new(),
             probes_tracked: None,
         }
@@ -90,6 +94,7 @@ impl DefenseModule for Cmm {
             .get_or_insert_with(|| cx.telemetry.counter_handle("topoguard.cmm.probes_tracked"))
             .inc();
         self.in_flight.insert(SwitchPort::new(dpid, port), cx.now);
+        self.oldest.get_or_insert(cx.now);
     }
 
     fn on_lldp_receive(&mut self, cx: &mut ModuleCtx<'_>, ev: &LldpReceive<'_>) -> Command {
@@ -163,7 +168,17 @@ impl DefenseModule for Cmm {
             now.as_nanos()
                 .saturating_sub(self.config.probe_ttl.as_nanos()),
         );
-        self.in_flight.retain(|_, at| *at >= probe_cutoff);
+        if self.oldest.is_some_and(|oldest| oldest < probe_cutoff) {
+            let mut oldest: Option<SimTime> = None;
+            self.in_flight.retain(|_, &mut at| {
+                let live = at >= probe_cutoff;
+                if live {
+                    oldest = Some(oldest.map_or(at, |o| o.min(at)));
+                }
+                live
+            });
+            self.oldest = oldest;
+        }
         let event_cutoff = SimTime::from_nanos(
             now.as_nanos()
                 .saturating_sub(self.config.event_retention.as_nanos()),

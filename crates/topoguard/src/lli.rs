@@ -28,11 +28,9 @@
 //! bootstrap no fence is established yet, so every honest trunk warms up
 //! against itself, whatever its tier's latency.
 
-use std::collections::BTreeMap;
-
-use controller::DirectedLink;
 use controller::{
-    AlertKind, Command, CounterHandle, DefenseModule, HistogramHandle, LinkLatencySample, ModuleCtx,
+    AlertKind, Command, CounterHandle, DefenseModule, DirectedLink, HistogramHandle,
+    LinkLatencySample, LinkTable, ModuleCtx,
 };
 use sdn_types::{Duration, SimTime};
 use tm_stats::iqr::{MIN_SAMPLES, STORE_CAPACITY};
@@ -74,8 +72,9 @@ pub struct LliObservation {
 /// The Link Latency Inspector.
 pub struct Lli {
     config: LliConfig,
-    /// One verified-latency store per undirected trunk (see module docs).
-    detectors: BTreeMap<DirectedLink, IqrOutlierDetector>,
+    /// One verified-latency store per undirected trunk (see module docs),
+    /// by the trunk's canonical orientation.
+    detectors: LinkTable<IqrOutlierDetector>,
     /// `topoguard.lli.samples` and `topoguard.lli.link_latency_ns`,
     /// resolved from the run's telemetry on the first judgement.
     metrics: Option<(CounterHandle, HistogramHandle)>,
@@ -92,7 +91,7 @@ impl Lli {
     pub fn new(config: LliConfig) -> Self {
         Lli {
             config,
-            detectors: BTreeMap::new(),
+            detectors: LinkTable::new(),
             metrics: None,
         }
     }
@@ -117,7 +116,7 @@ impl Lli {
     fn reference_threshold_ms(&self, exclude: DirectedLink) -> Option<f64> {
         self.detectors
             .iter()
-            .filter(|&(&key, _)| key != exclude)
+            .filter(|&(key, _)| key != exclude)
             .filter_map(|(_, d)| d.threshold())
             .fold(None, |acc: Option<f64>, t| {
                 Some(acc.map_or(t, |a| a.max(t)))
@@ -147,7 +146,7 @@ impl Lli {
             // sample seed the trunk's own store.
             _ => {
                 let reference = self.reference_threshold_ms(key);
-                let detector = self.detectors.entry(key).or_insert_with(|| {
+                let detector = self.detectors.get_or_insert_with(key, || {
                     IqrOutlierDetector::new(STORE_CAPACITY, MIN_SAMPLES, self.config.iqr_k)
                 });
                 match reference {

@@ -7,9 +7,7 @@
 //! > is marked as a SWITCH. On detection of a Port-Down event, the type is
 //! > reset to ANY."
 
-use std::collections::BTreeMap;
-
-use sdn_types::{SimTime, SwitchPort};
+use sdn_types::{SimTime, SwitchPort, SwitchPortTable};
 
 /// The behavioral class of a switch port.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -39,7 +37,7 @@ pub struct PortProfile {
 /// The profiler: a map from switch port to behavioral profile.
 #[derive(Clone, Debug, Default)]
 pub struct PortProfiler {
-    profiles: BTreeMap<SwitchPort, PortProfile>,
+    profiles: SwitchPortTable<PortProfile>,
 }
 
 impl PortProfiler {
@@ -61,10 +59,19 @@ impl PortProfiler {
         self.profiles.get(&port)
     }
 
+    /// The profile of `port`, created as ANY at `now` if it has none.
+    fn profile_mut(&mut self, port: SwitchPort, now: SimTime) -> &mut PortProfile {
+        self.profiles.get_or_insert_with(port, || PortProfile {
+            port_type: PortType::Any,
+            since: now,
+            reset_count: 0,
+        })
+    }
+
     /// Records first-hop dataplane traffic on `port`. Returns the previous
     /// classification.
     pub fn saw_host_traffic(&mut self, port: SwitchPort, now: SimTime) -> PortType {
-        let profile = self.profiles.entry(port).or_default_with(now);
+        let profile = self.profile_mut(port, now);
         let prev = profile.port_type;
         if prev == PortType::Any {
             profile.port_type = PortType::Host;
@@ -76,7 +83,7 @@ impl PortProfiler {
     /// Records LLDP reception on `port`. Returns the previous
     /// classification.
     pub fn saw_lldp(&mut self, port: SwitchPort, now: SimTime) -> PortType {
-        let profile = self.profiles.entry(port).or_default_with(now);
+        let profile = self.profile_mut(port, now);
         let prev = profile.port_type;
         if prev == PortType::Any {
             profile.port_type = PortType::Switch;
@@ -87,33 +94,12 @@ impl PortProfiler {
 
     /// Handles a Port-Down: resets the profile to ANY.
     pub fn port_down(&mut self, port: SwitchPort, now: SimTime) {
-        let profile = self.profiles.entry(port).or_default_with(now);
+        let profile = self.profile_mut(port, now);
         if profile.port_type != PortType::Any {
             profile.port_type = PortType::Any;
             profile.since = now;
         }
         profile.reset_count += 1;
-    }
-}
-
-// Small helper because `PortProfile::default()` has no timestamp.
-impl PortProfile {
-    fn fresh(now: SimTime) -> Self {
-        PortProfile {
-            port_type: PortType::Any,
-            since: now,
-            reset_count: 0,
-        }
-    }
-}
-
-trait EntryExt<'a> {
-    fn or_default_with(self, now: SimTime) -> &'a mut PortProfile;
-}
-
-impl<'a> EntryExt<'a> for std::collections::btree_map::Entry<'a, SwitchPort, PortProfile> {
-    fn or_default_with(self, now: SimTime) -> &'a mut PortProfile {
-        self.or_insert_with(|| PortProfile::fresh(now))
     }
 }
 
